@@ -186,10 +186,6 @@ def order_unit(algebra: AlgebraSpec, level: int) -> Element:
     return Element(algebra, level, level, tuple(mats))
 
 
-def from_components(algebra: AlgebraSpec, row_level, col_level, mats) -> Element:
-    return Element(algebra, row_level, col_level, tuple(mats))
-
-
 def from_stack(algebra: AlgebraSpec, row_level, col_level,
                stack: np.ndarray) -> Element:
     return Element(algebra, row_level, col_level,
@@ -219,14 +215,6 @@ def direct_sum(u: Element, v: Element) -> Element:
         mats.append(out)
     return Element(u.algebra, u.row_level + v.row_level,
                    u.col_level + v.col_level, tuple(mats))
-
-
-def direct_sum_many(elems) -> Element:
-    elems = list(elems)
-    out = elems[0]
-    for e in elems[1:]:
-        out = direct_sum(out, e)
-    return out
 
 
 def amplify_scalar(algebra: AlgebraSpec, alpha: np.ndarray, i: int) -> np.ndarray:

@@ -27,9 +27,11 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+# OSError covers unreadable input files and an unwritable --out path
 _INPUT_ERRORS = (SpecParseError, ShapeMismatch, AlgebraMismatch,
                  LevelMismatch, NotProjection, NotPartialUnitary,
-                 PreconditionFailure, Unsupported, ZeroOperand, NotUnital)
+                 PreconditionFailure, Unsupported, ZeroOperand, NotUnital,
+                 OSError)
 _NUMERICAL_ERRORS = (NoConvergence, DomainError, PredicateFailure,
                      NotCancellative)
 

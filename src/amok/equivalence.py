@@ -46,7 +46,7 @@ def _component_rank(a: np.ndarray, tol: float) -> int:
     h = (a + a.conj().T) / 2.0
     if h.size == 0:
         return 0
-    w, _ = kernel.jacobi_eig_stack(h[None])
+    w, _ = kernel.eig_stack(h[None])
     w = w[0]
     near0 = np.abs(w) <= np.sqrt(tol)
     near1 = np.abs(w - 1.0) <= np.sqrt(tol)
@@ -175,7 +175,7 @@ def _range_basis(a: np.ndarray, tol: float):
     h = (a + a.conj().T) / 2.0
     if h.size == 0:
         return (np.zeros((0, 0), dtype=complex),) * 2
-    w, V = kernel.jacobi_eig_stack(h[None])
+    w, V = kernel.eig_stack(h[None])
     w, V = w[0], V[0]
     keep = w > 0.5
     return V[:, keep], V[:, ~keep]

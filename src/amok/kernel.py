@@ -1,11 +1,13 @@
 """Dense complex linear algebra substrate.
 
-Everything here is self-contained: Hermitian eigendecomposition by cyclic
-Jacobi rotations, matrix functions through the eigenbasis, SVD via the
-Gram matrix, a PSD test and principal-branch unitary logarithm paths.
-All routines operate on plain ``numpy.ndarray`` values and are pure
-functions of their inputs; batch variants take a stack of shape
-``(B, n, n)`` and are the workhorses for grid-sampled algebras.
+Hermitian eigendecomposition, SVD, singular values and the Cholesky
+positive-definiteness test all run on LAPACK through ``numpy.linalg``;
+a failed LAPACK solve raises ``NoConvergence``.  On top of these sit
+matrix functions through the eigenbasis, a PSD test and
+principal-branch unitary logarithm paths.  All routines operate on
+plain ``numpy.ndarray`` values and are pure functions of their inputs;
+batch variants take a stack of shape ``(B, n, n)`` and are the
+workhorses for grid-sampled algebras.
 """
 
 from __future__ import annotations
@@ -16,16 +18,9 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotHermitian, NotUnitary
 
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a hard dep in practice
-    _njit = None
-
 TOL_EIG = 1e-11
 TOL_PATH = 1e-8
 TOL_CLIP = 1e-10
-
-MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -49,138 +44,56 @@ def require_hermitian(M: np.ndarray, tol: float) -> None:
         raise NotHermitian(f"hermitian defect {d:.3e} exceeds tol {tol:.3e}")
 
 
-def _offdiag_norm2(A: np.ndarray) -> np.ndarray:
-    """Sum of squared off-diagonal magnitudes, per batch entry."""
-    B, n, _ = A.shape
-    total = np.sum(np.abs(A) ** 2, axis=(1, 2))
-    diag = np.sum(np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=1)
-    return total - diag
+def _lapack(routine, *args, **kwargs):
+    """Call a NumPy LAPACK routine; a failed solve raises NoConvergence."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK {routine.__name__} failed: {exc}") from exc
 
 
-def _jacobi_sweeps(A, V, active_tol, thresh_off2, max_sweeps):
-    """Cyclic Jacobi sweeps, in place, over a stack of Hermitian matrices.
-
-    Returns True once every stack entry has off-diagonal mass below
-    thresh_off2, False if the sweep budget ran out.
-    """
-    B, n, _ = A.shape
-    for sweep in range(max_sweeps):
-        done = True
-        for b in range(B):
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        x = A[b, i, j]
-                        off += x.real * x.real + x.imag * x.imag
-            if off > thresh_off2:
-                done = False
-                break
-        if done:
-            return True
-        for b in range(B):
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[b, p, q]
-                    mag = abs(apq)
-                    if mag <= active_tol:
-                        continue
-                    app = A[b, p, p].real
-                    aqq = A[b, q, q].real
-                    theta = 0.5 * np.arctan2(2.0 * mag, app - aqq)
-                    c = np.cos(theta)
-                    s = np.sin(theta)
-                    ph = apq / mag
-                    sp = s * ph
-                    spc = s * np.conj(ph)
-                    # J[p,p]=c, J[q,p]=s*conj(ph), J[p,q]=-s*ph, J[q,q]=c
-                    for i in range(n):
-                        aip = A[b, i, p]
-                        aiq = A[b, i, q]
-                        A[b, i, p] = c * aip + spc * aiq
-                        A[b, i, q] = -sp * aip + c * aiq
-                    for j in range(n):
-                        apj = A[b, p, j]
-                        aqj = A[b, q, j]
-                        A[b, p, j] = c * apj + sp * aqj
-                        A[b, q, j] = -spc * apj + c * aqj
-                    for i in range(n):
-                        vip = V[b, i, p]
-                        viq = V[b, i, q]
-                        V[b, i, p] = c * vip + spc * viq
-                        V[b, i, q] = -sp * vip + c * viq
-    # final convergence check after the last sweep
-    for b in range(B):
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    x = A[b, i, j]
-                    off += x.real * x.real + x.imag * x.imag
-        if off > thresh_off2:
-            return False
-    return True
+def _as_stack(A: np.ndarray) -> np.ndarray:
+    A = np.asarray(A, dtype=np.complex128)
+    return A[None] if A.ndim == 2 else A
 
 
-if _njit is not None:
-    _jacobi_sweeps = _njit(cache=True)(_jacobi_sweeps)
-
-
-def jacobi_eig_stack(A: np.ndarray, tol: float = TOL_EIG):
-    """Cyclic Jacobi on a stack of Hermitian matrices.
+def eig_stack(A: np.ndarray):
+    """Eigendecomposition of a stack of Hermitian matrices (LAPACK).
 
     Returns ``(w, V)`` with ``w`` of shape (B, n) ascending per entry and
     ``V`` of shape (B, n, n) with orthonormal columns such that
-    ``V diag(w) V^* == A`` up to tol.  Deterministic: fixed sweep order,
-    eigenvalues sorted ascending, each eigenvector's largest-magnitude
-    entry made real positive.
+    ``V diag(w) V^* == A``.  Only the lower triangle of each entry is
+    read, so callers symmetrize first.  Each eigenvector's
+    largest-magnitude entry is made real positive.
     """
-    A = np.ascontiguousarray(np.array(A, dtype=np.complex128))
-    if A.ndim == 2:
-        A = A[None]
-    B, n, n2 = A.shape
-    if n != n2:
-        raise NotHermitian(f"stack entries are {n}x{n2}, not square")
-    V = np.broadcast_to(np.eye(n, dtype=np.complex128), (B, n, n)).copy()
-    if n <= 1:
-        w = np.real(A[:, 0, 0])[:, None] if n == 1 else np.zeros((B, 0))
+    A = _as_stack(A)
+    if A.shape[-1] != A.shape[-2]:
+        raise NotHermitian(f"stack entries are {A.shape[-2]}x{A.shape[-1]}, "
+                           "not square")
+    w, V = _lapack(np.linalg.eigh, A)
+    if A.shape[-1] == 0:
         return w, V
-    scale = 1.0 + float(np.max(np.abs(A), initial=0.0))
-    # per-entry off-diagonal threshold keeps reconstruction within tol*scale
-    thresh_off2 = (0.05 * tol * scale) ** 2
-    active_tol = 0.01 * tol * scale / n
-    ok = _jacobi_sweeps(A, V, active_tol, thresh_off2, MAX_SWEEPS)
-    if not ok:
-        raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-
-    w = np.real(np.diagonal(A, axis1=1, axis2=2)).copy()
-    order = np.argsort(w, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    # fix per-column phase: largest-magnitude entry real positive
     idx = np.argmax(np.abs(V), axis=1)  # (B, n)
     lead = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
-    mag = np.abs(lead)
-    ph = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
-    V = V * ph.conj()[:, None, :]
-    return w, V
+    # a unit column's largest entry is at least 1/sqrt(n), never zero
+    return w, V * (lead.conj() / np.abs(lead))[:, None, :]
 
 
 def hermitian_eig(M: np.ndarray, tol: float = TOL_EIG) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix (cyclic Jacobi)."""
+    """Eigendecomposition of a Hermitian matrix."""
     require_hermitian(M, tol)
-    w, V = jacobi_eig_stack(M[None], tol)
+    w, V = eig_stack(M[None])
     return HermitianEig(eigenvalues=w[0], eigenvectors=V[0])
 
 
-def matrix_func_stack(A: np.ndarray, f, tol: float = TOL_EIG,
+def matrix_func_stack(A: np.ndarray, f,
                       tol_clip: float = TOL_CLIP) -> np.ndarray:
     """Apply a real scalar function through the eigenbasis, per stack entry.
 
     Eigenvalues in [-tol_clip, 0) are clipped to 0 first; v*v is PSD in
     exact arithmetic and tiny negatives are roundoff.
     """
-    w, V = jacobi_eig_stack(A, tol)
+    w, V = eig_stack(A)
     w = np.where((w < 0) & (w >= -tol_clip), 0.0, w)
     try:
         fw = np.array([[float(f(x)) for x in row] for row in w])
@@ -195,10 +108,10 @@ def matrix_func_stack(A: np.ndarray, f, tol: float = TOL_EIG,
 def matrix_func(M: np.ndarray, f, tol: float = TOL_EIG,
                 tol_clip: float = TOL_CLIP) -> np.ndarray:
     require_hermitian(M, tol)
-    return matrix_func_stack(M[None], f, tol, tol_clip)[0]
+    return matrix_func_stack(M[None], f, tol_clip)[0]
 
 
-def sqrtm_psd_stack(A: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
+def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
     """(A)^{1/2} for a stack of PSD Hermitian matrices.
 
     Eigenvalues within a relative 1e-13 band of zero are snapped to
@@ -206,10 +119,10 @@ def sqrtm_psd_stack(A: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
     roundoff-sized eigenvalues of a Gram matrix would otherwise inflate
     to ~1e-8 and poison every projection predicate downstream.
     """
-    w, V = jacobi_eig_stack(A, tol)
+    w, V = eig_stack(A)
     scale = float(np.max(np.abs(w), initial=0.0))
     snap = 1e-13 * (1.0 + scale)
-    neg_ok = max(TOL_CLIP, 100 * tol) * (1.0 + scale)
+    neg_ok = 100 * TOL_EIG * (1.0 + scale)
     if np.any(w < -neg_ok):
         raise DomainError(
             f"sqrt of matrix with eigenvalue {float(np.min(w)):.3e}")
@@ -221,80 +134,39 @@ def sqrtm_psd_stack(A: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
 def psd_within(M: np.ndarray, tol: float) -> bool:
     """True iff the minimum eigenvalue of Hermitian M is >= -tol."""
     require_hermitian(M, tol)
-    w, _ = jacobi_eig_stack(M[None])
-    return bool(w[0, 0] >= -tol) if w.shape[1] else True
+    w = min_eig_stack(M[None])
+    return bool(w[0] >= -tol)
 
 
-def min_eig_stack(A: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
-    w, _ = jacobi_eig_stack(A, tol)
+def min_eig_stack(A: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian entry of a stack (0 if empty)."""
+    A = _as_stack(A)
+    w = _lapack(np.linalg.eigvalsh, A)
     return w[:, 0] if w.shape[1] else np.zeros(A.shape[0])
 
 
 def cholesky_feasible_stack(A: np.ndarray) -> bool:
     """True iff every Hermitian entry of the stack is positive definite.
 
-    Pivot-based feasibility test used inside the order-unit-norm
-    bisection; much cheaper than a full eigendecomposition.
+    Cholesky feasibility test used inside the order-unit-norm bisection;
+    much cheaper than a full eigendecomposition.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim == 2:
-        A = A[None]
-    B, n, _ = A.shape
-    if n == 0:
-        return True
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[:, j, j].real - np.sum(np.abs(L[:, j, :j]) ** 2, axis=1)
-        if np.any(d <= 0.0):
-            return False
-        dj = np.sqrt(d)
-        L[:, j, j] = dj
-        if j + 1 < n:
-            rest = A[:, j + 1:, j] - np.einsum(
-                "bik,bk->bi", L[:, j + 1:, :j], L[:, j, :j].conj())
-            L[:, j + 1:, j] = rest / dj[:, None]
+    try:
+        np.linalg.cholesky(_as_stack(A))
+    except np.linalg.LinAlgError:
+        return False
     return True
 
 
-def svd(M: np.ndarray, tol: float = TOL_EIG):
-    """Thin SVD via eigendecomposition of M*M, phases aligned through M.
+def svd(M: np.ndarray):
+    """Thin SVD (LAPACK).
 
     Returns (left, singulars, right) with M = left @ diag(s) @ right^*,
     s nonnegative descending, left/right with orthonormal columns.
     """
-    M = np.asarray(M, dtype=complex)
-    m, n = M.shape
-    r = min(m, n)
-    G = M.conj().T @ M
-    G = (G + G.conj().T) / 2.0
-    w, V = jacobi_eig_stack(G[None], tol)
-    w, V = w[0], V[0]
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    s = np.sqrt(np.clip(w, 0.0, None))[:r]
-    right = V[:, :r]
-    scale = s[0] if r and s[0] > 0 else 1.0
-    cutoff = max(tol, 1e-13) * max(scale, 1.0) * max(m, n)
-    left = np.zeros((m, r), dtype=complex)
-    for i in range(r):
-        if s[i] > cutoff:
-            left[:, i] = (M @ right[:, i]) / s[i]
-        else:
-            s[i] = max(s[i], 0.0)
-    # complete columns for (near-)zero singular values deterministically
-    for i in range(r):
-        if np.linalg.norm(left[:, i]) > 0.5:
-            continue
-        for k in range(m):
-            cand = np.zeros(m, dtype=complex)
-            cand[k] = 1.0
-            cand -= left @ (left.conj().T @ cand)
-            nrm = np.sqrt(np.real(np.vdot(cand, cand)))
-            if nrm > 0.5:
-                left[:, i] = cand / nrm
-                break
-    return left, s, right
+    left, s, right_h = _lapack(np.linalg.svd, np.asarray(M, dtype=complex),
+                               full_matrices=False)
+    return left, s, right_h.conj().T
 
 
 def unitary_defect(U: np.ndarray) -> float:
@@ -315,7 +187,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
 
     Returns (phases, W) with phases in (-pi, pi] and
     U = W diag(exp(i*phases)) W^*.  Diagonalizes the commuting Hermitian
-    pair (U+U^*)/2 and (U-U^*)/(2i): the first by Jacobi, then the
+    pair (U+U^*)/2 and (U-U^*)/(2i): the first directly, then the
     second restricted to each eigenvalue cluster of the first.
     """
     require_unitary(U, tol)
@@ -323,7 +195,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
     C = (U + U.conj().T) / 2.0
     S = (U - U.conj().T) / 2.0j
     S = (S + S.conj().T) / 2.0
-    w, W = jacobi_eig_stack(C[None])
+    w, W = eig_stack(C[None])
     w, W = w[0], W[0]
     cluster_tol = 1e-8 * (1.0 + np.max(np.abs(w), initial=0.0))
     start = 0
@@ -335,7 +207,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
             Qc = W[:, start:stop]
             Sc = Qc.conj().T @ S @ Qc
             Sc = (Sc + Sc.conj().T) / 2.0
-            _, Vc = jacobi_eig_stack(Sc[None])
+            _, Vc = eig_stack(Sc[None])
             W[:, start:stop] = Qc @ Vc[0]
         start = stop
     D = W.conj().T @ U @ W
@@ -366,30 +238,14 @@ def unitary_log_path(U: np.ndarray, samples: int = 129,
     return out
 
 
-def spectral_norms_per_entry(A: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
+def spectral_norms_per_entry(A: np.ndarray) -> np.ndarray:
     """Largest singular value of each entry of a stack, as a vector."""
-    A = np.asarray(A, dtype=complex)
+    A = _as_stack(A)
     if A.shape[1] == 0 or A.shape[2] == 0:
         return np.zeros(A.shape[0])
-    if A.shape[1] < A.shape[2]:
-        A = A.conj().transpose(0, 2, 1)
-    G = A.conj().transpose(0, 2, 1) @ A
-    G = (G + G.conj().transpose(0, 2, 1)) / 2.0
-    w, _ = jacobi_eig_stack(G, tol)
-    return np.sqrt(np.clip(w[:, -1], 0.0, None))
+    return _lapack(np.linalg.svd, A, compute_uv=False)[:, 0]
 
 
-def spectral_norm_stack(A: np.ndarray, tol: float = TOL_EIG) -> float:
+def spectral_norm_stack(A: np.ndarray) -> float:
     """Largest singular value over a stack of (rectangular) matrices."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim == 2:
-        A = A[None]
-    if A.shape[1] == 0 or A.shape[2] == 0:
-        return 0.0
-    if A.shape[1] < A.shape[2]:
-        A = A.conj().transpose(0, 2, 1)
-    G = A.conj().transpose(0, 2, 1) @ A
-    G = (G + G.conj().transpose(0, 2, 1)) / 2.0
-    w, _ = jacobi_eig_stack(G, tol)
-    top = np.max(w[:, -1], initial=0.0)
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.max(spectral_norms_per_entry(A), initial=0.0))

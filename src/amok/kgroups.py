@@ -19,7 +19,7 @@ from .algebra import (CIRCLE, FD, AlgebraSpec, Element, direct_sum,
                       order_unit, zero)
 from .errors import (NotCancellative, NotPartialUnitary,
                      PreconditionFailure, Unsupported)
-from .morphisms import MorphismSpec, apply_morphism
+from .morphisms import MorphismSpec
 
 K0 = "K0"
 K1 = "K1"
@@ -260,13 +260,11 @@ def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
         unit = KClass(K1, (), ())
         return OrderedGroupView(K1, algebra, 0, unit, "full",
                                 flags=(("whitehead", wh),))
-    gen_mats = [np.kron(np.diag([z] + [1.0] * 0),
-                        np.eye(algebra.dim)).astype(complex)
-                for z in algebra.sample_points()]
-    for j, z in enumerate(algebra.sample_points()):
+    gen_mats = []
+    for z in algebra.sample_points():
         m = np.eye(algebra.dim, dtype=complex)
         m[0, 0] = z
-        gen_mats[j] = m
+        gen_mats.append(m)
     gen = Element(algebra, 1, 1, tuple(gen_mats))
     unit = KClass(K1, (0,), (0,))
     return OrderedGroupView(K1, algebra, 1, unit, "full",

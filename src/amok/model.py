@@ -243,19 +243,3 @@ def orthogonal_infty_a(u: Element, v: Element, tol: float = TOL_PRED) -> bool:
         raise ShapeMismatch("orthogonality needs identical shapes")
     return u.matmul(v).max_abs() <= tol
 
-
-def support_decomposition(p: Element, tol: float = TOL_PRED):
-    """Range / kernel orthonormal bases of an order projection.
-
-    Returns, per component, a pair (R, K): columns of R span the range
-    (eigenvalues near 1), columns of K the kernel.  Raises nothing by
-    itself; rank validation lives in the equivalence engine.
-    """
-    out = []
-    for a in p.data:
-        h = (a + a.conj().T) / 2.0
-        w, V = kernel.jacobi_eig_stack(h[None])
-        w, V = w[0], V[0]
-        keep = w > 0.5
-        out.append((V[:, keep], V[:, ~keep]))
-    return out

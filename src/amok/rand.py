@@ -35,7 +35,7 @@ def _cnormal(rng, shape):
 def _expi(H: np.ndarray) -> np.ndarray:
     """exp(i H) for Hermitian H through the eigenbasis."""
     H = (H + H.conj().T) / 2.0
-    w, V = kernel.jacobi_eig_stack(H[None])
+    w, V = kernel.eig_stack(H[None])
     return (V[0] * np.exp(1j * w[0])[None, :]) @ V[0].conj().T
 
 

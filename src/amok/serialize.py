@@ -27,6 +27,11 @@ def _require_fields(obj: dict, allowed, required, where: str) -> None:
         raise SpecParseError(f"{where}: missing fields {sorted(missing)}")
 
 
+def _is_int(x) -> bool:
+    """True for a JSON integer; rejects ``bool``, which subclasses ``int``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_to_json(algebra: AlgebraSpec) -> dict:
     if algebra.variant == FD:
         return {"variant": "fd", "blocks": list(algebra.block_dims)}
@@ -44,14 +49,14 @@ def parse_algebra(obj) -> AlgebraSpec:
                             "algebra")
             blocks = obj["blocks"]
             if (not isinstance(blocks, list) or not blocks
-                    or not all(isinstance(b, int) and b >= 1 for b in blocks)):
+                    or not all(_is_int(b) and b >= 1 for b in blocks)):
                 raise SpecParseError("algebra: 'blocks' must be a nonempty "
                                      "list of positive integers")
             return AlgebraSpec.fd(blocks)
         if variant == "circle":
             _require_fields(obj, ("variant", "dim", "grid"),
                             ("variant", "dim", "grid"), "algebra")
-            if not isinstance(obj["dim"], int) or not isinstance(obj["grid"], int):
+            if not _is_int(obj["dim"]) or not _is_int(obj["grid"]):
                 raise SpecParseError("algebra: 'dim' and 'grid' must be integers")
             return AlgebraSpec.circle(obj["dim"], obj["grid"])
     except ValueError as exc:
@@ -72,10 +77,15 @@ def _parse_matrix(rows, shape, where: str) -> np.ndarray:
             raise SpecParseError(f"{where}: row {r} must have {shape[1]} entries")
         for c, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or not all(type(x) in (int, float) for x in cell)):
                 raise SpecParseError(
                     f"{where}: entry ({r},{c}) must be a [re, im] pair")
-            out[r, c] = complex(cell[0], cell[1])
+            try:
+                out[r, c] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise SpecParseError(f"{where}: entry ({r},{c}) is too large")
+    if not np.all(np.isfinite(out)):
+        raise SpecParseError(f"{where}: entries must be finite numbers")
     return out
 
 
@@ -91,7 +101,7 @@ def parse_element(obj) -> Element:
                     ("algebra", "row_level", "col_level", "data"), "element")
     algebra = parse_algebra(obj["algebra"])
     m, n = obj["row_level"], obj["col_level"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+    if not _is_int(m) or not _is_int(n) or m < 0 or n < 0:
         raise SpecParseError("element: levels must be nonnegative integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != algebra.components:
@@ -134,6 +144,7 @@ def load_algebra(path: str) -> AlgebraSpec:
 def path_to_json(path) -> dict:
     return {"kind": "path",
             "relation_domain": path.relation_domain,
+            "step_bound": path.step_bound,
             "samples": [element_to_json(s) for s in path.samples]}
 
 

@@ -434,7 +434,7 @@ def _support_projection(u: Element) -> Element:
     st = model._uniform_stack(u)
     if st is not None:
         h = (st + st.conj().transpose(0, 2, 1)) / 2.0
-        w, V = kernel.jacobi_eig_stack(h)
+        w, V = kernel.eig_stack(h)
         keep = (w > 0.1).astype(float)
         m = (V * keep[:, None, :]) @ V.conj().transpose(0, 2, 1)
         m = (m + m.conj().transpose(0, 2, 1)) / 2.0
@@ -443,7 +443,7 @@ def _support_projection(u: Element) -> Element:
     mats = []
     for a in u.data:
         h = (a + a.conj().T) / 2.0
-        w, V = kernel.jacobi_eig_stack(h[None])
+        w, V = kernel.eig_stack(h[None])
         keep = (w[0] > 0.1).astype(float)
         m = (V[0] * keep[None, :]) @ V[0].conj().T
         mats.append((m + m.conj().T) / 2.0)

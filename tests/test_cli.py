@@ -1,10 +1,16 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from amok import algebra, cli, rand, serialize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -51,6 +57,43 @@ def test_unknown_field_gives_exit_2(tmp_path, capsys):
     spec.write_text(json.dumps(obj))
     assert cli.main(["check-axioms", str(spec)]) == 2
     capsys.readouterr()
+
+
+def test_boolean_block_gives_exit_2(tmp_path, capsys):
+    spec = write_json(tmp_path / "alg.json",
+                      {"variant": "fd", "blocks": [True, 2]})
+    assert cli.main(["check-axioms", spec, "--trials", "1"]) == 2
+    assert "SpecParseError" in capsys.readouterr().err
+
+
+def test_nan_entry_gives_exit_2(tmp_path, capsys):
+    obj = serialize.element_to_json(algebra.order_unit(M2, 1))
+    obj["data"][0][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["classify", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SpecParseError" in captured.err
+
+
+def test_out_into_missing_directory_gives_exit_2(tmp_path, capsys):
+    spec = write_algebra(tmp_path / "alg.json", M2)
+    out = tmp_path / "missing" / "report.json"
+    code = cli.main(["kgroup", spec, "--which", "k0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_lapack_failure_gives_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    path = write_element(tmp_path / "e.json", algebra.order_unit(M2, 1))
+    assert cli.main(["classify", path]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
 
 
 def test_classify_unit(tmp_path, capsys):
@@ -192,4 +235,20 @@ def test_json_reports_are_byte_identical(tmp_path):
         assert cli.main(["kgroup", spec, "--which", "k",
                          "--format", "json", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_json_reports_are_byte_identical_across_processes(tmp_path):
+    spec = write_json(tmp_path / "alg.json", {"variant": "fd", "blocks": [1, 2]})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "amok.cli", "check-axioms", spec,
+             "--trials", "1", "--format", "json"],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
     assert outs[0] == outs[1]

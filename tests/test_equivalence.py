@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from amok import algebra, equivalence as eqv, model, rand
+from amok import algebra, equivalence as eqv, model, rand, serialize
 from amok.errors import PredicateFailure, SourceMismatch, Unsupported
 
 M2 = algebra.AlgebraSpec.fd([2])
@@ -419,6 +419,26 @@ def test_transfer_of_partial_unitary_path():
     for p in (plus_path, minus_path):
         for s in p.samples[:: max(1, len(p.samples) // 8)]:
             assert model.is_unitary(s, 1e-7)
+
+
+def test_serialized_step_bound_revalidates_transferred_path():
+    # coarse loop exp(i*pi*k/8) e: steps of 2 sin(pi/16) ~ 0.39 exceed
+    # the default bound, so only the serialized bound validates them
+    phases = np.exp(1j * np.pi * np.arange(9) / 8)
+    path = eqv.HomotopyPath(samples=tuple(E.scale(z) for z in phases),
+                            relation_domain=eqv.PARTIAL_UNITARY_SET,
+                            step_bound=0.4)
+    _, (plus_path, _) = eqv.abs_homotopy_transfer(path)
+    obj = serialize.path_to_json(plus_path)
+    assert obj["step_bound"] == 3 * 0.4
+    samples = tuple(serialize.parse_element(s) for s in obj["samples"])
+    back = eqv.HomotopyPath(samples=samples,
+                            relation_domain=obj["relation_domain"],
+                            step_bound=obj["step_bound"])
+    back.validate_strict()
+    with pytest.raises(PredicateFailure):
+        eqv.HomotopyPath(samples=samples,
+                         relation_domain=obj["relation_domain"]).validate_strict()
 
 
 def test_path_validator_catches_bad_samples():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from amok import kernel
-from amok.errors import NotHermitian, NotUnitary
+from amok.errors import NoConvergence, NotHermitian, NotUnitary
 
 
 def eig2_oracle(M):
@@ -30,6 +30,42 @@ def random_unitary(rng, n):
     h = random_hermitian(rng, n)
     w, V = np.linalg.eigh(h)
     return (V * np.exp(1j * w)[None, :]) @ V.conj().T
+
+
+def assert_eig_conventions(A):
+    """Ascending eigenvalues, largest entry of each column real positive,
+    and V diag(w) V* reconstructing A."""
+    w, V = kernel.eig_stack(A)
+    assert np.all(np.diff(w, axis=1) >= 0)
+    idx = np.argmax(np.abs(V), axis=1)
+    lead = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
+    assert np.all(lead.real > 0)
+    assert np.max(np.abs(lead.imag)) <= 1e-15
+    rec = (V * w[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    scale = 1 + np.abs(A).max()
+    assert np.max(np.abs(rec - A)) <= kernel.TOL_EIG * scale
+
+
+def test_eig_stack_conventions_random():
+    rng = np.random.default_rng(10)
+    assert_eig_conventions(np.stack([random_hermitian(rng, 5)
+                                     for _ in range(6)]))
+
+
+def test_eig_stack_conventions_degenerate():
+    Q = random_unitary(np.random.default_rng(9), 3)
+    D = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    assert_eig_conventions(np.stack([np.eye(3, dtype=complex), D,
+                                     Q @ D @ Q.conj().T]))
+
+
+def test_eig_stack_lapack_failure_raises_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        kernel.eig_stack(np.eye(2, dtype=complex)[None])
 
 
 def test_eig_identity():

@@ -7,8 +7,13 @@ a uniform grid of sample points; every predicate is evaluated pointwise
 at grid resolution, so inputs should be trigonometric polynomials of
 degree at most grid/4.
 
-An Element at levels (m, n) stores, per block or per grid point, the
-full (m*dim) x (n*dim) complex matrix.  Elements are immutable.
+An Element at levels (m, n) stores one read-only complex stack of shape
+(B, m*d, n*d) per summand of the model: a (1, m*d_i, n*d_i) stack for
+each fd block of size d_i, and a single (N, m*d, n*d) stack holding the
+values at the N circle grid points.  Every calculus routine maps over
+these stacks on one code path, batched across the circle grid and one
+block at a time over fd.  ``Element.data`` lists the same matrices per
+component (block or grid point).  Elements are immutable.
 """
 
 from __future__ import annotations
@@ -57,6 +62,14 @@ class AlgebraSpec:
     def component_dim(self, i: int) -> int:
         return self.block_dims[i] if self.variant == FD else self.dim
 
+    @property
+    def summands(self) -> tuple:
+        """(batch, dim) of each stored stack: one stack of batch 1 per fd
+        block, one stack of batch N for the whole circle grid."""
+        if self.variant == FD:
+            return tuple((1, d) for d in self.block_dims)
+        return ((self.grid_points, self.dim),)
+
     def sample_points(self) -> np.ndarray:
         """Grid points z_j = exp(2*pi*i*j/N) of the circle model."""
         if self.variant != CIRCLE:
@@ -65,38 +78,73 @@ class AlgebraSpec:
         return np.exp(2j * np.pi * j / self.grid_points)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
+def _freeze(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
+def _stack_components(algebra: AlgebraSpec, m: int, n: int, mats) -> list:
+    """Group one matrix per component into one stack per summand."""
+    if len(mats) != algebra.components:
+        raise ShapeMismatch(f"expected {algebra.components} component "
+                            f"matrices, got {len(mats)}")
+    for i, a in enumerate(mats):
+        d = algebra.component_dim(i)
+        want = (m * d, n * d)
+        if np.shape(a) != want:
+            raise ShapeMismatch(
+                f"component {i} has shape {np.shape(a)}, expected {want}")
+    stacks, start = [], 0
+    for b, _ in algebra.summands:
+        stacks.append(np.stack(mats[start:start + b]))
+        start += b
+    return stacks
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Element:
-    """An m x n matrix over the model, stored per block / grid point."""
+    """An m x n matrix over the model: one read-only complex stack of
+    shape (B, m*d, n*d) per summand (see ``AlgebraSpec.summands``).
+
+    ``data`` lists either one 2-D matrix per component (fd block or grid
+    point, in order) or one 3-D stack per summand; both are checked
+    against the levels and stored as frozen stacks.
+    """
 
     algebra: AlgebraSpec
     row_level: int
     col_level: int
-    data: tuple = field(repr=False)
+    stacks: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if self.row_level < 0 or self.col_level < 0:
+    def __init__(self, algebra: AlgebraSpec, row_level: int, col_level: int,
+                 data):
+        if row_level < 0 or col_level < 0:
             raise ShapeMismatch("levels must be nonnegative")
-        if len(self.data) != self.algebra.components:
-            raise ShapeMismatch(
-                f"expected {self.algebra.components} component matrices, "
-                f"got {len(self.data)}")
-        frozen = []
-        for i, a in enumerate(self.data):
-            d = self.algebra.component_dim(i)
-            want = (self.row_level * d, self.col_level * d)
-            a = _freeze(a)
-            if a.shape != want:
+        data = tuple(data)
+        if data and np.ndim(data[0]) == 2:
+            data = _stack_components(algebra, row_level, col_level, data)
+        summands = algebra.summands
+        if len(data) != len(summands):
+            raise ShapeMismatch(f"expected {len(summands)} stacks, "
+                                f"got {len(data)}")
+        stacks = []
+        for i, (s, (b, d)) in enumerate(zip(data, summands)):
+            s = _freeze(s)
+            want = (b, row_level * d, col_level * d)
+            if s.shape != want:
                 raise ShapeMismatch(
-                    f"component {i} has shape {a.shape}, expected {want}")
-            frozen.append(a)
-        object.__setattr__(self, "data", tuple(frozen))
+                    f"stack {i} has shape {s.shape}, expected {want}")
+            stacks.append(s)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "row_level", row_level)
+        object.__setattr__(self, "col_level", col_level)
+        object.__setattr__(self, "stacks", tuple(stacks))
+
+    @property
+    def data(self) -> tuple:
+        """One read-only 2-D matrix per component (block or grid point)."""
+        return tuple(a for s in self.stacks for a in s)
 
     # -- structural helpers ------------------------------------------------
 
@@ -109,38 +157,27 @@ class Element:
                 and self.row_level == other.row_level
                 and self.col_level == other.col_level)
 
-    def stack(self) -> np.ndarray:
-        """All equally-shaped components as one (B, r, c) array.
-
-        For the fd model the blocks have different sizes; use ``data``
-        directly there.  Valid for the circle model and for single-block
-        fd algebras.
-        """
-        return np.stack(self.data)
-
     # -- arithmetic --------------------------------------------------------
 
-    def _wrap(self, mats, m=None, n=None) -> "Element":
-        return Element(self.algebra,
-                       self.row_level if m is None else m,
-                       self.col_level if n is None else n,
-                       tuple(mats))
+    def _wrap(self, stacks) -> "Element":
+        return Element(self.algebra, self.row_level, self.col_level,
+                       tuple(stacks))
 
     def __add__(self, other: "Element") -> "Element":
         if not self.same_shape(other):
             raise ShapeMismatch("addition needs identical shapes")
-        return self._wrap([a + b for a, b in zip(self.data, other.data)])
+        return self._wrap(a + b for a, b in zip(self.stacks, other.stacks))
 
     def __sub__(self, other: "Element") -> "Element":
         if not self.same_shape(other):
             raise ShapeMismatch("subtraction needs identical shapes")
-        return self._wrap([a - b for a, b in zip(self.data, other.data)])
+        return self._wrap(a - b for a, b in zip(self.stacks, other.stacks))
 
     def __neg__(self) -> "Element":
-        return self._wrap([-a for a in self.data])
+        return self._wrap(-a for a in self.stacks)
 
     def scale(self, z: complex) -> "Element":
-        return self._wrap([z * a for a in self.data])
+        return self._wrap(z * a for a in self.stacks)
 
     def __mul__(self, z) -> "Element":
         return self.scale(complex(z))
@@ -149,7 +186,7 @@ class Element:
 
     def adjoint(self) -> "Element":
         return Element(self.algebra, self.col_level, self.row_level,
-                       tuple(a.conj().T for a in self.data))
+                       tuple(a.conj().transpose(0, 2, 1) for a in self.stacks))
 
     def matmul(self, other: "Element") -> "Element":
         """Componentwise matrix product (levels must be composable)."""
@@ -158,11 +195,11 @@ class Element:
         if self.col_level != other.row_level:
             raise ShapeMismatch("inner levels do not match")
         return Element(self.algebra, self.row_level, other.col_level,
-                       tuple(a @ b for a, b in zip(self.data, other.data)))
+                       tuple(a @ b for a, b in zip(self.stacks, other.stacks)))
 
     def max_abs(self) -> float:
         return max((float(np.max(np.abs(a))) if a.size else 0.0)
-                   for a in self.data)
+                   for a in self.stacks)
 
 
 # -- constructors ----------------------------------------------------------
@@ -170,26 +207,18 @@ class Element:
 def zero(algebra: AlgebraSpec, row_level: int, col_level=None) -> Element:
     if col_level is None:
         col_level = row_level
-    mats = []
-    for i in range(algebra.components):
-        d = algebra.component_dim(i)
-        mats.append(np.zeros((row_level * d, col_level * d), dtype=complex))
-    return Element(algebra, row_level, col_level, tuple(mats))
+    return Element(algebra, row_level, col_level,
+                   tuple(np.zeros((b, row_level * d, col_level * d),
+                                  dtype=complex)
+                         for b, d in algebra.summands))
 
 
 def order_unit(algebra: AlgebraSpec, level: int) -> Element:
     """e^n = e + ... + e at the given level."""
-    mats = []
-    for i in range(algebra.components):
-        d = algebra.component_dim(i)
-        mats.append(np.eye(level * d, dtype=complex))
-    return Element(algebra, level, level, tuple(mats))
-
-
-def from_stack(algebra: AlgebraSpec, row_level, col_level,
-               stack: np.ndarray) -> Element:
-    return Element(algebra, row_level, col_level,
-                   tuple(stack[i] for i in range(stack.shape[0])))
+    return Element(algebra, level, level,
+                   tuple(np.broadcast_to(np.eye(level * d, dtype=complex),
+                                         (b, level * d, level * d))
+                         for b, d in algebra.summands))
 
 
 def circle_function(algebra: AlgebraSpec, row_level, col_level, fn) -> Element:
@@ -205,22 +234,16 @@ def direct_sum(u: Element, v: Element) -> Element:
     """u (+) v, block diagonal at level (m_u + m_v, n_u + n_v)."""
     if u.algebra != v.algebra:
         raise AlgebraMismatch("direct sum needs a common algebra")
-    mats = []
-    for a, b in zip(u.data, v.data):
-        ra, ca = a.shape
-        rb, cb = b.shape
-        out = np.zeros((ra + rb, ca + cb), dtype=complex)
-        out[:ra, :ca] = a
-        out[ra:, ca:] = b
-        mats.append(out)
+    stacks = []
+    for a, b in zip(u.stacks, v.stacks):
+        batch, ra, ca = a.shape
+        _, rb, cb = b.shape
+        out = np.zeros((batch, ra + rb, ca + cb), dtype=complex)
+        out[:, :ra, :ca] = a
+        out[:, ra:, ca:] = b
+        stacks.append(out)
     return Element(u.algebra, u.row_level + v.row_level,
-                   u.col_level + v.col_level, tuple(mats))
-
-
-def amplify_scalar(algebra: AlgebraSpec, alpha: np.ndarray, i: int) -> np.ndarray:
-    """Scalar matrix alpha acting on levels, amplified for component i."""
-    d = algebra.component_dim(i)
-    return np.kron(np.asarray(alpha, dtype=complex), np.eye(d))
+                   u.col_level + v.col_level, tuple(stacks))
 
 
 def scalar_conjugate(alpha, v: Element, beta) -> Element:
@@ -233,23 +256,21 @@ def scalar_conjugate(alpha, v: Element, beta) -> Element:
         raise ShapeMismatch(
             f"scalar shapes {alpha.shape}, {beta.shape} do not act on "
             f"levels ({v.row_level}, {v.col_level})")
-    mats = []
-    for i, a in enumerate(v.data):
-        al = amplify_scalar(v.algebra, alpha, i)
-        be = amplify_scalar(v.algebra, beta, i)
-        mats.append(al @ a @ be)
-    return Element(v.algebra, alpha.shape[0], beta.shape[1], tuple(mats))
+    stacks = []
+    for a, (_, d) in zip(v.stacks, v.algebra.summands):
+        # the scalars act on levels, amplified to the summand's d x d cells
+        stacks.append(np.kron(alpha, np.eye(d)) @ a @ np.kron(beta, np.eye(d)))
+    return Element(v.algebra, alpha.shape[0], beta.shape[1], tuple(stacks))
 
 
 def dilate(v: Element) -> Element:
     """The self-adjoint 2x2 dilation [[0, v], [v*, 0]] at level m+n."""
     m, n = v.row_level, v.col_level
-    mats = []
-    for i, a in enumerate(v.data):
-        d = v.algebra.component_dim(i)
+    stacks = []
+    for a, (b, d) in zip(v.stacks, v.algebra.summands):
         k = (m + n) * d
-        out = np.zeros((k, k), dtype=complex)
-        out[:m * d, m * d:] = a
-        out[m * d:, :m * d] = a.conj().T
-        mats.append(out)
-    return Element(v.algebra, m + n, m + n, tuple(mats))
+        out = np.zeros((b, k, k), dtype=complex)
+        out[:, :m * d, m * d:] = a
+        out[:, m * d:, :m * d] = a.conj().transpose(0, 2, 1)
+        stacks.append(out)
+    return Element(v.algebra, m + n, m + n, tuple(stacks))

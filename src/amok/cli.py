@@ -17,10 +17,10 @@ import time
 from . import equivalence as eqv
 from . import kgroups, model, serialize, suites
 from .errors import (AlgebraMismatch, AmokError, DomainError, LevelMismatch,
-                     NoConvergence, NotCancellative, NotPartialUnitary,
-                     NotProjection, NotUnital, PreconditionFailure,
-                     PredicateFailure, ShapeMismatch, SpecParseError,
-                     Unsupported, ZeroOperand)
+                     NoConvergence, NotCancellative, NotHermitian,
+                     NotPartialUnitary, NotProjection, NotUnital, NotUnitary,
+                     PreconditionFailure, PredicateFailure, ShapeMismatch,
+                     SpecParseError, Unsupported, ZeroOperand)
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -32,8 +32,15 @@ _INPUT_ERRORS = (SpecParseError, ShapeMismatch, AlgebraMismatch,
                  LevelMismatch, NotProjection, NotPartialUnitary,
                  PreconditionFailure, Unsupported, ZeroOperand, NotUnital,
                  OSError)
+# NotUnitary / NotHermitian: a kernel check on a matrix the predicates
+# accepted at --tol-pred, e.g. a path that cannot be built at --tol-path
 _NUMERICAL_ERRORS = (NoConvergence, DomainError, PredicateFailure,
-                     NotCancellative)
+                     NotCancellative, NotUnitary, NotHermitian)
+
+_PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
+                  "approx1": eqv.approx1_equivalent,
+                  "simK": eqv.simK_equivalent,
+                  "approxK": eqv.approxK_equivalent}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,26 +192,16 @@ def cmd_equiv(args) -> int:
             if not cert.validate(cfg.tol_pred):
                 raise PredicateFailure("certificate failed re-validation")
             witness = serialize.certificate_to_json(cert)
-    elif args.relation == "h":
-        decide = (eqv.homotopic_unitaries if model.is_unitary(u, cfg.tol_pred)
-                  else eqv.homotopic_partial_unitaries)
-        ok, path = decide(u, v, cfg.tol_pred)
-        if path is not None:
-            path.validate_strict(cfg.tol_path)
-            witness = serialize.path_to_json(path)
-    elif args.relation in ("sim1", "approx1"):
-        fn = (eqv.sim1_equivalent if args.relation == "sim1"
-              else eqv.approx1_equivalent)
-        ok, path = fn(u, v, cfg.tol_pred)
-        if path is not None:
-            path.validate_strict(cfg.tol_path)
-            witness = serialize.path_to_json(path)
     else:
-        fn = (eqv.simK_equivalent if args.relation == "simK"
-              else eqv.approxK_equivalent)
-        ok, path = fn(u, v, cfg.tol_pred)
+        if args.relation == "h":
+            decide = (eqv.homotopic_unitaries
+                      if model.is_unitary(u, cfg.tol_pred)
+                      else eqv.homotopic_partial_unitaries)
+        else:
+            decide = _PATH_DECIDERS[args.relation]
+        # the decider validates its path at tol_path before returning it
+        ok, path = decide(u, v, cfg.tol_pred, tol_path=cfg.tol_path)
         if path is not None:
-            path.validate_strict(cfg.tol_path)
             witness = serialize.path_to_json(path)
     elapsed = time.time() - t0
     report = {"command": "equiv", "relation": args.relation,

@@ -42,23 +42,18 @@ class ProjInvariant:
         return ProjInvariant(tuple(a + b for a, b in zip(self.ranks, other.ranks)))
 
 
-def _component_rank(a: np.ndarray, tol: float) -> int:
-    h = (a + a.conj().T) / 2.0
-    if h.size == 0:
-        return 0
-    w, _ = kernel.eig_stack(h[None])
-    w = w[0]
-    near0 = np.abs(w) <= np.sqrt(tol)
-    near1 = np.abs(w - 1.0) <= np.sqrt(tol)
-    if not np.all(near0 | near1):
-        raise NotProjection(
-            f"eigenvalues {np.round(w, 6)} are not within tolerance of 0/1")
-    return int(np.sum(near1))
-
-
 def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
     """Rank invariant; raises NotProjection when spectra are not 0/1."""
-    ranks = [_component_rank(a, tol) for a in p.data]
+    band = np.sqrt(tol)
+    ranks = []
+    for a in p.stacks:
+        w, _, above = kernel.spectral_split(a, 0.5)
+        off = (np.abs(w) > band) & (np.abs(w - 1.0) > band)
+        if off.any():
+            i = int(np.nonzero(off.any(axis=1))[0][0])
+            raise NotProjection(f"eigenvalues {np.round(w[i], 6)} are not "
+                                "within tolerance of 0/1")
+        ranks.extend(int(r) for r in np.count_nonzero(above, axis=1))
     if p.algebra.variant == CIRCLE:
         if len(set(ranks)) > 1:
             raise NotProjection("projection rank varies across grid samples")
@@ -74,7 +69,7 @@ def winding(u: Element, tol_wind: float = TOL_WIND) -> int:
     """
     if u.algebra.variant != CIRCLE:
         raise Unsupported("winding is a circle-model invariant")
-    dets = np.array([np.linalg.det(a) for a in u.data])
+    dets = np.linalg.det(u.stacks[0])
     if np.any(np.abs(dets) < 1e-6):
         raise Unsupported("determinant loop passes too close to zero")
     inc = np.angle(np.roll(dets, -1) / dets)
@@ -126,17 +121,26 @@ class HomotopyPath:
 
     def validate_strict(self, tol_path: float = TOL_PATH) -> None:
         """Raise PredicateFailure at the first offending sample."""
-        stacks = [model._uniform_stack(s) for s in self.samples]
-        if all(st is not None for st in stacks):
-            self._validate_batched(np.stack(stacks), tol_path)
-            return
-        # per-component batching across samples (fd blocks of mixed sizes)
-        for j in range(len(self.samples[0].data)):
-            block = np.stack([s.data[j] for s in self.samples])
-            self._validate_batched(block[:, None, :, :], tol_path)
+        per_summand = [self._residuals(np.stack([s.stacks[j]
+                                                 for s in self.samples]))
+                       for j in range(len(self.samples[0].stacks))]
+        worst = np.max([w for w, _ in per_summand], axis=0)
+        steps = np.max([st for _, st in per_summand], axis=0)
+        bad = np.nonzero(worst > tol_path)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise PredicateFailure(
+                f"sample {i} fails the {self.relation_domain} predicate",
+                index=i)
+        bad = np.nonzero(steps > self.step_bound + tol_path)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise PredicateFailure(
+                f"step {i}->{i + 1} has size {steps[i]:.3e}", index=i)
 
-    def _validate_batched(self, S: np.ndarray, tol_path: float) -> None:
-        """Same checks as the scalar route, on a (T, B, n, n) stack."""
+    def _residuals(self, S: np.ndarray):
+        """Predicate residual of each sample and operator norm of each
+        step, over one summand's (T, B, n, n) stack of samples."""
         T, B, n, _ = S.shape
         flat = S.reshape(T * B, n, n)
         sh = flat.conj().transpose(0, 2, 1)
@@ -151,34 +155,19 @@ class HomotopyPath:
             res = np.maximum(np.abs(flat - sh), np.abs(flat @ flat - flat))
         else:
             raise ValueError(f"unknown relation domain {self.relation_domain!r}")
-        if n:
-            worst = res.reshape(T, -1).max(axis=1)
-            bad = np.nonzero(worst > tol_path)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise PredicateFailure(
-                    f"sample {i} fails the {self.relation_domain} predicate",
-                    index=i)
-        if T > 1 and n:
-            diffs = (S[1:] - S[:-1]).reshape((T - 1) * B, n, n)
-            norms = kernel.spectral_norms_per_entry(diffs).reshape(T - 1, B)
-            steps = norms.max(axis=1)
-            bad = np.nonzero(steps > self.step_bound + tol_path)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise PredicateFailure(
-                    f"step {i}->{i + 1} has size {steps[i]:.3e}", index=i)
+        diffs = (S[1:] - S[:-1]).reshape((T - 1) * B, n, n)
+        norms = kernel.spectral_norms_per_entry(diffs).reshape(T - 1, B)
+        return (np.max(res.reshape(T, -1), axis=1, initial=0.0),
+                np.max(norms, axis=1, initial=0.0))
 
 
-def _range_basis(a: np.ndarray, tol: float):
-    """(range columns, kernel columns) of a projection matrix."""
-    h = (a + a.conj().T) / 2.0
-    if h.size == 0:
-        return (np.zeros((0, 0), dtype=complex),) * 2
-    w, V = kernel.eig_stack(h[None])
-    w, V = w[0], V[0]
-    keep = w > 0.5
-    return V[:, keep], V[:, ~keep]
+def _range_basis(a: np.ndarray):
+    """(range columns, kernel columns) of a stack of projections that
+    share one rank."""
+    _, V, above = kernel.spectral_split(a, 0.5)
+    n = V.shape[-1]
+    r = int(np.count_nonzero(above[0]))
+    return V[..., n - r:], V[..., :n - r]
 
 
 # -- projection equivalence ------------------------------------------------
@@ -196,13 +185,13 @@ def mvn_equivalent(p: Element, q: Element, tol: float = model.TOL_PRED):
     iq = proj_invariant(q, tol)
     if ip != iq:
         return False, None
-    mats = []
-    for a, b in zip(p.data, q.data):
-        rp, _ = _range_basis(a, tol)
-        rq, _ = _range_basis(b, tol)
+    stacks = []
+    for a, b in zip(p.stacks, q.stacks):
+        rp, _ = _range_basis(a)
+        rq, _ = _range_basis(b)
         # v = (range basis of q) (range basis of p)^*: v*v = p, vv* = q
-        mats.append(rq @ rp.conj().T)
-    v = Element(p.algebra, q.row_level, p.row_level, tuple(mats))
+        stacks.append(rq @ rp.conj().transpose(0, 2, 1))
+    v = Element(p.algebra, q.row_level, p.row_level, tuple(stacks))
     cert = PartialIsometryCertificate(witness=v, source=p, target=q)
     if not cert.validate(tol):
         raise PredicateFailure("constructed certificate failed validation")
@@ -240,16 +229,18 @@ def condition_T_transport(u: PartialIsometryCertificate,
     sv = model.abs_value(v.witness)
     if not su.same_shape(sv) or model.distance(su, sv) > tol:
         raise SourceMismatch("witnesses do not share a source projection")
-    mats = []
-    for a, b in zip(u.witness.data, v.witness.data):
-        w0 = a @ b.conj().T
+    stacks = []
+    for a, b in zip(u.witness.stacks, v.witness.stacks):
+        w0 = a @ b.conj().transpose(0, 2, 1)
         if w0.size:
-            left, s, right = kernel.svd(w0)
-            keep = s > 0.5
-            w0 = left[:, keep] @ right[:, keep].conj().T
-        mats.append(w0)
+            # the kept rank may differ between entries, so polish each one
+            for i, m in enumerate(w0):
+                left, s, right = kernel.svd(m)
+                keep = s > 0.5
+                w0[i] = left[:, keep] @ right[:, keep].conj().T
+        stacks.append(w0)
     w = Element(u.witness.algebra, u.witness.row_level,
-                v.witness.row_level, tuple(mats))
+                v.witness.row_level, tuple(stacks))
     cert = PartialIsometryCertificate(
         witness=w,
         source=model.abs_value(v.witness.adjoint()),
@@ -261,42 +252,35 @@ def condition_T_transport(u: PartialIsometryCertificate,
 
 # -- unitary homotopy ------------------------------------------------------
 
-def _log_path_stack(u: Element, w: Element, samples: int) -> list:
-    """Samples of t -> u exp(t log(u* w)) per component."""
-    st = model._uniform_stack(u)
-    if st is not None:
-        B, n, _ = st.shape
+def _log_path_stack(u: Element, w: Element, samples: int,
+                    tol_path: float) -> list:
+    """Samples of t -> u exp(t log(u* w)), from u to w exactly."""
+    ts = np.linspace(0.0, 1.0, samples)
+    paths = []
+    for a, b in zip(u.stacks, w.stacks):
+        B, n, _ = a.shape
         phases = np.zeros((B, n))
         vecs = np.zeros((B, n, n), dtype=complex)
-        for i, (a, b) in enumerate(zip(u.data, w.data)):
-            phases[i], vecs[i] = kernel.unitary_eig(a.conj().T @ b)
-        vh = vecs.conj().transpose(0, 2, 1)
-        ts = np.linspace(0.0, 1.0, samples)
-        out = []
-        for j, t in enumerate(ts):
-            d = np.exp(1j * phases * t)
-            step = st @ ((vecs * d[:, None, :]) @ vh)
-            out.append(Element(u.algebra, u.row_level, u.col_level,
-                               tuple(step[i] for i in range(B))))
-        out[0] = u
-        out[-1] = w
-        return out
-    steps = [[] for _ in range(samples)]
-    for a, b in zip(u.data, w.data):
-        m = a.conj().T @ b
-        for i, s in enumerate(kernel.unitary_log_path(m, samples=samples)):
-            steps[i].append(a @ s)
-    return [Element(u.algebra, u.row_level, u.col_level, tuple(s))
-            for s in steps]
+        m = a.conj().transpose(0, 2, 1) @ b
+        for i in range(B):
+            phases[i], vecs[i] = kernel.unitary_eig(m[i], tol_path)
+        d = np.exp(1j * phases[None] * ts[:, None, None])
+        paths.append(a @ ((vecs * d[:, :, None, :])
+                          @ vecs.conj().transpose(0, 2, 1)))
+    inner = [Element(u.algebra, u.row_level, u.col_level,
+                     tuple(p[t] for p in paths))
+             for t in range(1, samples - 1)]
+    return [u] + inner + [w]
 
 
 def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
-                        samples: int = PATH_SAMPLES):
+                        samples: int = PATH_SAMPLES, *,
+                        tol_path: float = TOL_PATH):
     """u ~h v inside the unitary set at a fixed level.
 
     fd model: always true (the unitary group is connected); circle
     model: true iff the determinant windings agree.  Positive answers
-    return a validated log path.
+    return a log path validated at tol_path.
     """
     if not u.same_shape(v) or not u.is_square_level:
         raise LevelMismatch("homotopy needs unitaries at one common level")
@@ -305,13 +289,15 @@ def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
             raise PreconditionFailure("operand fails the unitary predicate")
     if u.algebra.variant == CIRCLE and winding(u) != winding(v):
         return False, None
-    path = HomotopyPath(samples=tuple(_log_path_stack(u, v, samples)),
-                        relation_domain=UNITARY_SET)
-    path.validate_strict()
+    path = HomotopyPath(
+        samples=tuple(_log_path_stack(u, v, samples, tol_path)),
+        relation_domain=UNITARY_SET)
+    path.validate_strict(tol_path)
     return True, path
 
 
-def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
+def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
+                    tol_path: float = TOL_PATH):
     """Homotopy after padding both with order units to a common level."""
     for x in (u, v):
         if not x.is_square_level or not model.is_unitary(x, tol):
@@ -319,13 +305,14 @@ def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
     k = max(u.row_level, v.row_level) + 1
     up = direct_sum(u, order_unit(u.algebra, k - u.row_level))
     vp = direct_sum(v, order_unit(v.algebra, k - v.row_level))
-    return homotopic_unitaries(up, vp, tol)
+    return homotopic_unitaries(up, vp, tol, tol_path=tol_path)
 
 
-def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
+def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
+                       tol_path: float = TOL_PATH):
     """u (+) w ~1 v (+) w for some w; equals ~1 here because the
     winding invariant is additive and cancellative."""
-    return sim1_equivalent(u, v, tol)
+    return sim1_equivalent(u, v, tol, tol_path=tol_path)
 
 
 # -- partial-unitary homotopy ----------------------------------------------
@@ -337,58 +324,62 @@ def support_invariant(u: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
     return proj_invariant(model.abs_value(u), tol)
 
 
-def _conjugation_path(u: Element, W: list, samples: int) -> list:
-    """Samples of t -> W_t u W_t* for per-component unitaries W."""
-    half = [[] for _ in range(samples)]
-    for a, w0 in zip(u.data, W):
-        ws = kernel.unitary_log_path(w0, samples=samples)
-        for i, s in enumerate(ws):
-            half[i].append(s @ a @ s.conj().T)
-    return [Element(u.algebra, u.row_level, u.col_level, tuple(s))
-            for s in half]
+def _conjugation_path(u: Element, W: list, samples: int,
+                      tol_path: float) -> list:
+    """Samples of t -> W_t u W_t* for one stack of unitaries W per summand."""
+    paths = []
+    for a, w in zip(u.stacks, W):
+        ws = np.stack([kernel.unitary_log_path(w0, samples, tol_path)
+                       for w0 in w], axis=1)
+        paths.append(ws @ a @ ws.conj().transpose(0, 1, 3, 2))
+    return [Element(u.algebra, u.row_level, u.col_level,
+                    tuple(p[t] for p in paths)) for t in range(samples)]
 
 
-def _fd_partial_unitary_path(u: Element, v: Element, samples: int) -> HomotopyPath:
+def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
+                             tol_path: float) -> HomotopyPath:
     """Two-stage path: rotate the support of u onto that of v, then
     deform the corner unitary inside the common support."""
     half = samples // 2 + 1
-    tol = model.TOL_PRED
     # stage 1: conjugate so supports match
     W = []
-    for a, b in zip(model.abs_value(u).data, model.abs_value(v).data):
-        rp, kp = _range_basis(a, tol)
-        rq, kq = _range_basis(b, tol)
-        W.append(np.hstack([rq, kq]) @ np.hstack([rp, kp]).conj().T)
-    stage1 = _conjugation_path(u, W, half)
+    for a, b in zip(model.abs_value(u).stacks, model.abs_value(v).stacks):
+        rp, kp = _range_basis(a)
+        rq, kq = _range_basis(b)
+        W.append(np.concatenate([rq, kq], axis=2)
+                 @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
+    stage1 = _conjugation_path(u, W, half, tol_path)
     mid = stage1[-1]
     # stage 2: log path between the compressions onto the shared support
-    steps = [[] for _ in range(half)]
-    for a, b, q in zip(mid.data, v.data, model.abs_value(v).data):
-        rq, _ = _range_basis(q, tol)
-        ca = rq.conj().T @ a @ rq
-        cb = rq.conj().T @ b @ rq
+    paths = []
+    for a, b, q in zip(mid.stacks, v.stacks, model.abs_value(v).stacks):
+        rq, _ = _range_basis(q)
+        rqh = rq.conj().transpose(0, 2, 1)
+        ca = rqh @ a @ rq
+        cb = rqh @ b @ rq
         if ca.size:
-            inner = kernel.unitary_log_path(ca.conj().T @ cb, samples=half)
-            for i, s in enumerate(inner):
-                steps[i].append(rq @ (ca @ s) @ rq.conj().T)
+            inner = np.stack([kernel.unitary_log_path(m, half, tol_path)
+                              for m in ca.conj().transpose(0, 2, 1) @ cb],
+                             axis=1)
+            paths.append(rq @ (ca @ inner) @ rqh)
         else:
-            for i in range(half):
-                steps[i].append(np.zeros_like(a))
-    stage2 = [Element(u.algebra, u.row_level, u.col_level, tuple(s))
-              for s in steps]
-    samples_all = tuple(stage1 + stage2[1:])
-    return HomotopyPath(samples=samples_all, relation_domain=PARTIAL_UNITARY_SET)
+            paths.append(np.zeros((half,) + a.shape, dtype=complex))
+    stage2 = [Element(u.algebra, u.row_level, u.col_level,
+                      tuple(p[t] for p in paths)) for t in range(1, half)]
+    return HomotopyPath(samples=tuple(stage1 + stage2),
+                        relation_domain=PARTIAL_UNITARY_SET)
 
 
 def homotopic_partial_unitaries(u: Element, v: Element,
                                 tol: float = model.TOL_PRED,
-                                samples: int = PATH_SAMPLES):
+                                samples: int = PATH_SAMPLES, *,
+                                tol_path: float = TOL_PATH):
     """u ~h v inside the partial-unitary set at a fixed level.
 
-    fd model: true iff the support ranks agree, witnessed by a validated
-    two-stage path.  Circle model: decided for the full-support case
-    (reduces to unitaries, via winding) and the zero case; mixed-rank
-    functions are outside the decidable fragment.
+    fd model: true iff the support ranks agree, witnessed by a two-stage
+    path validated at tol_path.  Circle model: decided for the
+    full-support case (reduces to unitaries, via winding) and the zero
+    case; mixed-rank functions are outside the decidable fragment.
     """
     if not u.same_shape(v) or not u.is_square_level:
         raise LevelMismatch("homotopy needs operands at one common level")
@@ -397,22 +388,22 @@ def homotopic_partial_unitaries(u: Element, v: Element,
     if u.algebra.variant == FD:
         if iu != iv:
             return False, None
-        path = _fd_partial_unitary_path(u, v, samples)
-        path.validate_strict()
+        path = _fd_partial_unitary_path(u, v, samples, tol_path)
+        path.validate_strict(tol_path)
         return True, path
     n = u.row_level * u.algebra.dim
     if iu.ranks == (0,) and iv.ranks == (0,):
         path = HomotopyPath(samples=(u,) * samples,
                             relation_domain=PARTIAL_UNITARY_SET)
-        path.validate_strict()
+        path.validate_strict(tol_path)
         return True, path
     if iu.ranks == (n,) and iv.ranks == (n,):
-        ok, p = homotopic_unitaries(u, v, tol, samples)
+        ok, p = homotopic_unitaries(u, v, tol, samples, tol_path=tol_path)
         if not ok:
             return False, None
         path = HomotopyPath(samples=p.samples,
                             relation_domain=PARTIAL_UNITARY_SET)
-        path.validate_strict()
+        path.validate_strict(tol_path)
         return True, path
     if iu != iv:
         return False, None
@@ -420,7 +411,8 @@ def homotopic_partial_unitaries(u: Element, v: Element,
         "circle-model homotopy of mixed-rank partial unitaries is undecided")
 
 
-def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
+def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
+                    tol_path: float = TOL_PATH):
     """Homotopy after padding both with zeros to a common level."""
     for x in (u, v):
         if not x.is_square_level or not model.is_partial_unitary(x, tol):
@@ -441,13 +433,14 @@ def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
                 return False, None
             raise Unsupported(
                 "circle-model decision needs full-support or zero operands")
-    return homotopic_partial_unitaries(up, vp, tol)
+    return homotopic_partial_unitaries(up, vp, tol, tol_path=tol_path)
 
 
-def approxK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED):
+def approxK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
+                       tol_path: float = TOL_PATH):
     """u (+) w ~K v (+) w for some w; equals ~K here because the support
     invariant is additive and cancellative."""
-    return simK_equivalent(u, v, tol)
+    return simK_equivalent(u, v, tol, tol_path=tol_path)
 
 
 # -- homotopy transfer through the absolute value --------------------------

@@ -57,26 +57,42 @@ def _as_stack(A: np.ndarray) -> np.ndarray:
     return A[None] if A.ndim == 2 else A
 
 
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    """(A + A^*) / 2 per entry: LAPACK reads only one triangle, so the
+    solvers see the Hermitian part.  On an exactly Hermitian entry this
+    returns the same bits."""
+    return (A + A.conj().transpose(0, 2, 1)) / 2.0
+
+
 def eig_stack(A: np.ndarray):
-    """Eigendecomposition of a stack of Hermitian matrices (LAPACK).
+    """Eigendecomposition of the Hermitian parts of a stack (LAPACK).
 
     Returns ``(w, V)`` with ``w`` of shape (B, n) ascending per entry and
     ``V`` of shape (B, n, n) with orthonormal columns such that
-    ``V diag(w) V^* == A``.  Only the lower triangle of each entry is
-    read, so callers symmetrize first.  Each eigenvector's
-    largest-magnitude entry is made real positive.
+    ``V diag(w) V^* == (A + A^*) / 2``; callers need not symmetrize.
+    Each eigenvector's largest-magnitude entry is made real positive.
     """
     A = _as_stack(A)
     if A.shape[-1] != A.shape[-2]:
         raise NotHermitian(f"stack entries are {A.shape[-2]}x{A.shape[-1]}, "
                            "not square")
-    w, V = _lapack(np.linalg.eigh, A)
+    w, V = _lapack(np.linalg.eigh, _hermitian_part(A))
     if A.shape[-1] == 0:
         return w, V
     idx = np.argmax(np.abs(V), axis=1)  # (B, n)
     lead = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
     # a unit column's largest entry is at least 1/sqrt(n), never zero
     return w, V * (lead.conj() / np.abs(lead))[:, None, :]
+
+
+def spectral_split(A: np.ndarray, cut: float):
+    """``eig_stack`` of a stack, with the mask ``w > cut`` of each entry.
+
+    Eigenvalues ascend, so the eigenvectors above the cut are the last
+    columns of each entry of ``V``.
+    """
+    w, V = eig_stack(A)
+    return w, V, w > cut
 
 
 def hermitian_eig(M: np.ndarray, tol: float = TOL_EIG) -> HermitianEig:
@@ -102,7 +118,7 @@ def matrix_func_stack(A: np.ndarray, f,
     if not np.all(np.isfinite(fw)):
         raise DomainError("scalar function returned a non-finite value")
     out = (V * fw[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+    return _hermitian_part(out)
 
 
 def matrix_func(M: np.ndarray, f, tol: float = TOL_EIG,
@@ -128,7 +144,7 @@ def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
             f"sqrt of matrix with eigenvalue {float(np.min(w)):.3e}")
     sw = np.sqrt(np.where(w < snap, 0.0, w))
     out = (V * sw[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+    return _hermitian_part(out)
 
 
 def psd_within(M: np.ndarray, tol: float) -> bool:
@@ -139,9 +155,10 @@ def psd_within(M: np.ndarray, tol: float) -> bool:
 
 
 def min_eig_stack(A: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian entry of a stack (0 if empty)."""
+    """Smallest eigenvalue of the Hermitian part of each entry of a stack
+    (0 if empty)."""
     A = _as_stack(A)
-    w = _lapack(np.linalg.eigvalsh, A)
+    w = _lapack(np.linalg.eigvalsh, _hermitian_part(A))
     return w[:, 0] if w.shape[1] else np.zeros(A.shape[0])
 
 
@@ -205,9 +222,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
             stop += 1
         if stop - start > 1:
             Qc = W[:, start:stop]
-            Sc = Qc.conj().T @ S @ Qc
-            Sc = (Sc + Sc.conj().T) / 2.0
-            _, Vc = eig_stack(Sc[None])
+            _, Vc = eig_stack((Qc.conj().T @ S @ Qc)[None])
             W[:, start:stop] = Qc @ Vc[0]
         start = stop
     D = W.conj().T @ U @ W

@@ -17,7 +17,7 @@ from . import equivalence as eqv
 from . import model, rand
 from .algebra import (CIRCLE, FD, AlgebraSpec, Element, direct_sum,
                       order_unit, zero)
-from .errors import (NotCancellative, NotPartialUnitary,
+from .errors import (NotCancellative, NotPartialUnitary, NotProjection,
                      PreconditionFailure, Unsupported)
 from .morphisms import MorphismSpec
 
@@ -203,7 +203,7 @@ def _witness_invariant(w: Element, tol: float) -> tuple:
     """Invariant of a witness, trying projection then support."""
     try:
         return eqv.proj_invariant(w, tol).ranks
-    except Exception:
+    except NotProjection:
         return eqv.support_invariant(w, tol).ranks
 
 

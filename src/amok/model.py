@@ -20,29 +20,11 @@ TOL_PRED = 1e-9
 TOL_BISECT = 1e-9
 
 
-def _uniform_stack(v: Element):
-    """All components as one batch when they share a shape (circle model,
-    or single-block fd); None otherwise."""
-    if len({a.shape for a in v.data}) == 1:
-        return v.stack()
-    return None
-
-
 def abs_value(v: Element) -> Element:
-    """|v| = (v* v)^{1/2}, computed blockwise / pointwise."""
-    st = _uniform_stack(v)
-    if st is not None:
-        g = st.conj().transpose(0, 2, 1) @ st
-        g = (g + g.conj().transpose(0, 2, 1)) / 2.0
-        roots = kernel.sqrtm_psd_stack(g)
-        mats = [roots[i] for i in range(roots.shape[0])]
-    else:
-        mats = []
-        for a in v.data:
-            g = a.conj().T @ a
-            g = (g + g.conj().T) / 2.0
-            mats.append(kernel.sqrtm_psd_stack(g[None])[0])
-    return Element(v.algebra, v.col_level, v.col_level, tuple(mats))
+    """|v| = (v* v)^{1/2}, computed per summand stack."""
+    roots = tuple(kernel.sqrtm_psd_stack(a.conj().transpose(0, 2, 1) @ a)
+                  for a in v.stacks)
+    return Element(v.algebra, v.col_level, v.col_level, roots)
 
 
 def op_norm(v: Element) -> float:
@@ -52,10 +34,7 @@ def op_norm(v: Element) -> float:
     ``order_unit_norm`` additionally realizes the PSD-bisection
     characterization.
     """
-    st = _uniform_stack(v)
-    if st is not None:
-        return kernel.spectral_norm_stack(st)
-    return max(kernel.spectral_norm_stack(a[None]) for a in v.data)
+    return max(kernel.spectral_norm_stack(a) for a in v.stacks)
 
 
 def distance(u: Element, v: Element) -> float:
@@ -78,15 +57,8 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     if not v.is_square_level:
         v = dilate(v)
 
-    groups = []
-    st = _uniform_stack(v)
-    if st is not None:
-        groups.append(st)
-    else:
-        groups.extend(a[None] for a in v.data)
-
     def feasible(k: float) -> bool:
-        for g in groups:
+        for g in v.stacks:
             b, n, _ = g.shape
             big = np.zeros((b, 2 * n, 2 * n), dtype=complex)
             idx = np.arange(2 * n)
@@ -97,8 +69,9 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
                 return False
         return True
 
-    hi = 1.0 + max((float(np.sqrt(np.sum(np.abs(a) ** 2))) if a.size else 0.0)
-                   for a in v.data)
+    # 1 + the largest Frobenius norm of a block / grid sample
+    hi = 1.0 + max(float(np.sqrt(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2)))))
+                   for a in v.stacks)
     lo = 0.0
     while hi - lo > tol_bisect:
         mid = (hi + lo) / 2.0
@@ -112,8 +85,9 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
 def is_selfadjoint(v: Element, tol: float = TOL_PRED) -> bool:
     if not v.is_square_level:
         return False
-    return all((float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0) <= tol
-               for a in v.data)
+    return all((float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
+                if a.size else 0.0) <= tol
+               for a in v.stacks)
 
 
 def is_positive(v: Element, tol: float = TOL_PRED) -> bool:
@@ -122,17 +96,8 @@ def is_positive(v: Element, tol: float = TOL_PRED) -> bool:
         raise LevelMismatch("positivity needs a square-level element")
     if not is_selfadjoint(v, tol):
         return False
-    st = _uniform_stack(v)
-    if st is not None:
-        if st.shape[1] == 0:
-            return True
-        h = (st + st.conj().transpose(0, 2, 1)) / 2.0
-        return float(np.min(kernel.min_eig_stack(h))) >= -tol
-    for a in v.data:
-        h = (a + a.conj().T) / 2.0
-        if a.size and float(np.min(kernel.min_eig_stack(h[None]))) < -tol:
-            return False
-    return True
+    return all(float(np.min(kernel.min_eig_stack(a))) >= -tol
+               for a in v.stacks)
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,8 @@ def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
                 cell = np.zeros((dp, dp), dtype=complex)
                 pos = 0
                 for j, d in enumerate(dims):
-                    block = v.data[j][r * d:(r + 1) * d, s * d:(s + 1) * d]
+                    block = v.stacks[j][0, r * d:(r + 1) * d,
+                                        s * d:(s + 1) * d]
                     for _ in range(row[j]):
                         cell[pos:pos + d, pos:pos + d] = block
                         pos += d

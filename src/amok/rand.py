@@ -33,10 +33,9 @@ def _cnormal(rng, shape):
 
 
 def _expi(H: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H through the eigenbasis."""
-    H = (H + H.conj().T) / 2.0
-    w, V = kernel.eig_stack(H[None])
-    return (V[0] * np.exp(1j * w[0])[None, :]) @ V[0].conj().T
+    """exp(i H) per entry of a Hermitian stack, through the eigenbasis."""
+    w, V = kernel.eig_stack(H)
+    return (V * np.exp(1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1)
 
 
 def _trig_coeffs(rng, algebra, shape, deg=None):
@@ -49,24 +48,30 @@ def _trig_coeffs(rng, algebra, shape, deg=None):
 
 
 def _trig_eval(algebra, ks, coeffs):
+    """Values at the grid points as one stack.
+
+    Each point is its own 1 x K row of powers times the coefficients,
+    which sums in the order of a per-point ``tensordot``; one N x K
+    Vandermonde product would not, and would move generated entries in
+    the last digits.
+    """
     zs = algebra.sample_points()
-    vals = []
-    for z in zs:
-        vals.append(np.tensordot(z ** ks, coeffs, axes=(0, 0)))
-    return vals
+    rows = (zs[:, None] ** ks)[:, None, :]
+    return (rows @ coeffs.reshape(len(ks), -1)).reshape(
+        (len(zs),) + coeffs.shape[1:])
 
 
 def element(rng, algebra: AlgebraSpec, row_level: int, col_level: int,
             scale: float = 1.0) -> Element:
     """Random dense element; circle data is band-limited by design."""
     if algebra.variant == FD:
-        mats = [scale * _cnormal(rng, (row_level * d, col_level * d))
-                for d in algebra.block_dims]
+        stacks = [scale * _cnormal(rng, (1, row_level * d, col_level * d))
+                  for d in algebra.block_dims]
     else:
         shape = (row_level * algebra.dim, col_level * algebra.dim)
         ks, coeffs = _trig_coeffs(rng, algebra, shape)
-        mats = [scale * m for m in _trig_eval(algebra, ks, coeffs)]
-    return Element(algebra, row_level, col_level, tuple(mats))
+        stacks = [scale * _trig_eval(algebra, ks, coeffs)]
+    return Element(algebra, row_level, col_level, tuple(stacks))
 
 
 def hermitian(rng, algebra: AlgebraSpec, level: int,
@@ -82,7 +87,7 @@ def positive(rng, algebra: AlgebraSpec, level: int,
 
 
 def _hermitian_fields(rng, algebra, level, size=None):
-    """Per-component Hermitian matrices; circle ones vary slowly.
+    """Hermitian stacks, one per summand; circle ones vary slowly.
 
     Circle fields are kept at degree <= grid/16 with unit scale so that
     phase increments of derived unitaries between neighbouring grid
@@ -91,8 +96,8 @@ def _hermitian_fields(rng, algebra, level, size=None):
     if algebra.variant == FD:
         out = []
         for d in algebra.block_dims:
-            h = _cnormal(rng, (level * d, level * d))
-            out.append((h + h.conj().T) / 2.0)
+            h = _cnormal(rng, (1, level * d, level * d))
+            out.append((h + h.conj().transpose(0, 2, 1)) / 2.0)
         return out
     n = level * algebra.dim if size is None else size
     ks, coeffs = _trig_coeffs(rng, algebra, (n, n),
@@ -104,19 +109,19 @@ def _hermitian_fields(rng, algebra, level, size=None):
             coeffs[i] = coeffs[deg - k].conj().transpose(1, 0)
         elif k == 0:
             coeffs[i] = (coeffs[i] + coeffs[i].conj().T) / 2.0
-    return _trig_eval(algebra, ks, coeffs)
+    return [_trig_eval(algebra, ks, coeffs)]
 
 
 def unitary(rng, algebra: AlgebraSpec, level: int, winding: int = 0) -> Element:
     """exp(i H) per component; circle model twists by diag(z^w, 1, ...)."""
-    mats = [_expi(h) for h in _hermitian_fields(rng, algebra, level)]
+    stacks = [_expi(h) for h in _hermitian_fields(rng, algebra, level)]
     if algebra.variant == CIRCLE and winding != 0:
         zs = algebra.sample_points()
-        for j, z in enumerate(zs):
-            tw = np.eye(level * algebra.dim, dtype=complex)
-            tw[0, 0] = z ** winding
-            mats[j] = mats[j] @ tw
-    return Element(algebra, level, level, tuple(mats))
+        tw = np.tile(np.eye(level * algebra.dim, dtype=complex),
+                     (len(zs), 1, 1))
+        tw[:, 0, 0] = [z ** winding for z in zs]
+        stacks = [stacks[0] @ tw]
+    return Element(algebra, level, level, tuple(stacks))
 
 
 def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
@@ -137,10 +142,12 @@ def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
         if ranks is None:
             ranks = int(rng.integers(0, s + 1))
         d = np.diag([1.0] * ranks + [0.0] * (s - ranks)).astype(complex)
-        diags = [d] * algebra.grid_points
-    mats = [u @ d0 @ u.conj().T for u, d0 in zip(w.data, diags)]
-    mats = [(m + m.conj().T) / 2.0 for m in mats]
-    return Element(algebra, level, level, tuple(mats))
+        diags = [d]
+    stacks = [u @ d0 @ u.conj().transpose(0, 2, 1)
+              for u, d0 in zip(w.stacks, diags)]
+    return Element(algebra, level, level,
+                   tuple((m + m.conj().transpose(0, 2, 1)) / 2.0
+                         for m in stacks))
 
 
 def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
@@ -160,6 +167,7 @@ def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     split_grid = algebra.variant == CIRCLE and level * algebra.dim == 1
     half = algebra.components // 2
     mats_u, mats_v = [], []
+    # one component at a time: the draws per component fix the stream
     for i, w0 in enumerate(w.data):
         s = w0.shape[0]
         if split_grid:
@@ -191,6 +199,7 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     split_grid = algebra.variant == CIRCLE and level * algebra.dim == 1
     half = algebra.components // 2
     mats_u, mats_v = [], []
+    # one component at a time: the draws per component fix the stream
     for i, (x0, y0) in enumerate(zip(x.data, y.data)):
         s = x0.shape[0]
         if split_grid:
@@ -223,28 +232,24 @@ def partial_unitary(rng, algebra: AlgebraSpec, level: int, ranks=None,
         sizes = [level * d for d in algebra.block_dims]
         if ranks is None:
             ranks = [int(rng.integers(0, s + 1)) for s in sizes]
-        mats = []
-        for u0, r, s in zip(w.data, ranks, sizes):
+        cores = []
+        for r, s in zip(ranks, sizes):
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=r))
-            core = np.diag(np.concatenate([phases, np.zeros(s - r)])).astype(complex)
-            mats.append(u0 @ core @ u0.conj().T)
+            cores.append(np.diag(np.concatenate([phases, np.zeros(s - r)]))
+                         .astype(complex))
     else:
         s = level * algebra.dim
         if ranks is None:
             ranks = int(rng.integers(0, s + 1))
-        if ranks == 0:
-            cores = [np.zeros((s, s), dtype=complex)] * algebra.grid_points
-        else:
-            corner = [_expi(h) for h in
-                      _hermitian_fields(rng, algebra, level, size=ranks)]
-            zs = algebra.sample_points()
-            cores = []
-            for j, c in enumerate(corner):
-                if winding != 0:
-                    c = c.copy()
-                    c[:, 0] = c[:, 0] * zs[j] ** winding
-                full = np.zeros((s, s), dtype=complex)
-                full[:ranks, :ranks] = c
-                cores.append(full)
-        mats = [u0 @ c0 @ u0.conj().T for u0, c0 in zip(w.data, cores)]
-    return Element(algebra, level, level, tuple(mats))
+        core = np.zeros((algebra.grid_points, s, s), dtype=complex)
+        if ranks:
+            field, = _hermitian_fields(rng, algebra, level, size=ranks)
+            corner = _expi(field)
+            if winding != 0:
+                twist = [z ** winding for z in algebra.sample_points()]
+                corner[:, :, 0] *= np.array(twist)[:, None]
+            core[:, :ranks, :ranks] = corner
+        cores = [core]
+    return Element(algebra, level, level,
+                   tuple(u0 @ c0 @ u0.conj().transpose(0, 2, 1)
+                         for u0, c0 in zip(w.stacks, cores)))

@@ -64,10 +64,6 @@ def parse_algebra(obj) -> AlgebraSpec:
     raise SpecParseError(f"algebra: unknown variant {variant!r}")
 
 
-def _matrix_to_json(a: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
 def _parse_matrix(rows, shape, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != shape[0]:
         raise SpecParseError(f"{where}: expected {shape[0]} rows")
@@ -93,7 +89,8 @@ def element_to_json(v: Element) -> dict:
     return {"algebra": algebra_to_json(v.algebra),
             "row_level": v.row_level,
             "col_level": v.col_level,
-            "data": [_matrix_to_json(a) for a in v.data]}
+            "data": [m for s in v.stacks
+                     for m in np.stack((s.real, s.imag), -1).tolist()]}
 
 
 def parse_element(obj) -> Element:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equivalence as eqv
-from . import model, rand
+from . import kernel, model, rand
 from .algebra import (CIRCLE, FD, AlgebraSpec, Element, dilate, direct_sum,
                       order_unit, scalar_conjugate, zero)
 from .errors import AmokError
@@ -71,19 +71,8 @@ def _bool(ok) -> float:
 
 def _neg_part(v: Element) -> float:
     """How far a self-adjoint element is from being positive."""
-    from . import kernel
-    st = model._uniform_stack(v)
-    if st is not None:
-        if st.shape[1] == 0:
-            return 0.0
-        h = (st + st.conj().transpose(0, 2, 1)) / 2.0
-        return max(-float(np.min(kernel.min_eig_stack(h))), 0.0)
-    worst = 0.0
-    for a in v.data:
-        h = (a + a.conj().T) / 2.0
-        if h.size:
-            worst = max(worst, -float(np.min(kernel.min_eig_stack(h[None]))))
-    return max(worst, 0.0)
+    return max([0.0] + [-float(np.min(kernel.min_eig_stack(a)))
+                        for a in v.stacks])
 
 
 def _levels(rng):
@@ -135,11 +124,9 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         v = rand.element(rng, algebra, m, n)
         top = model.abs_value(v.adjoint())
         bot = model.abs_value(v)
-        mats = []
-        for a, x, b in zip(top.data, v.data, bot.data):
-            big = np.block([[a, x], [x.conj().T, b]])
-            mats.append(big)
-        corner = Element(algebra, m + n, m + n, tuple(mats))
+        corner = Element(algebra, m + n, m + n, tuple(
+            np.block([[a, x], [x.conj().transpose(0, 2, 1), b]])
+            for a, x, b in zip(top.stacks, v.stacks, bot.stacks)))
         return _neg_part(corner)
 
     results.append(_run("abs-corner-positive", cfg, t_all, abs_corner_positive))
@@ -430,24 +417,12 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
 def _support_projection(u: Element) -> Element:
     """Spectral support projection of a positive element."""
-    from . import kernel
-    st = model._uniform_stack(u)
-    if st is not None:
-        h = (st + st.conj().transpose(0, 2, 1)) / 2.0
-        w, V = kernel.eig_stack(h)
-        keep = (w > 0.1).astype(float)
-        m = (V * keep[:, None, :]) @ V.conj().transpose(0, 2, 1)
-        m = (m + m.conj().transpose(0, 2, 1)) / 2.0
-        return Element(u.algebra, u.row_level, u.col_level,
-                       tuple(m[i] for i in range(m.shape[0])))
-    mats = []
-    for a in u.data:
-        h = (a + a.conj().T) / 2.0
-        w, V = kernel.eig_stack(h[None])
-        keep = (w[0] > 0.1).astype(float)
-        m = (V[0] * keep[None, :]) @ V[0].conj().T
-        mats.append((m + m.conj().T) / 2.0)
-    return Element(u.algebra, u.row_level, u.col_level, tuple(mats))
+    stacks = []
+    for a in u.stacks:
+        _, V, above = kernel.spectral_split(a, 0.1)
+        m = (V * above[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
+    return Element(u.algebra, u.row_level, u.col_level, tuple(stacks))
 
 
 def check_axioms(algebra: AlgebraSpec, cfg: RunConfig) -> list:

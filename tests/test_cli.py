@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from amok import algebra, cli, rand, serialize
+from amok import algebra, cli, equivalence as eqv, rand, serialize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -168,6 +168,40 @@ def test_equiv_constant_homotopy(tmp_path, capsys):
     assert code == 0
     assert report["equivalent"] is True
     assert report["witness"]["kind"] == "path"
+
+
+def test_equiv_validates_each_witness_once(tmp_path, capsys, monkeypatch):
+    validated = []
+    validate_strict = eqv.HomotopyPath.validate_strict
+
+    def counting(path, *args, **kwargs):
+        validated.append(path)
+        return validate_strict(path, *args, **kwargs)
+
+    monkeypatch.setattr(eqv.HomotopyPath, "validate_strict", counting)
+    rng = rand.stream(401, 0)
+    uf = write_element(tmp_path / "u.json", rand.unitary(rng, M2, 1))
+    vf = write_element(tmp_path / "v.json", rand.unitary(rng, M2, 1))
+    assert cli.main(["equiv", uf, vf, "--relation", "h",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
+    assert len(validated) == 1
+    # a path tolerance no sample can meet is a numerical failure
+    assert cli.main(["equiv", uf, vf, "--relation", "h",
+                     "--tol-path", "1e-30"]) == 3
+
+
+def test_path_not_buildable_at_path_tolerance_gives_exit_3(tmp_path, capsys):
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = algebra.Element(M2, 1, 1, (np.array([[c, -s], [s, c]]),))
+    # unitary at --tol-pred 1e-5, but not at the default path tolerance
+    v = algebra.order_unit(M2, 1).scale(1 + 1e-6)
+    uf = write_element(tmp_path / "u.json", u)
+    vf = write_element(tmp_path / "v.json", v)
+    assert cli.main(["equiv", uf, vf, "--relation", "h",
+                     "--tol-pred", "1e-5"]) == 3
+    err = capsys.readouterr().err
+    assert "NotUnitary" in err and err.count("\n") == 1
 
 
 def test_equiv_circle_windings_reported(tmp_path, capsys):

@@ -186,6 +186,16 @@ def test_fd_unitaries_always_homotopic():
     assert model.distance(path.end, minus) <= 1e-8
 
 
+def test_fd_unitary_path_ends_exactly_at_its_endpoints():
+    rng = rand.stream(212, 0)
+    u = rand.unitary(rng, FD23, 1)
+    v = rand.unitary(rng, FD23, 1)
+    ok, path = eqv.homotopic_unitaries(u, v)
+    assert ok
+    for end, want in ((path.start, u), (path.end, v)):
+        assert all(np.array_equal(a, b) for a, b in zip(end.data, want.data))
+
+
 def test_circle_winding_separates_classes():
     z = algebra.circle_function(CIRCLE1, 1, 1,
                                 lambda z: np.array([[z]], dtype=complex))

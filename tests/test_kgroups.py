@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amok import algebra, equivalence as eqv, kgroups, model, morphisms, rand
-from amok.errors import NotUnital, PreconditionFailure, Unsupported
+from amok.errors import (NoConvergence, NotUnital, PreconditionFailure,
+                         Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -114,6 +115,20 @@ def test_completion_of_projection_ranks():
         classes.append(kgroups.MonoidElement(ranks, p))
     out = kgroups.grothendieck_complete(classes)
     assert out["rank"] == 2
+
+
+def test_completion_does_not_swallow_numerical_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("LAPACK eigh failed")
+
+    def fallback(*args, **kwargs):
+        pytest.fail("a numerical failure fell back to the support invariant")
+
+    monkeypatch.setattr(eqv, "proj_invariant", no_convergence)
+    monkeypatch.setattr(eqv, "support_invariant", fallback)
+    p = rand.projection(rand.stream(302, 0), FD23, 1, ranks=[1, 0])
+    with pytest.raises(NoConvergence):
+        kgroups.grothendieck_complete([kgroups.MonoidElement((1, 0), p)])
 
 
 def test_completion_of_trivial_monoid():

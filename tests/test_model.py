@@ -308,6 +308,43 @@ def test_isometry_preserves_abs():
     assert model.distance(model.abs_value(out), model.abs_value(v)) <= 1e-9
 
 
+# -- element layout --------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [algebra.AlgebraSpec.fd([1, 2]),
+                                  algebra.AlgebraSpec.fd([2, 2]), CIRCLE1])
+def test_element_stores_one_readonly_stack_per_summand(spec):
+    v = rand.element(rand.stream(116, 0), spec, 2, 1)
+    assert len(v.stacks) == (len(spec.block_dims)
+                             if spec.variant == algebra.FD else 1)
+    for s, (b, d) in zip(v.stacks, spec.summands):
+        assert s.shape == (b, 2 * d, d) and s.dtype == complex
+        assert not s.flags.writeable
+    assert len(v.data) == spec.components
+    for i, a in enumerate(v.data):
+        d = spec.component_dim(i)
+        assert a.shape == (2 * d, d) and not a.flags.writeable
+    with pytest.raises(ValueError):
+        v.data[0][0, 0] = 1.0
+    back = algebra.Element(spec, 2, 1, v.data)
+    assert all(np.array_equal(a, b) for a, b in zip(back.stacks, v.stacks))
+    with pytest.raises(ShapeMismatch):
+        algebra.Element(spec, 2, 1, v.data[1:])
+    with pytest.raises(ShapeMismatch):
+        algebra.Element(spec, 1, 1, v.data)
+
+
+def test_abs_of_equal_size_blocks_is_computed_per_block():
+    # a large first block must not widen the zero-snapping band of the
+    # second, which has a Gram eigenvalue of 1e-8
+    big = 1e6 * np.eye(2)
+    small = np.diag([1e-4, 1.0])
+    got = model.abs_value(fd_element(algebra.AlgebraSpec.fd([2, 2]),
+                                     big, small))
+    alone = model.abs_value(fd_element(M2, small))
+    assert np.array_equal(got.data[1], alone.data[0])
+    assert np.allclose(got.data[1], small, atol=1e-12)
+
+
 # -- serialization ---------------------------------------------------------
 
 def test_element_json_roundtrip():
@@ -318,6 +355,14 @@ def test_element_json_roundtrip():
         back = serialize.parse_element(json.loads(text))
         assert back.same_shape(v)
         assert model.distance(back, v) == 0.0
+
+
+def test_element_json_keeps_signed_zeros_and_subnormals():
+    a = np.array([[complex(-0.0, 5e-324), complex(1.5, -0.0)],
+                  [complex(-0.0, -0.0), complex(2.2250738585072014e-308, 0)]])
+    data = serialize.element_to_json(fd_element(M2, a))["data"]
+    want = [[[[float(x.real), float(x.imag)] for x in row] for row in a]]
+    assert serialize.dumps_canonical(data) == serialize.dumps_canonical(want)
 
 
 def test_algebra_json_roundtrip():

@@ -18,6 +18,7 @@ component (block or grid point).  Elements are immutable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,7 @@ class AlgebraSpec:
     def component_dim(self, i: int) -> int:
         return self.block_dims[i] if self.variant == FD else self.dim
 
-    @property
+    @functools.cached_property
     def summands(self) -> tuple:
         """(batch, dim) of each stored stack: one stack of batch 1 per fd
         block, one stack of batch N for the whole circle grid."""

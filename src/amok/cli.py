@@ -20,18 +20,19 @@ from .errors import (AlgebraMismatch, AmokError, DomainError, LevelMismatch,
                      NoConvergence, NotCancellative, NotHermitian,
                      NotPartialUnitary, NotProjection, NotUnital, NotUnitary,
                      PreconditionFailure, PredicateFailure, ShapeMismatch,
-                     SpecParseError, Unsupported, ZeroOperand)
+                     SourceMismatch, SpecParseError, Unsupported, ZeroOperand)
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# OSError covers unreadable input files and an unwritable --out path
+# OSError covers unreadable input files and an unwritable --out path;
+# SourceMismatch is a precondition on the input witnesses
 _INPUT_ERRORS = (SpecParseError, ShapeMismatch, AlgebraMismatch,
                  LevelMismatch, NotProjection, NotPartialUnitary,
                  PreconditionFailure, Unsupported, ZeroOperand, NotUnital,
-                 OSError)
+                 SourceMismatch, OSError)
 # NotUnitary / NotHermitian: a kernel check on a matrix the predicates
 # accepted at --tol-pred, e.g. a path that cannot be built at --tol-path
 _NUMERICAL_ERRORS = (NoConvergence, DomainError, PredicateFailure,
@@ -260,7 +261,8 @@ def main(argv=None) -> int:
     handlers = {"check-axioms": cmd_check_axioms, "classify": cmd_classify,
                 "kgroup": cmd_kgroup, "equiv": cmd_equiv, "theta": cmd_theta}
     try:
-        return handlers[args.command](args)
+        with model.memo_scope():
+            return handlers[args.command](args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
         return EXIT_INPUT

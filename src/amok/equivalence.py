@@ -273,15 +273,10 @@ def _log_path_stack(u: Element, w: Element, samples: int,
     return [u] + inner + [w]
 
 
-def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
-                        samples: int = PATH_SAMPLES, *,
-                        tol_path: float = TOL_PATH):
-    """u ~h v inside the unitary set at a fixed level.
-
-    fd model: always true (the unitary group is connected); circle
-    model: true iff the determinant windings agree.  Positive answers
-    return a log path validated at tol_path.
-    """
+def _unitary_homotopy(u: Element, v: Element, tol: float, samples: int,
+                      tol_path: float, domain: str):
+    """Decide u ~h v for unitaries; a positive answer carries the log path,
+    validated once at tol_path in the given domain."""
     if not u.same_shape(v) or not u.is_square_level:
         raise LevelMismatch("homotopy needs unitaries at one common level")
     for x in (u, v):
@@ -291,9 +286,21 @@ def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
         return False, None
     path = HomotopyPath(
         samples=tuple(_log_path_stack(u, v, samples, tol_path)),
-        relation_domain=UNITARY_SET)
+        relation_domain=domain)
     path.validate_strict(tol_path)
     return True, path
+
+
+def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
+                        samples: int = PATH_SAMPLES, *,
+                        tol_path: float = TOL_PATH):
+    """u ~h v inside the unitary set at a fixed level.
+
+    fd model: always true (the unitary group is connected); circle
+    model: true iff the determinant windings agree.  Positive answers
+    return a log path validated at tol_path.
+    """
+    return _unitary_homotopy(u, v, tol, samples, tol_path, UNITARY_SET)
 
 
 def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
@@ -342,18 +349,18 @@ def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
     deform the corner unitary inside the common support."""
     half = samples // 2 + 1
     # stage 1: conjugate so supports match
-    W = []
+    W, ranges = [], []
     for a, b in zip(model.abs_value(u).stacks, model.abs_value(v).stacks):
         rp, kp = _range_basis(a)
         rq, kq = _range_basis(b)
+        ranges.append(rq)
         W.append(np.concatenate([rq, kq], axis=2)
                  @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
     stage1 = _conjugation_path(u, W, half, tol_path)
     mid = stage1[-1]
     # stage 2: log path between the compressions onto the shared support
     paths = []
-    for a, b, q in zip(mid.stacks, v.stacks, model.abs_value(v).stacks):
-        rq, _ = _range_basis(q)
+    for a, b, rq in zip(mid.stacks, v.stacks, ranges):
         rqh = rq.conj().transpose(0, 2, 1)
         ca = rqh @ a @ rq
         cb = rqh @ b @ rq
@@ -398,13 +405,8 @@ def homotopic_partial_unitaries(u: Element, v: Element,
         path.validate_strict(tol_path)
         return True, path
     if iu.ranks == (n,) and iv.ranks == (n,):
-        ok, p = homotopic_unitaries(u, v, tol, samples, tol_path=tol_path)
-        if not ok:
-            return False, None
-        path = HomotopyPath(samples=p.samples,
-                            relation_domain=PARTIAL_UNITARY_SET)
-        path.validate_strict(tol_path)
-        return True, path
+        return _unitary_homotopy(u, v, tol, samples, tol_path,
+                                 PARTIAL_UNITARY_SET)
     if iu != iv:
         return False, None
     raise Unsupported(

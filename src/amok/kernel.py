@@ -79,8 +79,9 @@ def eig_stack(A: np.ndarray):
     w, V = _lapack(np.linalg.eigh, _hermitian_part(A))
     if A.shape[-1] == 0:
         return w, V
+    B, n = w.shape
     idx = np.argmax(np.abs(V), axis=1)  # (B, n)
-    lead = np.take_along_axis(V, idx[:, None, :], axis=1)[:, 0, :]
+    lead = V[np.arange(B)[:, None], idx, np.arange(n)]
     # a unit column's largest entry is at least 1/sqrt(n), never zero
     return w, V * (lead.conj() / np.abs(lead))[:, None, :]
 

@@ -4,10 +4,18 @@ orthogonality and the classification predicates.
 Every "=" in a defining equation is evaluated as an operator-norm
 distance at a predicate tolerance; element equality uses the same
 semantics.
+
+Inside ``memo_scope`` the two element functions that reach LAPACK most,
+``abs_value`` and ``op_norm``, are computed once per distinct input:
+a repeat call with a bit-identical argument returns the stored result.
+Outside a scope nothing is cached.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +27,43 @@ from .errors import LevelMismatch, ShapeMismatch, ZeroOperand
 TOL_PRED = 1e-9
 TOL_BISECT = 1e-9
 
+# (function, algebra, levels, stack bytes) -> result, while a scope is open
+_MEMO = contextvars.ContextVar("amok_model_memo")
 
+
+@contextlib.contextmanager
+def memo_scope():
+    """Cache ``abs_value`` and ``op_norm`` by input content until the
+    block exits; a nested scope starts empty and restores the outer one."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _memoized(fn):
+    """Look ``fn(v)`` up by the full bytes of v inside ``memo_scope``.
+
+    Keys hold the bytes themselves, so a hit means a bit-identical input;
+    results are immutable and exceptions are never stored.
+    """
+    @functools.wraps(fn)
+    def cached(v):
+        memo = _MEMO.get(None)
+        if memo is None:
+            return fn(v)
+        key = (fn, v.algebra, v.row_level, v.col_level,
+               tuple(a.tobytes() for a in v.stacks))
+        try:
+            return memo[key]
+        except KeyError:
+            out = memo[key] = fn(v)
+            return out
+    return cached
+
+
+@_memoized
 def abs_value(v: Element) -> Element:
     """|v| = (v* v)^{1/2}, computed per summand stack."""
     roots = tuple(kernel.sqrtm_psd_stack(a.conj().transpose(0, 2, 1) @ a)
@@ -27,6 +71,7 @@ def abs_value(v: Element) -> Element:
     return Element(v.algebra, v.col_level, v.col_level, roots)
 
 
+@_memoized
 def op_norm(v: Element) -> float:
     """Largest singular value over all blocks / grid samples.
 

@@ -54,7 +54,8 @@ def _run(name: str, cfg: RunConfig, trials: int, fn,
     for t in range(trials):
         rng = rand.stream(cfg.seed, t)
         try:
-            res = float(fn(rng, t))
+            with model.memo_scope():
+                res = float(fn(rng, t))
         except AmokError as exc:
             failures.append({"trial": t, "seed": cfg.seed,
                              "error": f"{type(exc).__name__}: {exc}"})

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from amok import algebra, cli, equivalence as eqv, rand, serialize
+from amok import (algebra, cli, equivalence as eqv, errors, model, rand,
+                  serialize)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +96,20 @@ def test_lapack_failure_gives_exit_3(tmp_path, capsys, monkeypatch):
     path = write_element(tmp_path / "e.json", algebra.order_unit(M2, 1))
     assert cli.main(["classify", path]) == 3
     assert "NoConvergence" in capsys.readouterr().err
+
+
+def test_every_error_has_one_exit_code():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = list(subclasses(errors.AmokError))
+    assert errors.SourceMismatch in found
+    for cls in found:
+        as_input = issubclass(cls, cli._INPUT_ERRORS)
+        as_numerical = issubclass(cls, cli._NUMERICAL_ERRORS)
+        assert as_input != as_numerical, cls.__name__
 
 
 def test_classify_unit(tmp_path, capsys):
@@ -286,3 +302,41 @@ def test_json_reports_are_byte_identical_across_processes(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_memo_keeps_check_axioms_bytes(tmp_path, monkeypatch):
+    algebras = (algebra.AlgebraSpec.fd([1, 2]), algebra.AlgebraSpec.fd([2, 2]),
+                algebra.AlgebraSpec.circle(1, 16))
+    for i, alg in enumerate(algebras):
+        spec = write_algebra(tmp_path / f"alg{i}.json", alg)
+        outs = []
+        for memo in (model.memo_scope, contextlib.nullcontext):
+            monkeypatch.setattr(model, "memo_scope", memo)
+            out = tmp_path / f"out{i}-{len(outs)}.json"
+            assert cli.main(["check-axioms", spec, "--trials", "1",
+                             "--format", "json", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], alg
+
+
+def test_memo_is_dropped_after_each_command(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    spec = write_algebra(tmp_path / "alg.json", M2)
+    argv = ["check-axioms", spec, "--trials", "1", "--format", "json",
+            "--out", str(tmp_path / "out.json")]
+    counts = []
+    for memo in (model.memo_scope, model.memo_scope, contextlib.nullcontext):
+        monkeypatch.setattr(model, "memo_scope", memo)
+        before = len(calls)
+        assert cli.main(argv) == 0
+        counts.append(len(calls) - before)
+        assert model._MEMO.get(None) is None
+    # a repeated call gets no hits from the first; the memo saves work
+    assert counts[0] == counts[1] < counts[2]

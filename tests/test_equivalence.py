@@ -227,6 +227,24 @@ def test_circle_equal_winding_gives_validated_path():
     assert model.distance(path.end, v) <= 1e-8
 
 
+def test_circle_full_support_simk_validates_its_path_once(monkeypatch):
+    validated = []
+    validate_strict = eqv.HomotopyPath.validate_strict
+
+    def counting(path, *args, **kwargs):
+        validated.append(path)
+        return validate_strict(path, *args, **kwargs)
+
+    monkeypatch.setattr(eqv.HomotopyPath, "validate_strict", counting)
+    circle16 = algebra.AlgebraSpec.circle(1, 16)
+    rng = rand.stream(206, 0)
+    u = rand.unitary(rng, circle16, 1, winding=1)
+    v = rand.unitary(rng, circle16, 1, winding=1)
+    ok, path = eqv.simK_equivalent(u, v)
+    assert ok and path.relation_domain == eqv.PARTIAL_UNITARY_SET
+    assert validated == [path]
+
+
 # -- padded / stabilized unitary relations ---------------------------------
 
 def test_sim1_absorbs_order_unit():

@@ -1,11 +1,12 @@
 """Tests for absolute values, norms, predicates, and orthogonality."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from amok import algebra, model, rand, serialize
+from amok import algebra, kernel, model, rand, serialize
 from amok.errors import ShapeMismatch, SpecParseError, ZeroOperand
 
 M2 = algebra.AlgebraSpec.fd([2])
@@ -343,6 +344,63 @@ def test_abs_of_equal_size_blocks_is_computed_per_block():
     alone = model.abs_value(fd_element(M2, small))
     assert np.array_equal(got.data[1], alone.data[0])
     assert np.allclose(got.data[1], small, atol=1e-12)
+
+
+# -- memo ------------------------------------------------------------------
+
+def count_sqrt_inputs(monkeypatch):
+    """Record (shape, bytes) of every stack that reaches the PSD sqrt."""
+    seen = []
+    sqrtm = kernel.sqrtm_psd_stack
+
+    def counting(A):
+        seen.append((A.shape, A.tobytes()))
+        return sqrtm(A)
+
+    monkeypatch.setattr(kernel, "sqrtm_psd_stack", counting)
+    return seen
+
+
+@pytest.mark.parametrize("spec", [M2, CIRCLE1])
+def test_memo_computes_each_abs_input_once(spec, monkeypatch):
+    seen = count_sqrt_inputs(monkeypatch)
+    rng = rand.stream(117, 0)
+    u = rand.partial_unitary(rng, spec, 2,
+                             ranks=[1] if spec.variant == algebra.FD else 1)
+    v = rand.element(rng, spec, 2, 2)
+    with model.memo_scope():
+        first = model.classify(u)
+        assert model.classify(u) == first
+        assert model.is_partial_unitary(u) and model.is_partial_isometry(u)
+        model.classify(v)
+        model.orthogonal(u, v)
+    assert first.is_partial_unitary
+    assert seen and max(Counter(seen).values()) == 1
+
+
+def test_memo_caches_nothing_outside_a_scope(monkeypatch):
+    seen = count_sqrt_inputs(monkeypatch)
+    v = rand.element(rand.stream(118, 0), M2, 1, 1)
+    a = model.abs_value(v)
+    assert model.abs_value(v) is not a and len(seen) == 2
+    with model.memo_scope():
+        a = model.abs_value(v)
+        assert model.abs_value(v) is a
+        assert model.op_norm(v) == model.op_norm(v)
+    assert len(seen) == 3
+    assert model._MEMO.get(None) is None
+
+
+def test_memo_scope_nests_and_keys_on_levels():
+    v = rand.element(rand.stream(119, 0), M2, 1, 1)
+    with model.memo_scope():
+        outer = model.abs_value(v)
+        with model.memo_scope():
+            assert model.abs_value(v) is not outer
+        assert model.abs_value(v) is outer
+        # same bytes, different levels: distinct keys
+        assert model.abs_value(algebra.zero(M2, 1, 2)).col_level == 2
+        assert model.abs_value(algebra.zero(M2, 2, 1)).col_level == 1
 
 
 # -- serialization ---------------------------------------------------------

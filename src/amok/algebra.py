@@ -110,7 +110,9 @@ class Element:
 
     ``data`` lists either one 2-D matrix per component (fd block or grid
     point, in order) or one 3-D stack per summand; both are checked
-    against the levels and stored as frozen stacks.
+    against the levels and stored as frozen stacks.  This is the entry
+    for parsed, generated and user data; the library's own arithmetic
+    builds its results through ``_from_stacks``, which only freezes.
     """
 
     algebra: AlgebraSpec
@@ -137,10 +139,19 @@ class Element:
                 raise ShapeMismatch(
                     f"stack {i} has shape {s.shape}, expected {want}")
             stacks.append(s)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "row_level", row_level)
-        object.__setattr__(self, "col_level", col_level)
-        object.__setattr__(self, "stacks", tuple(stacks))
+        vars(self).update(algebra=algebra, row_level=row_level,
+                          col_level=col_level, stacks=tuple(stacks))
+
+    @classmethod
+    def _from_stacks(cls, algebra: AlgebraSpec, row_level: int,
+                     col_level: int, stacks) -> "Element":
+        """Element from one stack per summand that the library has just
+        computed at the right shapes: frozen, but not checked again."""
+        self = object.__new__(cls)
+        vars(self).update(algebra=algebra, row_level=row_level,
+                          col_level=col_level,
+                          stacks=tuple(_freeze(s) for s in stacks))
+        return self
 
     @property
     def data(self) -> tuple:
@@ -161,8 +172,8 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def _wrap(self, stacks) -> "Element":
-        return Element(self.algebra, self.row_level, self.col_level,
-                       tuple(stacks))
+        return Element._from_stacks(self.algebra, self.row_level,
+                                    self.col_level, stacks)
 
     def __add__(self, other: "Element") -> "Element":
         if not self.same_shape(other):
@@ -186,8 +197,9 @@ class Element:
     __rmul__ = __mul__
 
     def adjoint(self) -> "Element":
-        return Element(self.algebra, self.col_level, self.row_level,
-                       tuple(a.conj().transpose(0, 2, 1) for a in self.stacks))
+        return Element._from_stacks(
+            self.algebra, self.col_level, self.row_level,
+            (a.conj().transpose(0, 2, 1) for a in self.stacks))
 
     def matmul(self, other: "Element") -> "Element":
         """Componentwise matrix product (levels must be composable)."""
@@ -195,8 +207,9 @@ class Element:
             raise AlgebraMismatch("product needs a common algebra")
         if self.col_level != other.row_level:
             raise ShapeMismatch("inner levels do not match")
-        return Element(self.algebra, self.row_level, other.col_level,
-                       tuple(a @ b for a, b in zip(self.stacks, other.stacks)))
+        return Element._from_stacks(
+            self.algebra, self.row_level, other.col_level,
+            (a @ b for a, b in zip(self.stacks, other.stacks)))
 
     def max_abs(self) -> float:
         return max((float(np.max(np.abs(a))) if a.size else 0.0)
@@ -208,18 +221,19 @@ class Element:
 def zero(algebra: AlgebraSpec, row_level: int, col_level=None) -> Element:
     if col_level is None:
         col_level = row_level
-    return Element(algebra, row_level, col_level,
-                   tuple(np.zeros((b, row_level * d, col_level * d),
-                                  dtype=complex)
-                         for b, d in algebra.summands))
+    return Element._from_stacks(
+        algebra, row_level, col_level,
+        (np.zeros((b, row_level * d, col_level * d), dtype=complex)
+         for b, d in algebra.summands))
 
 
 def order_unit(algebra: AlgebraSpec, level: int) -> Element:
     """e^n = e + ... + e at the given level."""
-    return Element(algebra, level, level,
-                   tuple(np.broadcast_to(np.eye(level * d, dtype=complex),
-                                         (b, level * d, level * d))
-                         for b, d in algebra.summands))
+    return Element._from_stacks(
+        algebra, level, level,
+        (np.broadcast_to(np.eye(level * d, dtype=complex),
+                         (b, level * d, level * d))
+         for b, d in algebra.summands))
 
 
 def circle_function(algebra: AlgebraSpec, row_level, col_level, fn) -> Element:
@@ -243,8 +257,8 @@ def direct_sum(u: Element, v: Element) -> Element:
         out[:, :ra, :ca] = a
         out[:, ra:, ca:] = b
         stacks.append(out)
-    return Element(u.algebra, u.row_level + v.row_level,
-                   u.col_level + v.col_level, tuple(stacks))
+    return Element._from_stacks(u.algebra, u.row_level + v.row_level,
+                                u.col_level + v.col_level, stacks)
 
 
 def scalar_conjugate(alpha, v: Element, beta) -> Element:
@@ -261,7 +275,8 @@ def scalar_conjugate(alpha, v: Element, beta) -> Element:
     for a, (_, d) in zip(v.stacks, v.algebra.summands):
         # the scalars act on levels, amplified to the summand's d x d cells
         stacks.append(np.kron(alpha, np.eye(d)) @ a @ np.kron(beta, np.eye(d)))
-    return Element(v.algebra, alpha.shape[0], beta.shape[1], tuple(stacks))
+    return Element._from_stacks(v.algebra, alpha.shape[0], beta.shape[1],
+                                stacks)
 
 
 def dilate(v: Element) -> Element:
@@ -274,4 +289,4 @@ def dilate(v: Element) -> Element:
         out[:, :m * d, m * d:] = a
         out[:, m * d:, :m * d] = a.conj().transpose(0, 2, 1)
         stacks.append(out)
-    return Element(v.algebra, m + n, m + n, tuple(stacks))
+    return Element._from_stacks(v.algebra, m + n, m + n, stacks)

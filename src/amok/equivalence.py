@@ -5,6 +5,13 @@ supports; winding of the determinant loop in the circle model), and
 every positive decision is backed by an explicitly constructed witness:
 a partial isometry linking two projections, or a sampled homotopy path.
 Witnesses are re-validated before they are returned.
+
+A ``HomotopyPath`` keeps its samples as one read-only (T, B, r, c) stack
+per summand, the element layout with a leading sample axis.  The path
+builders compute these stacks in one piece, write the first and last
+entries as exactly the two operands, and hand them to the path; the
+validator and ``serialize.path_to_json`` read them directly.  Per-sample
+Elements (``samples``, ``start``, ``end``) are views of the stacks.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, model
-from .algebra import (CIRCLE, FD, AlgebraSpec, Element, direct_sum,
-                      order_unit, zero)
+from .algebra import (CIRCLE, FD, AlgebraSpec, Element, _freeze,
+                      direct_sum, order_unit, zero)
 from .errors import (LevelMismatch, NotPartialUnitary, NotProjection,
                      PredicateFailure, PreconditionFailure, ShapeMismatch,
                      SourceMismatch, Unsupported)
@@ -97,20 +104,61 @@ class PartialIsometryCertificate:
                 and model.distance(model.abs_value(v.adjoint()), self.target) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class HomotopyPath:
-    """Sampled path between two elements inside a predicate set."""
-    samples: tuple
+    """Sampled path between two elements inside a predicate set.
+
+    Stored as one read-only complex (T, B, r, c) stack per summand of the
+    algebra: entry t of stack j is stack j of sample t.  ``samples`` is
+    either a sequence of Elements of one shape, stacked here once, or,
+    with ``like`` given, one such (T, B, r, c) stack per summand at the
+    algebra and levels of the element ``like``.
+    """
+    algebra: AlgebraSpec
+    row_level: int
+    col_level: int
+    stacks: tuple = field(repr=False)
     relation_domain: str
-    step_bound: float = STEP_BOUND
+    step_bound: float
+
+    def __init__(self, samples, relation_domain: str,
+                 step_bound: float = STEP_BOUND, *, like: Element = None):
+        if like is None:
+            samples = tuple(samples)
+            if not samples:
+                raise ShapeMismatch("a path needs at least one sample")
+            like = samples[0]
+            if not all(s.same_shape(like) for s in samples):
+                raise ShapeMismatch("path samples differ in shape")
+            samples = [np.stack([s.stacks[j] for s in samples])
+                       for j in range(len(like.stacks))]
+        stacks = tuple(_freeze(s) for s in samples)
+        T = len(stacks[0]) if stacks and stacks[0].ndim else 0
+        want = [(T,) + a.shape for a in like.stacks]
+        if T < 1 or [s.shape for s in stacks] != want:
+            raise ShapeMismatch(f"path stacks have shapes "
+                                f"{[s.shape for s in stacks]}, expected {want}")
+        vars(self).update(algebra=like.algebra, row_level=like.row_level,
+                          col_level=like.col_level, stacks=stacks,
+                          relation_domain=relation_domain,
+                          step_bound=step_bound)
+
+    def _sample(self, t: int) -> Element:
+        return Element._from_stacks(self.algebra, self.row_level,
+                                    self.col_level, (s[t] for s in self.stacks))
+
+    @property
+    def samples(self) -> tuple:
+        """One Element per sample, viewing the stored stacks."""
+        return tuple(self._sample(t) for t in range(len(self.stacks[0])))
 
     @property
     def start(self) -> Element:
-        return self.samples[0]
+        return self._sample(0)
 
     @property
     def end(self) -> Element:
-        return self.samples[-1]
+        return self._sample(-1)
 
     def validate(self, tol_path: float = TOL_PATH) -> bool:
         try:
@@ -121,9 +169,7 @@ class HomotopyPath:
 
     def validate_strict(self, tol_path: float = TOL_PATH) -> None:
         """Raise PredicateFailure at the first offending sample."""
-        per_summand = [self._residuals(np.stack([s.stacks[j]
-                                                 for s in self.samples]))
-                       for j in range(len(self.samples[0].stacks))]
+        per_summand = [self._residuals(S) for S in self.stacks]
         worst = np.max([w for w, _ in per_summand], axis=0)
         steps = np.max([st for _, st in per_summand], axis=0)
         bad = np.nonzero(worst > tol_path)[0]
@@ -252,25 +298,21 @@ def condition_T_transport(u: PartialIsometryCertificate,
 
 # -- unitary homotopy ------------------------------------------------------
 
-def _log_path_stack(u: Element, w: Element, samples: int,
-                    tol_path: float) -> list:
-    """Samples of t -> u exp(t log(u* w)), from u to w exactly."""
-    ts = np.linspace(0.0, 1.0, samples)
-    paths = []
-    for a, b in zip(u.stacks, w.stacks):
-        B, n, _ = a.shape
-        phases = np.zeros((B, n))
-        vecs = np.zeros((B, n, n), dtype=complex)
-        m = a.conj().transpose(0, 2, 1) @ b
-        for i in range(B):
-            phases[i], vecs[i] = kernel.unitary_eig(m[i], tol_path)
-        d = np.exp(1j * phases[None] * ts[:, None, None])
-        paths.append(a @ ((vecs * d[:, :, None, :])
-                          @ vecs.conj().transpose(0, 2, 1)))
-    inner = [Element(u.algebra, u.row_level, u.col_level,
-                     tuple(p[t] for p in paths))
-             for t in range(1, samples - 1)]
-    return [u] + inner + [w]
+def _pinned_path(stacks: list, u: Element, v: Element,
+                 domain: str) -> HomotopyPath:
+    """Path over one writable (T, B, r, c) stack per summand, with the
+    first and last entries overwritten by exactly u and v."""
+    for p, a, b in zip(stacks, u.stacks, v.stacks):
+        p[0], p[-1] = a, b
+    return HomotopyPath(stacks, domain, like=u)
+
+
+def _log_path_stacks(u: Element, w: Element, samples: int,
+                     tol_path: float) -> list:
+    """Stacks of t -> u exp(t log(u* w)), one per summand."""
+    return [a @ np.stack([kernel.unitary_log_path(x, samples, tol_path)
+                          for x in a.conj().transpose(0, 2, 1) @ b], axis=1)
+            for a, b in zip(u.stacks, w.stacks)]
 
 
 def _unitary_homotopy(u: Element, v: Element, tol: float, samples: int,
@@ -284,9 +326,8 @@ def _unitary_homotopy(u: Element, v: Element, tol: float, samples: int,
             raise PreconditionFailure("operand fails the unitary predicate")
     if u.algebra.variant == CIRCLE and winding(u) != winding(v):
         return False, None
-    path = HomotopyPath(
-        samples=tuple(_log_path_stack(u, v, samples, tol_path)),
-        relation_domain=domain)
+    path = _pinned_path(_log_path_stacks(u, v, samples, tol_path), u, v,
+                        domain)
     path.validate_strict(tol_path)
     return True, path
 
@@ -333,14 +374,13 @@ def support_invariant(u: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
 
 def _conjugation_path(u: Element, W: list, samples: int,
                       tol_path: float) -> list:
-    """Samples of t -> W_t u W_t* for one stack of unitaries W per summand."""
+    """Stacks of t -> W_t u W_t* for one stack of unitaries W per summand."""
     paths = []
     for a, w in zip(u.stacks, W):
         ws = np.stack([kernel.unitary_log_path(w0, samples, tol_path)
                        for w0 in w], axis=1)
         paths.append(ws @ a @ ws.conj().transpose(0, 1, 3, 2))
-    return [Element(u.algebra, u.row_level, u.col_level,
-                    tuple(p[t] for p in paths)) for t in range(samples)]
+    return paths
 
 
 def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
@@ -357,10 +397,10 @@ def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
         W.append(np.concatenate([rq, kq], axis=2)
                  @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
     stage1 = _conjugation_path(u, W, half, tol_path)
-    mid = stage1[-1]
     # stage 2: log path between the compressions onto the shared support
     paths = []
-    for a, b, rq in zip(mid.stacks, v.stacks, ranges):
+    for s1, b, rq in zip(stage1, v.stacks, ranges):
+        a = s1[-1]
         rqh = rq.conj().transpose(0, 2, 1)
         ca = rqh @ a @ rq
         cb = rqh @ b @ rq
@@ -368,13 +408,11 @@ def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
             inner = np.stack([kernel.unitary_log_path(m, half, tol_path)
                               for m in ca.conj().transpose(0, 2, 1) @ cb],
                              axis=1)
-            paths.append(rq @ (ca @ inner) @ rqh)
+            s2 = rq @ (ca @ inner[1:]) @ rqh
         else:
-            paths.append(np.zeros((half,) + a.shape, dtype=complex))
-    stage2 = [Element(u.algebra, u.row_level, u.col_level,
-                      tuple(p[t] for p in paths)) for t in range(1, half)]
-    return HomotopyPath(samples=tuple(stage1 + stage2),
-                        relation_domain=PARTIAL_UNITARY_SET)
+            s2 = np.zeros((half - 1,) + a.shape, dtype=complex)
+        paths.append(np.concatenate([s1, s2]))
+    return _pinned_path(paths, u, v, PARTIAL_UNITARY_SET)
 
 
 def homotopic_partial_unitaries(u: Element, v: Element,
@@ -400,8 +438,8 @@ def homotopic_partial_unitaries(u: Element, v: Element,
         return True, path
     n = u.row_level * u.algebra.dim
     if iu.ranks == (0,) and iv.ranks == (0,):
-        path = HomotopyPath(samples=(u,) * samples,
-                            relation_domain=PARTIAL_UNITARY_SET)
+        path = _pinned_path([np.repeat(a[None], samples, axis=0)
+                             for a in u.stacks], u, v, PARTIAL_UNITARY_SET)
         path.validate_strict(tol_path)
         return True, path
     if iu.ranks == (n,) and iv.ranks == (n,):
@@ -456,15 +494,17 @@ def abs_homotopy_transfer(path: HomotopyPath, tol_path: float = TOL_PATH):
     """
     if path.relation_domain != PARTIAL_UNITARY_SET:
         raise PreconditionFailure("transfer needs a partial-unitary path")
+    e = order_unit(path.algebra, path.row_level)
     proj_samples = []
     plus_samples = []
     minus_samples = []
-    for i, s in enumerate(path.samples):
+    # |f(t)| per sample: each sample keeps its own zero-snapping band
+    for s in path.samples:
         a = model.abs_value(s)
-        e = order_unit(s.algebra, s.row_level)
+        gap = e - a
         proj_samples.append(a)
-        plus_samples.append(s + (e - a))
-        minus_samples.append(s - (e - a))
+        plus_samples.append(s + gap)
+        minus_samples.append(s - gap)
     proj_path = HomotopyPath(samples=tuple(proj_samples),
                              relation_domain=PROJECTION_SET,
                              step_bound=2.0 * path.step_bound)

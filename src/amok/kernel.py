@@ -235,22 +235,22 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
 
 
 def unitary_log_path(U: np.ndarray, samples: int = 129,
-                     tol: float = TOL_PATH) -> list:
+                     tol: float = TOL_PATH) -> np.ndarray:
     """Sampled path t -> exp(i t H) from I to U, H the principal log.
 
-    Eigenphases are taken in (-pi, pi] so the path has length at most pi
-    in operator norm.
+    Returns a (samples, n, n) array for t evenly spaced in [0, 1], all
+    samples in one broadcast product; entry 0 is exactly I and the last
+    entry exactly U.  Eigenphases are taken in (-pi, pi] so the path has
+    length at most pi in operator norm.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     phases, W = unitary_eig(U, tol)
     ts = np.linspace(0.0, 1.0, samples)
-    out = []
-    for t in ts:
-        D = np.exp(1j * phases * t)
-        out.append((W * D[None, :]) @ W.conj().T)
-    out[0] = np.eye(U.shape[0], dtype=complex)
-    out[-1] = np.array(U, dtype=complex)
+    D = np.exp(1j * phases[None, :] * ts[:, None])
+    out = (W * D[:, None, :]) @ W.conj().T
+    out[0] = np.eye(U.shape[0])
+    out[-1] = U
     return out
 
 

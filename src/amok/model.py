@@ -68,7 +68,7 @@ def abs_value(v: Element) -> Element:
     """|v| = (v* v)^{1/2}, computed per summand stack."""
     roots = tuple(kernel.sqrtm_psd_stack(a.conj().transpose(0, 2, 1) @ a)
                   for a in v.stacks)
-    return Element(v.algebra, v.col_level, v.col_level, roots)
+    return Element._from_stacks(v.algebra, v.col_level, v.col_level, roots)
 
 
 @_memoized
@@ -101,15 +101,20 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     """
     if not v.is_square_level:
         v = dilate(v)
+    # [[0, g], [g*, 0]] per summand, built once; each step writes k on
+    # the diagonal through a strided view
+    bigs, diags = [], []
+    for g in v.stacks:
+        b, n, _ = g.shape
+        big = np.zeros((b, 2 * n, 2 * n), dtype=complex)
+        big[:, :n, n:] = g
+        big[:, n:, :n] = g.conj().transpose(0, 2, 1)
+        bigs.append(big)
+        diags.append(big.reshape(b, -1)[:, ::2 * n + 1])
 
     def feasible(k: float) -> bool:
-        for g in v.stacks:
-            b, n, _ = g.shape
-            big = np.zeros((b, 2 * n, 2 * n), dtype=complex)
-            idx = np.arange(2 * n)
-            big[:, idx, idx] = k
-            big[:, :n, n:] = g
-            big[:, n:, :n] = g.conj().transpose(0, 2, 1)
+        for big, diag in zip(bigs, diags):
+            diag[...] = k
             if not kernel.cholesky_feasible_stack(big):
                 return False
         return True

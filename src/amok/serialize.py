@@ -85,12 +85,22 @@ def _parse_matrix(rows, shape, where: str) -> np.ndarray:
     return out
 
 
+def _pairs(s: np.ndarray) -> list:
+    """A complex stack as nested lists with [re, im] pairs at the bottom."""
+    return np.stack((s.real, s.imag), -1).tolist()
+
+
+def _element_json(algebra: AlgebraSpec, row_level: int, col_level: int,
+                  data: list) -> dict:
+    return {"algebra": algebra_to_json(algebra),
+            "row_level": row_level,
+            "col_level": col_level,
+            "data": data}
+
+
 def element_to_json(v: Element) -> dict:
-    return {"algebra": algebra_to_json(v.algebra),
-            "row_level": v.row_level,
-            "col_level": v.col_level,
-            "data": [m for s in v.stacks
-                     for m in np.stack((s.real, s.imag), -1).tolist()]}
+    return _element_json(v.algebra, v.row_level, v.col_level,
+                         [m for s in v.stacks for m in _pairs(s)])
 
 
 def parse_element(obj) -> Element:
@@ -139,10 +149,16 @@ def load_algebra(path: str) -> AlgebraSpec:
 
 
 def path_to_json(path) -> dict:
+    """A path with one element object per sample, written from slices of
+    its (T, B, r, c) stacks."""
+    per_summand = [_pairs(s) for s in path.stacks]
+    samples = [_element_json(path.algebra, path.row_level, path.col_level,
+                             [m for lists in per_summand for m in lists[t]])
+               for t in range(len(path.stacks[0]))]
     return {"kind": "path",
             "relation_domain": path.relation_domain,
             "step_bound": path.step_bound,
-            "samples": [element_to_json(s) for s in path.samples]}
+            "samples": samples}
 
 
 def certificate_to_json(cert) -> dict:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from amok import algebra, equivalence as eqv, model, rand, serialize
-from amok.errors import PredicateFailure, SourceMismatch, Unsupported
+from amok.errors import (PredicateFailure, ShapeMismatch, SourceMismatch,
+                         Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -477,3 +478,61 @@ def test_path_validator_catches_bad_samples():
     with pytest.raises(PredicateFailure):
         broken.validate_strict()
     assert not broken.validate()
+
+
+def library_paths():
+    """Paths from each stack-building decider, with their endpoints."""
+    rng = rand.stream(219, 0)
+    out = []
+    for alg, kw in ((FD23, {}), (CIRCLE1, {"winding": 1})):
+        u = rand.unitary(rng, alg, 2, **kw)
+        v = rand.unitary(rng, alg, 2, **kw)
+        ok, path = eqv.homotopic_unitaries(u, v)
+        assert ok
+        out.append((path, u, v))
+    u = rand.partial_unitary(rng, FD23, 2, ranks=[1, 4])
+    v = rand.partial_unitary(rng, FD23, 2, ranks=[1, 4])
+    ok, path = eqv.homotopic_partial_unitaries(u, v)
+    assert ok
+    out.append((path, u, v))
+    return out
+
+
+def test_path_rebuilt_from_samples_round_trips():
+    for path, u, v in library_paths():
+        assert all(not s.flags.writeable for s in path.stacks)
+        assert all(s.shape[0] == eqv.PATH_SAMPLES for s in path.stacks)
+        for end, want in ((path.start, u), (path.end, v)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(end.stacks, want.stacks))
+        back = eqv.HomotopyPath(path.samples, path.relation_domain,
+                                path.step_bound)
+        back.validate_strict()
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(back.stacks, path.stacks))
+        assert (serialize.dumps_canonical(serialize.path_to_json(back))
+                == serialize.dumps_canonical(serialize.path_to_json(path)))
+        # the written samples are the element objects of the samples
+        obj = serialize.path_to_json(path)
+        assert obj["samples"][57] == serialize.element_to_json(
+            path.samples[57])
+
+
+def test_stack_backed_path_reports_corrupted_sample():
+    path, u, _ = library_paths()[0]
+    stacks = [s.copy() for s in path.stacks]
+    stacks[1][57] *= 1.5
+    broken = eqv.HomotopyPath(stacks, path.relation_domain, like=u)
+    with pytest.raises(PredicateFailure) as exc:
+        broken.validate_strict()
+    assert exc.value.index == 57
+    assert not broken.validate()
+
+
+def test_path_rejects_samples_of_different_shapes():
+    with pytest.raises(ShapeMismatch):
+        eqv.HomotopyPath((E, E2), eqv.UNITARY_SET)
+    with pytest.raises(ShapeMismatch):
+        eqv.HomotopyPath((), eqv.UNITARY_SET)
+    with pytest.raises(ShapeMismatch):
+        eqv.HomotopyPath(E2.stacks, eqv.UNITARY_SET, like=E2)

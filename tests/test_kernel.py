@@ -256,6 +256,30 @@ def test_log_path_rejects_non_unitary():
         kernel.unitary_log_path(2.0 * np.eye(2, dtype=complex))
 
 
+def log_path_per_sample(U, samples):
+    """Reference: one product per sample t, the endpoints set exactly."""
+    phases, W = kernel.unitary_eig(U)
+    out = [(W * np.exp(1j * phases * t)[None, :]) @ W.conj().T
+           for t in np.linspace(0.0, 1.0, samples)]
+    out[0] = np.eye(U.shape[0], dtype=complex)
+    out[-1] = np.array(U, dtype=complex)
+    return np.stack(out)
+
+
+def test_log_path_batched_matches_per_sample_bit_for_bit():
+    rng = np.random.default_rng(20)
+    cases = [random_unitary(rng, n) for n in range(1, 7) for _ in range(3)]
+    cases += [s * np.eye(n, dtype=complex) for n in (1, 2, 5) for s in (1, -1)]
+    for U in cases:
+        for samples in (33, 129):
+            path = kernel.unitary_log_path(U, samples=samples)
+            want = log_path_per_sample(U, samples)
+            assert isinstance(path, np.ndarray)
+            assert path.shape == (samples,) + U.shape
+            # compare bit patterns, so signed zeros count too
+            assert np.array_equal(path.view(np.uint64), want.view(np.uint64))
+
+
 def test_spectral_norms_batched():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))

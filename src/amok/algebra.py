@@ -227,8 +227,10 @@ def zero(algebra: AlgebraSpec, row_level: int, col_level=None) -> Element:
          for b, d in algebra.summands))
 
 
+@functools.cache
 def order_unit(algebra: AlgebraSpec, level: int) -> Element:
-    """e^n = e + ... + e at the given level."""
+    """e^n = e + ... + e at the given level.  Elements are immutable, so
+    one e^n per (algebra, level) is built and shared."""
     return Element._from_stacks(
         algebra, level, level,
         (np.broadcast_to(np.eye(level * d, dtype=complex),

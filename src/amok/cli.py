@@ -44,15 +44,25 @@ _PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
                   "approxK": eqv.approxK_equivalent}
 
 
+# Defaults of the global flags.  The subparsers share the global flags'
+# actions, so those actions default to SUPPRESS: a subparser then leaves
+# a flag given before the command in place, and main() starts parsing
+# from these values instead.
+_GLOBAL_DEFAULTS = {"seed": 0, "trials": 200, "tol_pred": model.TOL_PRED,
+                    "tol_path": eqv.TOL_PATH, "tol_bisect": model.TOL_BISECT,
+                    "format": "text", "out": None}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=200)
-    common.add_argument("--tol-pred", type=float, default=model.TOL_PRED)
-    common.add_argument("--tol-path", type=float, default=eqv.TOL_PATH)
-    common.add_argument("--tol-bisect", type=float, default=model.TOL_BISECT)
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--out", default=None,
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--trials", type=int)
+    common.add_argument("--tol-pred", type=float)
+    common.add_argument("--tol-path", type=float)
+    common.add_argument("--tol-bisect", type=float)
+    common.add_argument("--format", choices=("json", "text"))
+    common.add_argument("--out",
                         help="write the report to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -188,10 +198,10 @@ def cmd_equiv(args) -> int:
     t0 = time.time()
     witness = None
     if args.relation == "mvn":
+        # the decider validates its certificate at tol_pred before
+        # returning it
         ok, cert = eqv.mvn_equivalent(u, v, cfg.tol_pred)
         if cert is not None:
-            if not cert.validate(cfg.tol_pred):
-                raise PredicateFailure("certificate failed re-validation")
             witness = serialize.certificate_to_json(cert)
     else:
         if args.relation == "h":
@@ -257,7 +267,7 @@ def cmd_theta(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     handlers = {"check-axioms": cmd_check_axioms, "classify": cmd_classify,
                 "kgroup": cmd_kgroup, "equiv": cmd_equiv, "theta": cmd_theta}
     try:

@@ -27,7 +27,7 @@ from .errors import (LevelMismatch, NotPartialUnitary, NotProjection,
                      PredicateFailure, PreconditionFailure, ShapeMismatch,
                      SourceMismatch, Unsupported)
 
-TOL_PATH = 1e-8
+TOL_PATH = kernel.TOL_PATH
 PATH_SAMPLES = 129
 STEP_BOUND = 0.2
 TOL_WIND = 1e-6
@@ -310,8 +310,8 @@ def _pinned_path(stacks: list, u: Element, v: Element,
 def _log_path_stacks(u: Element, w: Element, samples: int,
                      tol_path: float) -> list:
     """Stacks of t -> u exp(t log(u* w)), one per summand."""
-    return [a @ np.stack([kernel.unitary_log_path(x, samples, tol_path)
-                          for x in a.conj().transpose(0, 2, 1) @ b], axis=1)
+    return [a @ kernel.unitary_log_path(a.conj().transpose(0, 2, 1) @ b,
+                                        samples, tol_path)
             for a, b in zip(u.stacks, w.stacks)]
 
 
@@ -377,8 +377,7 @@ def _conjugation_path(u: Element, W: list, samples: int,
     """Stacks of t -> W_t u W_t* for one stack of unitaries W per summand."""
     paths = []
     for a, w in zip(u.stacks, W):
-        ws = np.stack([kernel.unitary_log_path(w0, samples, tol_path)
-                       for w0 in w], axis=1)
+        ws = kernel.unitary_log_path(w, samples, tol_path)
         paths.append(ws @ a @ ws.conj().transpose(0, 1, 3, 2))
     return paths
 
@@ -404,13 +403,9 @@ def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
         rqh = rq.conj().transpose(0, 2, 1)
         ca = rqh @ a @ rq
         cb = rqh @ b @ rq
-        if ca.size:
-            inner = np.stack([kernel.unitary_log_path(m, half, tol_path)
-                              for m in ca.conj().transpose(0, 2, 1) @ cb],
-                             axis=1)
-            s2 = rq @ (ca @ inner[1:]) @ rqh
-        else:
-            s2 = np.zeros((half - 1,) + a.shape, dtype=complex)
+        inner = kernel.unitary_log_path(ca.conj().transpose(0, 2, 1) @ cb,
+                                        half, tol_path)
+        s2 = rq @ (ca @ inner[1:]) @ rqh
         paths.append(np.concatenate([s1, s2]))
     return _pinned_path(paths, u, v, PARTIAL_UNITARY_SET)
 

@@ -1,18 +1,17 @@
-"""Dense complex linear algebra substrate.
+"""Dense complex linear algebra on stacks of matrices.
 
-Hermitian eigendecomposition, SVD, singular values and the Cholesky
-positive-definiteness test all run on LAPACK through ``numpy.linalg``;
-a failed LAPACK solve raises ``NoConvergence``.  On top of these sit
-matrix functions through the eigenbasis, a PSD test and
-principal-branch unitary logarithm paths.  All routines operate on
-plain ``numpy.ndarray`` values and are pure functions of their inputs;
-batch variants take a stack of shape ``(B, n, n)`` and are the
-workhorses for grid-sampled algebras.
+Every routine takes a stack of shape ``(B, n, n)`` (``(B, m, n)`` for
+the singular values) and works on each entry; the one exception is
+``svd``, which factors a single matrix for callers that keep a
+different rank in each entry.  Hermitian eigendecomposition, singular
+values and the Cholesky positive-definiteness test run on LAPACK
+through ``numpy.linalg``; a failed LAPACK solve raises
+``NoConvergence``.  On top of these sit the PSD square root and
+principal-branch unitary logarithm paths.  All routines are pure
+functions of plain ``numpy.ndarray`` inputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +19,6 @@ from .errors import DomainError, NoConvergence, NotHermitian, NotUnitary
 
 TOL_EIG = 1e-11
 TOL_PATH = 1e-8
-TOL_CLIP = 1e-10
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigenvalues ascending, eigenvector columns orthonormal."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_defect(M: np.ndarray) -> float:
-    """Largest entrywise deviation of M from its own adjoint."""
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-
-
-def require_hermitian(M: np.ndarray, tol: float) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotHermitian(f"matrix is {M.shape}, not square")
-    d = hermitian_defect(M)
-    if d > tol:
-        raise NotHermitian(f"hermitian defect {d:.3e} exceeds tol {tol:.3e}")
 
 
 def _lapack(routine, *args, **kwargs):
@@ -52,16 +29,15 @@ def _lapack(routine, *args, **kwargs):
         raise NoConvergence(f"LAPACK {routine.__name__} failed: {exc}") from exc
 
 
-def _as_stack(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.complex128)
-    return A[None] if A.ndim == 2 else A
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    return A.conj().transpose(0, 2, 1)
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
     """(A + A^*) / 2 per entry: LAPACK reads only one triangle, so the
     solvers see the Hermitian part.  On an exactly Hermitian entry this
     returns the same bits."""
-    return (A + A.conj().transpose(0, 2, 1)) / 2.0
+    return (A + _adjoint(A)) / 2.0
 
 
 def eig_stack(A: np.ndarray):
@@ -71,11 +47,11 @@ def eig_stack(A: np.ndarray):
     ``V`` of shape (B, n, n) with orthonormal columns such that
     ``V diag(w) V^* == (A + A^*) / 2``; callers need not symmetrize.
     Each eigenvector's largest-magnitude entry is made real positive.
+    Raises NotHermitian unless ``A`` is a stack of square matrices.
     """
-    A = _as_stack(A)
-    if A.shape[-1] != A.shape[-2]:
-        raise NotHermitian(f"stack entries are {A.shape[-2]}x{A.shape[-1]}, "
-                           "not square")
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise NotHermitian(f"stack has shape {A.shape}, not (B, n, n)")
     w, V = _lapack(np.linalg.eigh, _hermitian_part(A))
     if A.shape[-1] == 0:
         return w, V
@@ -96,38 +72,6 @@ def spectral_split(A: np.ndarray, cut: float):
     return w, V, w > cut
 
 
-def hermitian_eig(M: np.ndarray, tol: float = TOL_EIG) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix."""
-    require_hermitian(M, tol)
-    w, V = eig_stack(M[None])
-    return HermitianEig(eigenvalues=w[0], eigenvectors=V[0])
-
-
-def matrix_func_stack(A: np.ndarray, f,
-                      tol_clip: float = TOL_CLIP) -> np.ndarray:
-    """Apply a real scalar function through the eigenbasis, per stack entry.
-
-    Eigenvalues in [-tol_clip, 0) are clipped to 0 first; v*v is PSD in
-    exact arithmetic and tiny negatives are roundoff.
-    """
-    w, V = eig_stack(A)
-    w = np.where((w < 0) & (w >= -tol_clip), 0.0, w)
-    try:
-        fw = np.array([[float(f(x)) for x in row] for row in w])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"scalar function undefined at an eigenvalue: {exc}")
-    if not np.all(np.isfinite(fw)):
-        raise DomainError("scalar function returned a non-finite value")
-    out = (V * fw[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return _hermitian_part(out)
-
-
-def matrix_func(M: np.ndarray, f, tol: float = TOL_EIG,
-                tol_clip: float = TOL_CLIP) -> np.ndarray:
-    require_hermitian(M, tol)
-    return matrix_func_stack(M[None], f, tol_clip)[0]
-
-
 def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
     """(A)^{1/2} for a stack of PSD Hermitian matrices.
 
@@ -144,21 +88,13 @@ def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"sqrt of matrix with eigenvalue {float(np.min(w)):.3e}")
     sw = np.sqrt(np.where(w < snap, 0.0, w))
-    out = (V * sw[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return _hermitian_part(out)
-
-
-def psd_within(M: np.ndarray, tol: float) -> bool:
-    """True iff the minimum eigenvalue of Hermitian M is >= -tol."""
-    require_hermitian(M, tol)
-    w = min_eig_stack(M[None])
-    return bool(w[0] >= -tol)
+    return _hermitian_part((V * sw[:, None, :]) @ _adjoint(V))
 
 
 def min_eig_stack(A: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each entry of a stack
     (0 if empty)."""
-    A = _as_stack(A)
+    A = np.asarray(A, dtype=np.complex128)
     w = _lapack(np.linalg.eigvalsh, _hermitian_part(A))
     return w[:, 0] if w.shape[1] else np.zeros(A.shape[0])
 
@@ -170,14 +106,14 @@ def cholesky_feasible_stack(A: np.ndarray) -> bool:
     much cheaper than a full eigendecomposition.
     """
     try:
-        np.linalg.cholesky(_as_stack(A))
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True
 
 
 def svd(M: np.ndarray):
-    """Thin SVD (LAPACK).
+    """Thin SVD of one matrix (LAPACK).
 
     Returns (left, singulars, right) with M = left @ diag(s) @ right^*,
     s nonnegative descending, left/right with orthonormal columns.
@@ -187,76 +123,74 @@ def svd(M: np.ndarray):
     return left, s, right_h.conj().T
 
 
-def unitary_defect(U: np.ndarray) -> float:
-    n = U.shape[0]
-    return float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-
-
-def require_unitary(U: np.ndarray, tol: float) -> None:
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise NotUnitary(f"matrix is {U.shape}, not square")
-    d = unitary_defect(U)
-    if d > tol:
-        raise NotUnitary(f"unitarity defect {d:.3e} exceeds tol {tol:.3e}")
-
-
 def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
-    """Spectral decomposition of a unitary matrix.
+    """Spectral decomposition of each entry of a stack of unitaries.
 
-    Returns (phases, W) with phases in (-pi, pi] and
-    U = W diag(exp(i*phases)) W^*.  Diagonalizes the commuting Hermitian
-    pair (U+U^*)/2 and (U-U^*)/(2i): the first directly, then the
-    second restricted to each eigenvalue cluster of the first.
+    Returns (phases, W), phases of shape (B, n) in (-pi, pi] and W of
+    shape (B, n, n), with U = W diag(exp(i*phases)) W^* per entry.
+    Diagonalizes the commuting Hermitian pair (U+U^*)/2 and (U-U^*)/(2i):
+    the first for the whole stack in one ``eig_stack``, then the second
+    restricted to each eigenvalue cluster of the first, on the entries
+    that have one.  Raises NotUnitary at the first entry whose unitarity
+    defect exceeds tol.
     """
-    require_unitary(U, tol)
-    n = U.shape[0]
-    C = (U + U.conj().T) / 2.0
-    S = (U - U.conj().T) / 2.0j
-    S = (S + S.conj().T) / 2.0
-    w, W = eig_stack(C[None])
-    w, W = w[0], W[0]
-    cluster_tol = 1e-8 * (1.0 + np.max(np.abs(w), initial=0.0))
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop] - w[stop - 1] <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            Qc = W[:, start:stop]
-            _, Vc = eig_stack((Qc.conj().T @ S @ Qc)[None])
-            W[:, start:stop] = Qc @ Vc[0]
-        start = stop
-    D = W.conj().T @ U @ W
-    off = D - np.diag(np.diagonal(D))
+    U = np.asarray(U, dtype=np.complex128)
+    if U.ndim != 3 or U.shape[1] != U.shape[2]:
+        raise NotUnitary(f"stack has shape {U.shape}, not (B, n, n)")
+    n = U.shape[-1]
+    Uh = _adjoint(U)
+    defect = np.max(np.abs(Uh @ U - np.eye(n)), axis=(1, 2), initial=0.0)
+    bad = np.nonzero(defect > tol)[0]
+    if bad.size:
+        raise NotUnitary(f"unitarity defect {defect[bad[0]]:.3e} "
+                         f"exceeds tol {tol:.3e}")
+    w, W = eig_stack((U + Uh) / 2.0)
+    cluster_tol = 1e-8 * (1.0 + np.max(np.abs(w), axis=1, initial=0.0))
+    near = np.diff(w, axis=1) <= cluster_tol[:, None]
+    for i in np.nonzero(near.any(axis=1))[0]:
+        S = (U[i] - Uh[i]) / 2.0j
+        S = (S + S.conj().T) / 2.0
+        start = 0
+        while start < n:
+            stop = start + 1
+            while stop < n and near[i, stop - 1]:
+                stop += 1
+            if stop - start > 1:
+                Qc = W[i, :, start:stop]
+                _, Vc = eig_stack((Qc.conj().T @ S @ Qc)[None])
+                W[i, :, start:stop] = Qc @ Vc[0]
+            start = stop
+    D = _adjoint(W) @ U @ W
+    off = D[:, ~np.eye(n, dtype=bool)]
     if np.max(np.abs(off), initial=0.0) > 100 * max(tol, 1e-12) * n:
         raise NoConvergence("unitary diagonalization failed to decouple")
-    phases = np.angle(np.diagonal(D))
-    return phases, W
+    return np.angle(np.diagonal(D, axis1=1, axis2=2)), W
 
 
 def unitary_log_path(U: np.ndarray, samples: int = 129,
                      tol: float = TOL_PATH) -> np.ndarray:
-    """Sampled path t -> exp(i t H) from I to U, H the principal log.
+    """Sampled paths t -> exp(i t H) from I to U, H the principal log,
+    for each entry of a (B, n, n) stack of unitaries.
 
-    Returns a (samples, n, n) array for t evenly spaced in [0, 1], all
-    samples in one broadcast product; entry 0 is exactly I and the last
-    entry exactly U.  Eigenphases are taken in (-pi, pi] so the path has
-    length at most pi in operator norm.
+    Returns a (samples, B, n, n) array for t evenly spaced in [0, 1], all
+    samples and entries in one broadcast product; sample 0 is exactly I
+    and the last sample exactly U.  Eigenphases are taken in (-pi, pi]
+    so each path has length at most pi in operator norm.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     phases, W = unitary_eig(U, tol)
     ts = np.linspace(0.0, 1.0, samples)
-    D = np.exp(1j * phases[None, :] * ts[:, None])
-    out = (W * D[:, None, :]) @ W.conj().T
-    out[0] = np.eye(U.shape[0])
+    D = np.exp(1j * phases[None] * ts[:, None, None])
+    out = (W * D[:, :, None, :]) @ _adjoint(W)
+    out[0] = np.eye(W.shape[-1])
     out[-1] = U
     return out
 
 
 def spectral_norms_per_entry(A: np.ndarray) -> np.ndarray:
     """Largest singular value of each entry of a stack, as a vector."""
-    A = _as_stack(A)
+    A = np.asarray(A, dtype=np.complex128)
     if A.shape[1] == 0 or A.shape[2] == 0:
         return np.zeros(A.shape[0])
     return _lapack(np.linalg.svd, A, compute_uv=False)[:, 0]

@@ -85,11 +85,6 @@ class OrderedGroupView:
     flags: tuple = ()               # (name, bool) pairs of verified hypotheses
     generators: tuple = ()          # witness Elements
 
-    def zero_class(self) -> KClass:
-        n = max(self.rank, 0)
-        dim = len(self.order_unit.plus_part)
-        return KClass(self.group_tag, (0,) * dim, (0,) * dim)
-
     def cone_contains(self, x: KClass) -> bool:
         nf = x.normal_form
         if self.cone == "nonneg-orthant":
@@ -247,8 +242,7 @@ def whitehead_flag(algebra: AlgebraSpec, seed: int = 2024,
         v = rand.unitary(rng, algebra, 1, winding=w) \
             if algebra.variant == CIRCLE else rand.unitary(rng, algebra, 1)
         both = direct_sum(v, v.adjoint())
-        ok, path = eqv.homotopic_unitaries(both, order_unit(algebra, 2))
-        if not ok or not path.validate():
+        if not eqv.homotopic_unitaries(both, order_unit(algebra, 2))[0]:
             return False
     return True
 

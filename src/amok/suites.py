@@ -288,17 +288,16 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         p = rand.projection(rng, algebra, 1)
         left = direct_sum(zero(algebra, 1), p)
         right = direct_sum(p, zero(algebra, 1))
-        ok1, c1 = eqv.stabilized_projection_equiv(p, left)
-        ok2, c2 = eqv.stabilized_projection_equiv(p, right)
-        return _bool(ok1 and ok2 and c1.validate() and c2.validate())
+        return _bool(eqv.stabilized_projection_equiv(p, left)[0]
+                     and eqv.stabilized_projection_equiv(p, right)[0])
 
     results.append(_run("projection-zero-padding", cfg, t_fast, proj_pad))
 
     def proj_sum_compat(rng, t):
         p, p2 = _rand_proj_pair_same_rank(rng, 1)
         q, q2 = _rand_proj_pair_same_rank(rng, 1)
-        ok, cert = eqv.mvn_equivalent(direct_sum(p, q), direct_sum(p2, q2))
-        return _bool(ok and cert.validate())
+        return _bool(eqv.mvn_equivalent(direct_sum(p, q),
+                                        direct_sum(p2, q2))[0])
 
     results.append(_run("projection-sum-compatible", cfg, t_fast,
                         proj_sum_compat))
@@ -306,8 +305,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     def proj_swap(rng, t):
         p = rand.projection(rng, algebra, 1)
         q = rand.projection(rng, algebra, 1)
-        ok, cert = eqv.mvn_equivalent(direct_sum(p, q), direct_sum(q, p))
-        return _bool(ok and cert.validate())
+        return _bool(eqv.mvn_equivalent(direct_sum(p, q),
+                                        direct_sum(q, p))[0])
 
     results.append(_run("projection-swap", cfg, t_fast, proj_swap))
 
@@ -318,8 +317,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         q = _support_projection(v)
         if not model.orthogonal(p, q, cfg.tol_pred):
             return 1.0
-        ok, cert = eqv.mvn_equivalent(p + q, direct_sum(p, q))
-        return _bool(ok and cert.validate())
+        return _bool(eqv.mvn_equivalent(p + q, direct_sum(p, q))[0])
 
     results.append(_run("orthogonal-sum-matches-direct-sum", cfg, t_fast,
                         proj_orth_add))
@@ -332,8 +330,10 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             u, model.abs_value(u), model.abs_value(u.adjoint()))
         cv = eqv.PartialIsometryCertificate(
             v, model.abs_value(v), model.abs_value(v.adjoint()))
-        w = eqv.condition_T_transport(cu, cv)
-        return _bool(w.validate())
+        # the transport raises PredicateFailure unless its certificate
+        # validates
+        eqv.condition_T_transport(cu, cv)
+        return 0.0
 
     results.append(_run("condition-T-transport", cfg, t_fast, condition_t))
 
@@ -341,8 +341,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
         u = rand.unitary(rng, algebra, 2, winding=w)
         v = rand.unitary(rng, algebra, 2, winding=w)
-        ok, path = eqv.homotopic_unitaries(u, v)
-        return _bool(ok and path.validate(cfg.tol_path))
+        return _bool(eqv.homotopic_unitaries(u, v, tol_path=cfg.tol_path)[0])
 
     results.append(_run("unitary-homotopy-paths", cfg, t_path,
                         unitary_homotopy))

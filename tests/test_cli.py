@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -286,6 +287,70 @@ def test_json_reports_are_byte_identical(tmp_path):
                          "--format", "json", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_global_flags_before_or_after_the_command_agree(tmp_path):
+    spec = write_algebra(tmp_path / "alg.json", M2)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    flags = ["--seed", "5", "--tol-pred", "1e-10", "--format", "json"]
+    assert cli.main(flags + ["--out", str(before), "check-axioms", spec,
+                             "--trials", "1"]) == 0
+    assert cli.main(["check-axioms", spec, "--trials", "1"] + flags
+                    + ["--out", str(after)]) == 0
+    assert before.read_bytes() == after.read_bytes()
+    config = json.loads(before.read_bytes())["config"]
+    assert (config["seed"], config["tol_pred"]) == (5, 1e-10)
+
+
+def test_check_axioms_validates_each_witness_once(tmp_path, monkeypatch):
+    """Every path that check-axioms builds, and every certificate that a
+    decider returns, is validated exactly once.  (The condition-T
+    property also builds its two input certificates itself; they are
+    inputs of the transport, not witnesses of a decision.)"""
+    built, validated, alive = set(), Counter(), []
+
+    def keep(witness):
+        alive.append(witness)
+        built.add(id(witness))
+
+    def counted(validate):
+        def wrapped(witness, *args, **kwargs):
+            alive.append(witness)
+            validated[id(witness)] += 1
+            return validate(witness, *args, **kwargs)
+        return wrapped
+
+    def keeping_certificate(decide):
+        def wrapped(*args, **kwargs):
+            out = decide(*args, **kwargs)
+            cert = out[1] if isinstance(out, tuple) else out
+            if cert is not None:
+                keep(cert)
+            return out
+        return wrapped
+
+    path_init = eqv.HomotopyPath.__init__
+
+    def init(path, *args, **kwargs):
+        path_init(path, *args, **kwargs)
+        keep(path)
+
+    monkeypatch.setattr(eqv.HomotopyPath, "__init__", init)
+    # validate() goes through validate_strict, so a path counts once
+    monkeypatch.setattr(eqv.HomotopyPath, "validate_strict",
+                        counted(eqv.HomotopyPath.validate_strict))
+    monkeypatch.setattr(eqv.PartialIsometryCertificate, "validate",
+                        counted(eqv.PartialIsometryCertificate.validate))
+    for name in ("mvn_equivalent", "condition_T_transport"):
+        monkeypatch.setattr(eqv, name, keeping_certificate(getattr(eqv, name)))
+    spec = write_json(tmp_path / "alg.json", {"variant": "fd", "blocks": [1, 2]})
+    assert cli.main(["check-axioms", spec, "--trials", "8", "--seed", "3",
+                     "--format", "json",
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert built
+    assert validated == Counter(dict.fromkeys(built, 1)), (
+        f"{sum(validated.values())} validations of {len(validated)} "
+        f"witnesses; {len(built)} built")
 
 
 def test_json_reports_are_byte_identical_across_processes(tmp_path):

@@ -68,59 +68,68 @@ def test_eig_stack_lapack_failure_raises_no_convergence(monkeypatch):
         kernel.eig_stack(np.eye(2, dtype=complex)[None])
 
 
+def eig_one(M):
+    """Eigenpairs of one matrix, through a stack of one entry."""
+    w, V = kernel.eig_stack(M[None])
+    return w[0], V[0]
+
+
 def test_eig_identity():
-    res = kernel.hermitian_eig(np.eye(3, dtype=complex))
-    assert np.allclose(res.eigenvalues, 1.0, atol=kernel.TOL_EIG)
+    w, V = eig_one(np.eye(3, dtype=complex))
+    assert np.allclose(w, 1.0, atol=kernel.TOL_EIG)
     # eigenvector columns stay orthonormal
-    V = res.eigenvectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(3))) <= 10 * kernel.TOL_EIG
 
 
 def test_eig_diagonal_sorted():
-    res = kernel.hermitian_eig(np.diag([2.0, -1.0]).astype(complex))
-    assert np.allclose(res.eigenvalues, [-1.0, 2.0], atol=kernel.TOL_EIG)
+    w, _ = eig_one(np.diag([2.0, -1.0]).astype(complex))
+    assert np.allclose(w, [-1.0, 2.0], atol=kernel.TOL_EIG)
 
 
 def test_eig_offdiagonal_matches_closed_form():
     M = np.array([[0, 1], [1, 0]], dtype=complex)
-    res = kernel.hermitian_eig(M)
-    assert np.allclose(res.eigenvalues, [-1.0, 1.0], atol=10 * kernel.TOL_EIG)
-    assert np.allclose(res.eigenvalues, eig2_oracle(M), atol=10 * kernel.TOL_EIG)
+    w, _ = eig_one(M)
+    assert np.allclose(w, [-1.0, 1.0], atol=10 * kernel.TOL_EIG)
+    assert np.allclose(w, eig2_oracle(M), atol=10 * kernel.TOL_EIG)
 
 
 def test_eig_random_2x2_against_closed_form():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        M = random_hermitian(rng, 2, scale=rng.uniform(0.1, 5.0))
-        res = kernel.hermitian_eig(M)
-        assert np.allclose(res.eigenvalues, eig2_oracle(M),
+    Ms = np.stack([random_hermitian(rng, 2, scale=rng.uniform(0.1, 5.0))
+                   for _ in range(100)])
+    w, _ = kernel.eig_stack(Ms)
+    for M, wM in zip(Ms, w):
+        assert np.allclose(wM, eig2_oracle(M),
                            atol=1e-9 * (1 + np.abs(M).max()))
 
 
 def test_eig_reconstruction_residual():
     rng = np.random.default_rng(12)
     for n in (2, 3, 5, 8, 12):
-        for _ in range(10):
-            M = random_hermitian(rng, n)
-            res = kernel.hermitian_eig(M)
-            rec = (res.eigenvectors * res.eigenvalues[None, :]) @ \
-                res.eigenvectors.conj().T
+        Ms = np.stack([random_hermitian(rng, n) for _ in range(10)])
+        w, V = kernel.eig_stack(Ms)
+        for M, wM, VM in zip(Ms, w, V):
+            rec = (VM * wM[None, :]) @ VM.conj().T
             scale = 1 + np.abs(M).max()
             assert np.max(np.abs(rec - M)) <= kernel.TOL_EIG * scale
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        kernel.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    # eig_stack reads the Hermitian part, so only a non-square stack or
+    # a bare matrix is rejected
+    for A in (np.zeros((1, 2, 3), dtype=complex),
+              np.array([[0, 1], [0, 0]], dtype=complex)):
+        with pytest.raises(NotHermitian):
+            kernel.eig_stack(A)
 
 
 def test_matrix_func_sqrt_diagonal():
-    out = kernel.matrix_func(np.diag([4.0, 9.0]).astype(complex), np.sqrt)
+    out = kernel.sqrtm_psd_stack(np.diag([4.0, 9.0]).astype(complex)[None])[0]
     assert np.allclose(out, np.diag([2.0, 3.0]), atol=10 * kernel.TOL_EIG)
 
 
 def test_matrix_func_sqrt_identity():
-    out = kernel.matrix_func(np.eye(4, dtype=complex), np.sqrt)
+    out = kernel.sqrtm_psd_stack(np.eye(4, dtype=complex)[None])[0]
     assert np.allclose(out, np.eye(4), atol=10 * kernel.TOL_EIG)
 
 
@@ -129,7 +138,7 @@ def test_matrix_func_sqrt_closed_form_2x2():
     # eigenpairs (1, 3) with vectors (1, -1)/sqrt2 and (1, 1)/sqrt2
     r3 = np.sqrt(3.0)
     expected = 0.5 * np.array([[r3 + 1, r3 - 1], [r3 - 1, r3 + 1]])
-    out = kernel.matrix_func(M, np.sqrt)
+    out = kernel.sqrtm_psd_stack(M[None])[0]
     assert np.allclose(out, expected, atol=10 * kernel.TOL_EIG)
     assert np.allclose(out @ out, M, atol=10 * kernel.TOL_EIG)
 
@@ -164,8 +173,8 @@ def test_svd_matrix_unit():
     left, s, right = kernel.svd(M)
     assert np.allclose(s, [1.0, 0.0], atol=100 * kernel.TOL_EIG)
     # cross-check: M*M = diag(0, 1) has eigenvalues (0, 1)
-    res = kernel.hermitian_eig(M.conj().T @ M)
-    assert np.allclose(np.sort(s ** 2), res.eigenvalues, atol=1e-9)
+    w, _ = eig_one(M.conj().T @ M)
+    assert np.allclose(np.sort(s ** 2), w, atol=1e-9)
 
 
 def test_svd_reconstruction():
@@ -193,11 +202,11 @@ def test_svd_deterministic():
 
 
 def test_psd_within_examples():
-    assert kernel.psd_within(np.eye(2, dtype=complex), 1e-9)
-    assert not kernel.psd_within(np.diag([1.0, -1.0]).astype(complex), 1e-9)
     M = np.ones((2, 2), dtype=complex)  # eigenvalues (0, 2)
     assert np.allclose(eig2_oracle(M), [0.0, 2.0])
-    assert kernel.psd_within(M, 1e-9)
+    A = np.stack([np.eye(2), np.diag([1.0, -1.0]), M]).astype(complex)
+    psd = kernel.min_eig_stack(A) >= -1e-9
+    assert psd.tolist() == [True, False, True]
 
 
 def test_cholesky_feasible_matches_min_eig():
@@ -214,16 +223,20 @@ def test_cholesky_feasible_matches_min_eig():
             assert not feasible
 
 
+def log_path_one(U, samples):
+    """Log path of one matrix, through a stack of one entry."""
+    return kernel.unitary_log_path(U[None], samples=samples)[:, 0]
+
+
 def test_log_path_identity_is_constant():
-    path = kernel.unitary_log_path(np.eye(3, dtype=complex), samples=9)
+    path = log_path_one(np.eye(3, dtype=complex), samples=9)
     for P in path:
         assert np.allclose(P, np.eye(3), atol=kernel.TOL_PATH)
 
 
 def test_log_path_minus_identity():
     samples = 65
-    path = kernel.unitary_log_path(np.diag([-1.0, -1.0]).astype(complex),
-                                   samples=samples)
+    path = log_path_one(np.diag([-1.0, -1.0]).astype(complex), samples)
     ts = np.linspace(0.0, 1.0, samples)
     for t, P in zip(ts[1:-1], path[1:-1]):
         assert np.allclose(P, np.exp(1j * np.pi * t) * np.eye(2), atol=1e-8)
@@ -232,7 +245,7 @@ def test_log_path_minus_identity():
 
 def test_log_path_flip_endpoint_and_unitarity():
     U = np.array([[0, 1], [1, 0]], dtype=complex)
-    path = kernel.unitary_log_path(U, samples=33)
+    path = log_path_one(U, samples=33)
     assert np.allclose(path[0], np.eye(2))
     assert np.allclose(path[-1], U, atol=kernel.TOL_PATH)
     for P in path:
@@ -243,41 +256,81 @@ def test_log_path_step_bound():
     rng = np.random.default_rng(18)
     samples = 33
     bound = np.pi / (samples - 1) + kernel.TOL_PATH
-    for _ in range(10):
-        U = random_unitary(rng, 4)
-        path = kernel.unitary_log_path(U, samples=samples)
-        for P, Q in zip(path, path[1:]):
-            step = np.linalg.svd(Q - P, compute_uv=False).max()
-            assert step <= bound
+    U = np.stack([random_unitary(rng, 4) for _ in range(10)])
+    path = kernel.unitary_log_path(U, samples=samples)
+    steps = np.linalg.svd(path[1:] - path[:-1], compute_uv=False)
+    assert np.all(steps.max(axis=-1) <= bound)
 
 
 def test_log_path_rejects_non_unitary():
-    with pytest.raises(NotUnitary):
-        kernel.unitary_log_path(2.0 * np.eye(2, dtype=complex))
+    for U in (2.0 * np.eye(2, dtype=complex)[None],
+              np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)):
+        with pytest.raises(NotUnitary):
+            kernel.unitary_log_path(U)
 
 
-def log_path_per_sample(U, samples):
-    """Reference: one product per sample t, the endpoints set exactly."""
-    phases, W = kernel.unitary_eig(U)
-    out = [(W * np.exp(1j * phases * t)[None, :]) @ W.conj().T
-           for t in np.linspace(0.0, 1.0, samples)]
-    out[0] = np.eye(U.shape[0], dtype=complex)
-    out[-1] = np.array(U, dtype=complex)
-    return np.stack(out)
+def unitary_eig_per_entry(U):
+    """Reference: the diagonalization of one unitary matrix, cluster
+    refinement included, as a per-matrix loop computes it."""
+    n = U.shape[0]
+    C = (U + U.conj().T) / 2.0
+    S = (U - U.conj().T) / 2.0j
+    S = (S + S.conj().T) / 2.0
+    w, W = eig_one(C)
+    cluster_tol = 1e-8 * (1.0 + np.max(np.abs(w), initial=0.0))
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and w[stop] - w[stop - 1] <= cluster_tol:
+            stop += 1
+        if stop - start > 1:
+            Qc = W[:, start:stop]
+            W[:, start:stop] = Qc @ eig_one(Qc.conj().T @ S @ Qc)[1]
+        start = stop
+    D = W.conj().T @ U @ W
+    return np.angle(np.diagonal(D)), W
+
+
+def log_path_per_entry(U, samples):
+    """Reference: for each entry of the stack, one product per sample t,
+    the endpoints set exactly."""
+    paths = []
+    for Ui in U:
+        phases, W = unitary_eig_per_entry(Ui)
+        out = [(W * np.exp(1j * phases * t)[None, :]) @ W.conj().T
+               for t in np.linspace(0.0, 1.0, samples)]
+        out[0] = np.eye(Ui.shape[0], dtype=complex)
+        out[-1] = Ui
+        paths.append(np.stack(out))
+    return np.stack(paths, axis=1)
 
 
 def test_log_path_batched_matches_per_sample_bit_for_bit():
     rng = np.random.default_rng(20)
-    cases = [random_unitary(rng, n) for n in range(1, 7) for _ in range(3)]
-    cases += [s * np.eye(n, dtype=complex) for n in (1, 2, 5) for s in (1, -1)]
-    for U in cases:
+    stacks = []
+    for n in range(1, 7):
+        stacks.append(np.stack([random_unitary(rng, n) for _ in range(3)]))
+        # +-I and a repeated eigenvalue mixed in among generic entries
+        Q = random_unitary(rng, n)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        repeated = (Q * phases[np.arange(n) * 2 // max(n, 2)]) @ Q.conj().T
+        stacks.append(np.stack([random_unitary(rng, n), np.eye(n),
+                                repeated, -np.eye(n),
+                                random_unitary(rng, n)]).astype(complex))
+    stacks.append(np.stack([random_unitary(rng, 2) for _ in range(64)]))
+    for U in stacks:
         for samples in (33, 129):
             path = kernel.unitary_log_path(U, samples=samples)
-            want = log_path_per_sample(U, samples)
+            want = log_path_per_entry(U, samples)
             assert isinstance(path, np.ndarray)
             assert path.shape == (samples,) + U.shape
             # compare bit patterns, so signed zeros count too
             assert np.array_equal(path.view(np.uint64), want.view(np.uint64))
+
+
+def test_log_path_of_empty_entries():
+    path = kernel.unitary_log_path(np.zeros((3, 0, 0), dtype=complex), 5)
+    assert path.shape == (5, 3, 0, 0)
 
 
 def test_spectral_norms_batched():

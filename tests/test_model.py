@@ -100,6 +100,14 @@ def test_abs_idempotent_on_positives():
 
 # -- order-unit norm -------------------------------------------------------
 
+def test_order_unit_is_built_once_per_level():
+    for alg in (FD23, CIRCLE1):
+        e = algebra.order_unit(alg, 2)
+        assert algebra.order_unit(alg, 2) is e
+        assert algebra.order_unit(alg, 1) is not e
+        assert not any(a.flags.writeable for a in e.stacks)
+
+
 def test_norm_of_order_unit():
     for alg in (M2, FD23, CIRCLE1):
         e = algebra.order_unit(alg, 2)

@@ -279,11 +279,9 @@ def condition_T_transport(u: PartialIsometryCertificate,
     for a, b in zip(u.witness.stacks, v.witness.stacks):
         w0 = a @ b.conj().transpose(0, 2, 1)
         if w0.size:
-            # the kept rank may differ between entries, so polish each one
-            for i, m in enumerate(w0):
-                left, s, right = kernel.svd(m)
-                keep = s > 0.5
-                w0[i] = left[:, keep] @ right[:, keep].conj().T
+            # keep the singular directions above 1/2 of every entry
+            left, s, right = kernel.svd_stack(w0)
+            w0 = (left * (s > 0.5)[:, None, :]) @ right.conj().transpose(0, 2, 1)
         stacks.append(w0)
     w = Element(u.witness.algebra, u.witness.row_level,
                 v.witness.row_level, tuple(stacks))
@@ -453,22 +451,9 @@ def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
         if not x.is_square_level or not model.is_partial_unitary(x, tol):
             raise NotPartialUnitary("operand fails the partial-unitary predicate")
     level = max(u.row_level, v.row_level)
-    up = u if u.row_level == level else direct_sum(
-        u, zero(u.algebra, level - u.row_level))
-    vp = v if v.row_level == level else direct_sum(
-        v, zero(v.algebra, level - v.row_level))
-    if u.algebra.variant == CIRCLE and up.row_level > 0:
-        # zero-padding creates mixed rank unless both inputs fill their
-        # padded level; fall back to the invariant-only fragment.
-        iu = support_invariant(up, tol)
-        iv = support_invariant(vp, tol)
-        n = level * u.algebra.dim
-        if iu.ranks not in ((0,), (n,)) or iv.ranks not in ((0,), (n,)):
-            if iu != iv:
-                return False, None
-            raise Unsupported(
-                "circle-model decision needs full-support or zero operands")
-    return homotopic_partial_unitaries(up, vp, tol, tol_path=tol_path)
+    return homotopic_partial_unitaries(_pad_to_level(u, level),
+                                       _pad_to_level(v, level), tol,
+                                       tol_path=tol_path)
 
 
 def approxK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,

@@ -1,11 +1,9 @@
 """Dense complex linear algebra on stacks of matrices.
 
 Every routine takes a stack of shape ``(B, n, n)`` (``(B, m, n)`` for
-the singular values) and works on each entry; the one exception is
-``svd``, which factors a single matrix for callers that keep a
-different rank in each entry.  Hermitian eigendecomposition, singular
-values and the Cholesky positive-definiteness test run on LAPACK
-through ``numpy.linalg``; a failed LAPACK solve raises
+the singular values and the SVD) and works on each entry.  Hermitian
+eigendecomposition, SVD and the Cholesky positive-definiteness test run
+on LAPACK through ``numpy.linalg``; a failed LAPACK solve raises
 ``NoConvergence``.  On top of these sit the PSD square root and
 principal-branch unitary logarithm paths.  All routines are pure
 functions of plain ``numpy.ndarray`` inputs.
@@ -112,15 +110,17 @@ def cholesky_feasible_stack(A: np.ndarray) -> bool:
     return True
 
 
-def svd(M: np.ndarray):
-    """Thin SVD of one matrix (LAPACK).
+def svd_stack(A: np.ndarray):
+    """Thin SVD of each entry of a (B, m, n) stack (LAPACK).
 
-    Returns (left, singulars, right) with M = left @ diag(s) @ right^*,
-    s nonnegative descending, left/right with orthonormal columns.
+    Returns (left, s, right) of shapes (B, m, k), (B, k) and (B, n, k),
+    k = min(m, n), with A = left @ diag(s) @ right^* per entry, s
+    nonnegative descending and left/right with orthonormal columns.
     """
-    left, s, right_h = _lapack(np.linalg.svd, np.asarray(M, dtype=complex),
+    left, s, right_h = _lapack(np.linalg.svd,
+                               np.asarray(A, dtype=np.complex128),
                                full_matrices=False)
-    return left, s, right_h.conj().T
+    return left, s, _adjoint(right_h)
 
 
 def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):

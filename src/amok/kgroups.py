@@ -9,14 +9,13 @@ arithmetic reduces to integer vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import equivalence as eqv
 from . import model, rand
-from .algebra import (CIRCLE, FD, AlgebraSpec, Element, direct_sum,
-                      order_unit, zero)
+from .algebra import CIRCLE, FD, AlgebraSpec, Element, direct_sum, order_unit
 from .errors import (NotCancellative, NotPartialUnitary, NotProjection,
                      PreconditionFailure, Unsupported)
 from .morphisms import MorphismSpec
@@ -209,13 +208,8 @@ def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
     if algebra.variant == FD:
         k = len(algebra.block_dims)
         unit = KClass(K0, tuple(algebra.block_dims), (0,) * k)
-        gens = []
-        for i in range(k):
-            ranks = [0] * k
-            ranks[i] = 1
-            gens.append(_diagonal_projection(algebra, 1, ranks))
         return OrderedGroupView(K0, algebra, k, unit, "nonneg-orthant",
-                                generators=tuple(gens))
+                                generators=_unit_rank_projections(algebra))
     unit = KClass(K0, (algebra.dim,), (0,))
     gen = _diagonal_projection(algebra, 1, 1)
     return OrderedGroupView(K0, algebra, 1, unit, "nonneg-orthant",
@@ -223,12 +217,21 @@ def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
 
 
 def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
-    mats = []
-    for i in range(algebra.components):
-        d = algebra.component_dim(i)
-        r = ranks[i] if algebra.variant == FD else ranks
-        mats.append(np.diag([1.0] * r + [0.0] * (level * d - r)).astype(complex))
-    return Element(algebra, level, level, tuple(mats))
+    """diag(1, ..., 1, 0, ..., 0) with ranks[i] ones in fd block i, or
+    with the one rank ``ranks`` at every circle grid point."""
+    if algebra.variant != FD:
+        ranks = (ranks,)
+    return Element._from_stacks(algebra, level, level, (
+        np.broadcast_to(np.diag(np.arange(level * d) < r).astype(complex),
+                        (b, level * d, level * d))
+        for (b, d), r in zip(algebra.summands, ranks)))
+
+
+def _unit_rank_projections(algebra: AlgebraSpec) -> tuple:
+    """One rank-one diagonal projection per fd block."""
+    k = len(algebra.block_dims)
+    return tuple(_diagonal_projection(algebra, 1, np.eye(k, dtype=int)[i])
+                 for i in range(k))
 
 
 def whitehead_flag(algebra: AlgebraSpec, seed: int = 2024,
@@ -236,11 +239,8 @@ def whitehead_flag(algebra: AlgebraSpec, seed: int = 2024,
     """Check v (+) v* ~h e at the doubled level on sampled unitaries."""
     for t in range(trials):
         rng = rand.stream(seed, t)
-        w = 0
-        if algebra.variant == CIRCLE:
-            w = int(rng.integers(-2, 3))
-        v = rand.unitary(rng, algebra, 1, winding=w) \
-            if algebra.variant == CIRCLE else rand.unitary(rng, algebra, 1)
+        w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
+        v = rand.unitary(rng, algebra, 1, winding=w)
         both = direct_sum(v, v.adjoint())
         if not eqv.homotopic_unitaries(both, order_unit(algebra, 2))[0]:
             return False
@@ -254,16 +254,15 @@ def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
         unit = KClass(K1, (), ())
         return OrderedGroupView(K1, algebra, 0, unit, "full",
                                 flags=(("whitehead", wh),))
-    gen_mats = []
-    for z in algebra.sample_points():
-        m = np.eye(algebra.dim, dtype=complex)
-        m[0, 0] = z
-        gen_mats.append(m)
-    gen = Element(algebra, 1, 1, tuple(gen_mats))
+    # diag(z, 1, ..., 1) at every grid point z
+    gen = np.tile(np.eye(algebra.dim, dtype=complex),
+                  (algebra.grid_points, 1, 1))
+    gen[:, 0, 0] = algebra.sample_points()
     unit = KClass(K1, (0,), (0,))
     return OrderedGroupView(K1, algebra, 1, unit, "full",
                             flags=(("whitehead", wh),),
-                            generators=(gen,))
+                            generators=(Element._from_stacks(algebra, 1, 1,
+                                                             (gen,)),))
 
 
 def _k_properness_flags(algebra: AlgebraSpec, seed: int = 2025) -> tuple:
@@ -308,13 +307,9 @@ def k_group(algebra: AlgebraSpec) -> OrderedGroupView:
     if algebra.variant == FD:
         k = len(algebra.block_dims)
         unit = KClass(K, tuple(algebra.block_dims), (0,) * k)
-        gens = []
-        for i in range(k):
-            ranks = [0] * k
-            ranks[i] = 1
-            gens.append(_diagonal_projection(algebra, 1, ranks))
         return OrderedGroupView(K, algebra, k, unit, "nonneg-orthant",
-                                flags=flags, generators=tuple(gens))
+                                flags=flags,
+                                generators=_unit_rank_projections(algebra))
     # circle: only the full-support/zero fragment is classified
     unit = KClass(K, (algebra.dim, 0), (0, 0))
     flags = flags + (("fragment", True),)

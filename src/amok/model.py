@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .algebra import Element, dilate, order_unit, zero
+from .algebra import Element, dilate, order_unit
 from .errors import LevelMismatch, ShapeMismatch, ZeroOperand
 
 TOL_PRED = 1e-9
@@ -200,24 +200,14 @@ def classify(v: Element, tol: float = TOL_PRED) -> ElementClass:
     The square-only flags (unitary, partial unitary, order projection)
     are False for rectangular input.
     """
-    sa = is_selfadjoint(v, tol)
-    pos = v.is_square_level and is_positive(v, tol)
-    if v.is_square_level:
-        av = abs_value(v)
-        avs = abs_value(v.adjoint())
-        e = order_unit(v.algebra, v.row_level)
-        proj_av = is_order_projection(av, tol)
-        proj_avs = is_order_projection(avs, tol)
-        op = sa and distance(abs_value(v.scale(2.0) - e), e) <= tol
-        pi = proj_av and proj_avs
-        uni = distance(av, e) <= tol and distance(avs, e) <= tol
-        pu = distance(av, avs) <= tol and proj_av
-    else:
-        pi = is_partial_isometry(v, tol)
-        op = uni = pu = False
-    return ElementClass(is_selfadjoint=sa, is_positive=pos,
-                        is_order_projection=op, is_partial_isometry=pi,
-                        is_unitary=uni, is_partial_unitary=pu)
+    sq = v.is_square_level
+    return ElementClass(
+        is_selfadjoint=is_selfadjoint(v, tol),
+        is_positive=sq and is_positive(v, tol),
+        is_order_projection=is_order_projection(v, tol),
+        is_partial_isometry=is_partial_isometry(v, tol),
+        is_unitary=sq and is_unitary(v, tol),
+        is_partial_unitary=sq and is_partial_unitary(v, tol))
 
 
 def orthogonal_positive(u: Element, v: Element, tol: float = TOL_PRED) -> bool:

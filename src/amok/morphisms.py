@@ -5,7 +5,10 @@ one unitary conjugator per target block: target block i receives
 multiplicity[i][j] diagonal copies of source block j, conjugated by the
 unitary.  Up to unitary equivalence these are exactly the unital
 *-homomorphisms between such algebras, they compose, and they make the
-induced maps on the K-invariants exactly computable.
+induced maps on the K-invariants exactly computable.  A non-unital map
+leaves the trailing slots of a target block zero.  Both operations work
+on the stack layout: one amplification per target block, and in
+``compose`` one stable sort, exact for non-unital maps too.
 """
 
 from __future__ import annotations
@@ -76,78 +79,64 @@ def zero_morphism(source: AlgebraSpec, target: AlgebraSpec) -> MorphismSpec:
     return MorphismSpec(source, target, mult, conj, unital=False)
 
 
+def _amplify(blocks, dims, row, dp: int, level: int = 1) -> np.ndarray:
+    """Square matrix whose (level, dp, level, dp) view holds row[j]
+    diagonal copies of block j's cells, in block order; rest zero."""
+    out = np.zeros((level, dp, level, dp), dtype=complex)
+    pos = 0
+    for a, d, m in zip(blocks, dims, row):
+        a = a.reshape(level, d, level, d)
+        for _ in range(m):
+            out[:, pos:pos + d, :, pos:pos + d] = a
+            pos += d
+    return out.reshape(level * dp, level * dp)
+
+
 def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
-    """phi applied at the level of v (entrywise block amplification)."""
+    """phi applied at the level of v: per target block, one amplification
+    of the source stacks and one conjugation by I_n (x) c."""
     if v.algebra != phi.source:
         raise AlgebraMismatch("element lives over a different algebra")
-    n_r, n_c = v.row_level, v.col_level
-    if n_r != n_c:
+    if not v.is_square_level:
         raise ShapeMismatch("morphisms apply to square-level elements")
-    n = n_r
-    dims = phi.source.block_dims
-    mats = []
-    for i, dp in enumerate(phi.target.block_dims):
-        row = phi.multiplicity[i]
-        c = phi.conjugators[i]
-        out = np.zeros((n * dp, n * dp), dtype=complex)
-        for r in range(n):
-            for s in range(n):
-                cell = np.zeros((dp, dp), dtype=complex)
-                pos = 0
-                for j, d in enumerate(dims):
-                    block = v.stacks[j][0, r * d:(r + 1) * d,
-                                        s * d:(s + 1) * d]
-                    for _ in range(row[j]):
-                        cell[pos:pos + d, pos:pos + d] = block
-                        pos += d
-                cell = c.conj().T @ cell @ c
-                out[r * dp:(r + 1) * dp, s * dp:(s + 1) * dp] = cell
-        mats.append(out)
-    return Element(phi.target, n, n, tuple(mats))
+    n = v.row_level
+    blocks = [s[0] for s in v.stacks]
+    stacks = []
+    for row, dp, c in zip(phi.multiplicity, phi.target.block_dims,
+                          phi.conjugators):
+        cell = _amplify(blocks, phi.source.block_dims, row, dp, n)
+        big = np.kron(np.eye(n), c)
+        stacks.append((big.conj().T @ cell @ big)[None])
+    return Element._from_stacks(phi.target, n, n, stacks)
 
 
 def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:
     """psi after phi, again in multiplicity-plus-conjugator form.
 
-    The composed conjugator is permutation * blockdiag(copies of phi's
-    conjugators) * psi's conjugator, where the permutation reorders the
-    nested copy layout into the canonical source-block-major layout.
+    psi(phi(x)) holds the copies of x's blocks in nested order (psi's
+    copies of phi's target blocks, each holding phi's copies).  The
+    composed conjugator is the amplified phi conjugators times psi's,
+    with its rows sorted stably by the source block of each nested slot;
+    unfilled slots sort last and carry the identity.
     """
     if phi.target != psi.source:
         raise AlgebraMismatch("morphisms do not compose")
-    m2 = psi.multiplicity_array()
-    m1 = phi.multiplicity_array()
-    mult = m2 @ m1
-    dims_a = phi.source.block_dims
+    dims_a = np.array(phi.source.block_dims)
+    dims_b = np.array(phi.target.block_dims)
+    m1, m2 = phi.multiplicity_array(), psi.multiplicity_array()
+    k = len(dims_a)
+    # source block of each slot of phi's target blocks, unfilled slots last
+    inner_labels = [np.repeat(np.arange(k + 1),
+                              [*(row * dims_a), db - row @ dims_a])
+                    for row, db in zip(m1, dims_b)]
     conj = []
-    for i, dp in enumerate(psi.target.block_dims):
-        inner = np.zeros((dp, dp), dtype=complex)
-        counts = [0] * len(dims_a)       # copies of each source block seen
-        perm = np.zeros(dp, dtype=np.int64)
-        # offsets of canonical copy slots: source-block-major order
-        offsets = np.concatenate([[0], np.cumsum(
-            [mult[i, l] * dims_a[l] for l in range(len(dims_a))])])
-        pos = 0
-        for j, db in enumerate(psi.source.block_dims):
-            for _ in range(psi.multiplicity[i][j]):
-                inner[pos:pos + db, pos:pos + db] = phi.conjugators[j]
-                sub = 0
-                for l, d in enumerate(dims_a):
-                    for _ in range(phi.multiplicity[j][l]):
-                        canon = offsets[l] + counts[l] * d
-                        for t in range(d):
-                            perm[pos + sub + t] = canon + t
-                        counts[l] += 1
-                        sub += d
-                pos += db
-        if phi.unital and psi.unital:
-            pmat = np.zeros((dp, dp), dtype=complex)
-            for a, cpos in enumerate(perm):
-                pmat[a, cpos] = 1.0
-            comp = pmat.conj().T @ inner @ psi.conjugators[i]
-        else:
-            comp = np.eye(dp, dtype=complex)
-        conj.append(comp)
-    return MorphismSpec(phi.source, psi.target,
-                        tuple(tuple(int(x) for x in row) for row in mult),
-                        tuple(conj), unital=phi.unital and psi.unital)
+    for row, dp, c in zip(m2, psi.target.block_dims, psi.conjugators):
+        used = row @ dims_b
+        inner = _amplify(phi.conjugators, dims_b, row, dp)
+        inner[used:, used:] = np.eye(dp - used)
+        labels = np.concatenate([np.tile(lab, m) for lab, m in
+                                 zip(inner_labels, row)]
+                                + [np.full(dp - used, k)])
+        conj.append(inner[np.argsort(labels, kind="stable")] @ c)
+    return MorphismSpec(phi.source, psi.target, m2 @ m1, tuple(conj),
+                        unital=phi.unital and psi.unital)

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .algebra import CIRCLE, FD, AlgebraSpec, Element
+from .algebra import FD, AlgebraSpec, Element
 from .errors import AmokError, SpecParseError
 
 

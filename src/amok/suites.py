@@ -15,7 +15,7 @@ import numpy as np
 from . import equivalence as eqv
 from . import kernel, model, rand
 from .algebra import (CIRCLE, FD, AlgebraSpec, Element, dilate, direct_sum,
-                      order_unit, scalar_conjugate, zero)
+                      scalar_conjugate, zero)
 from .errors import AmokError
 
 RESIDUAL_TOL = 1e-8

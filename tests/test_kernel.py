@@ -155,22 +155,28 @@ def test_sqrt_roundtrip_psd():
             assert kernel.min_eig_stack(root[None])[0] >= -10 * kernel.TOL_EIG * scale
 
 
+def svd_one(M):
+    """Thin SVD of one matrix, through a stack of one entry."""
+    left, s, right = kernel.svd_stack(M[None])
+    return left[0], s[0], right[0]
+
+
 def test_svd_zero_matrix():
-    left, s, right = kernel.svd(np.zeros((3, 2), dtype=complex))
+    left, s, right = svd_one(np.zeros((3, 2), dtype=complex))
     assert np.allclose(s, 0.0, atol=kernel.TOL_EIG)
 
 
 def test_svd_unitary_has_unit_singulars():
     rng = np.random.default_rng(14)
     U = random_unitary(rng, 5)
-    _, s, _ = kernel.svd(U)
+    _, s, _ = svd_one(U)
     assert np.allclose(s, 1.0, atol=100 * kernel.TOL_EIG)
 
 
 def test_svd_matrix_unit():
     M = np.zeros((2, 2), dtype=complex)
     M[0, 1] = 1.0
-    left, s, right = kernel.svd(M)
+    left, s, right = svd_one(M)
     assert np.allclose(s, [1.0, 0.0], atol=100 * kernel.TOL_EIG)
     # cross-check: M*M = diag(0, 1) has eigenvalues (0, 1)
     w, _ = eig_one(M.conj().T @ M)
@@ -181,7 +187,7 @@ def test_svd_reconstruction():
     rng = np.random.default_rng(15)
     for shape in ((3, 3), (4, 2), (2, 5)):
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        left, s, right = kernel.svd(M)
+        left, s, right = svd_one(M)
         rec = left @ np.diag(s) @ right.conj().T
         scale = 1 + np.abs(M).max()
         assert np.max(np.abs(rec - M)) <= 100 * kernel.TOL_EIG * scale
@@ -195,8 +201,8 @@ def test_svd_reconstruction():
 def test_svd_deterministic():
     rng = np.random.default_rng(16)
     M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    a = kernel.svd(M)
-    b = kernel.svd(M.copy())
+    a = svd_one(M)
+    b = svd_one(M.copy())
     for x, y in zip(a, b):
         assert np.array_equal(np.asarray(x), np.asarray(y))
 

@@ -253,17 +253,36 @@ def test_morphism_preserves_unit_and_abs():
         assert model.distance(lhs, rhs) <= 1e-8
 
 
+def nonunital_pair(rng):
+    """phi: fd [1,2] -> fd [3,4] and psi: fd [3,4] -> fd [5], both leaving
+    slots unfilled, with random unitary conjugators."""
+    fd12, fd34 = algebra.AlgebraSpec.fd([1, 2]), algebra.AlgebraSpec.fd([3, 4])
+    phi = morphisms.MorphismSpec(
+        fd12, fd34, ((0, 1), (1, 1)),
+        (random_unitary_matrix(rng, 3), random_unitary_matrix(rng, 4)),
+        unital=False)
+    psi = morphisms.MorphismSpec(fd34, algebra.AlgebraSpec.fd([5]), ((0, 1),),
+                                 (random_unitary_matrix(rng, 5),), unital=False)
+    return phi, psi
+
+
 def test_composition_of_morphisms_is_exact():
     rng = rand.stream(308, 0)
+    pairs = []
     for t in range(10):
         srng = rand.stream(308, t)
         phi = random_morphism(srng, FD23)
-        psi = random_morphism(srng, phi.target)
+        pairs.append((phi, random_morphism(srng, phi.target)))
+    pairs.append(nonunital_pair(rand.stream(308, 10)))
+    for phi, psi in pairs:
         comp = morphisms.compose(psi, phi)
-        v = rand.element(rng, FD23, 1, 1)
-        via_comp = morphisms.apply_morphism(comp, v)
-        via_steps = morphisms.apply_morphism(psi, morphisms.apply_morphism(phi, v))
-        assert model.distance(via_comp, via_steps) <= 1e-12
+        comp.validate()
+        for level in (1, 2, 3):
+            v = rand.element(rng, phi.source, level, level)
+            via_comp = morphisms.apply_morphism(comp, v)
+            via_steps = morphisms.apply_morphism(
+                psi, morphisms.apply_morphism(phi, v))
+            assert model.distance(via_comp, via_steps) <= 1e-12
 
 
 def test_induced_map_functor_laws():

@@ -10,6 +10,7 @@ byte-identical output.  Exit codes: 0 all pass, 1 property failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -53,6 +54,7 @@ _GLOBAL_DEFAULTS = {"seed": 0, "trials": 200, "tol_pred": model.TOL_PRED,
                     "format": "text", "out": None}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)

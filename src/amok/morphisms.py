@@ -94,7 +94,9 @@ def _amplify(blocks, dims, row, dp: int, level: int = 1) -> np.ndarray:
 
 def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
     """phi applied at the level of v: per target block, one amplification
-    of the source stacks and one conjugation by I_n (x) c."""
+    of the source stacks and one conjugation by I_n (x) c.  An invalid
+    phi raises NotUnital."""
+    phi.validate()
     if v.algebra != phi.source:
         raise AlgebraMismatch("element lives over a different algebra")
     if not v.is_square_level:
@@ -117,10 +119,13 @@ def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:
     copies of phi's target blocks, each holding phi's copies).  The
     composed conjugator is the amplified phi conjugators times psi's,
     with its rows sorted stably by the source block of each nested slot;
-    unfilled slots sort last and carry the identity.
+    unfilled slots sort last and carry the identity.  Both specs are
+    validated first, so an invalid one raises NotUnital.
     """
     if phi.target != psi.source:
         raise AlgebraMismatch("morphisms do not compose")
+    phi.validate()
+    psi.validate()
     dims_a = np.array(phi.source.block_dims)
     dims_b = np.array(phi.target.block_dims)
     m1, m2 = phi.multiplicity_array(), psi.multiplicity_array()

@@ -178,6 +178,9 @@ def group_view_to_json(view) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, compact separators."""
+    """Deterministic JSON: sorted keys, compact separators.
+
+    Reports are trees built afresh for each call, never cyclic, so the
+    encoder skips its circular-reference bookkeeping."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+                      allow_nan=False, check_circular=False)

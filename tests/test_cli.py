@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from amok import (algebra, cli, equivalence as eqv, errors, model, rand,
                   serialize)
@@ -233,6 +234,24 @@ def test_equiv_circle_windings_reported(tmp_path, capsys):
     assert code == 0
     assert report["equivalent"] is False
     assert report["windings"] == [1, 0]
+
+
+def test_canonical_dump_is_the_stdlib_dump(tmp_path, capsys):
+    circle2 = algebra.AlgebraSpec.circle(2, 64)
+    rng = rand.stream(402, 0)
+    uf = write_element(tmp_path / "u.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    vf = write_element(tmp_path / "v.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    code = cli.main(["equiv", "--relation", "h", uf, vf, "--format", "json"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 0
+    assert report["equivalent"] is True and report["witness"]
+    stdlib = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert serialize.dumps_canonical(report) == stdlib == out[:-1]
+    with pytest.raises(ValueError):
+        serialize.dumps_canonical({"x": [1.0, float("nan")]})
 
 
 def test_equiv_domain_violation_gives_exit_2(tmp_path, capsys):

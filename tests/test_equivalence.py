@@ -480,6 +480,70 @@ def test_path_validator_catches_bad_samples():
     assert not broken.validate()
 
 
+def counting_spectral_norms(monkeypatch):
+    """Count the entries that path validation sends to the exact
+    operator norm."""
+    seen = []
+    exact = eqv.kernel.spectral_norms_per_entry
+
+    def counted(A):
+        seen.append(len(A))
+        return exact(A)
+
+    monkeypatch.setattr(eqv.kernel, "spectral_norms_per_entry", counted)
+    return seen
+
+
+def test_step_screen_passes_steps_within_the_operator_bound(monkeypatch):
+    # scalar steps of operator norm 0.15 have Frobenius norm 0.15 * sqrt(2)
+    # ~ 0.212 > 0.2: the screen must measure them, not reject them
+    delta = 2 * np.arcsin(0.075)
+    path = eqv.HomotopyPath(
+        samples=tuple(E.scale(np.exp(1j * k * delta)) for k in range(12)),
+        relation_domain=eqv.UNITARY_SET)
+    seen = counting_spectral_norms(monkeypatch)
+    path.validate_strict()
+    assert seen == [11]
+
+
+def test_step_screen_keeps_the_failing_step_and_its_size():
+    # the coarse loop of test_serialized_step_bound_revalidates_transferred_path,
+    # at the default bound
+    phases = np.exp(1j * np.pi * np.arange(9) / 8)
+    path = eqv.HomotopyPath(samples=tuple(E.scale(z) for z in phases),
+                            relation_domain=eqv.PARTIAL_UNITARY_SET)
+    with pytest.raises(PredicateFailure) as info:
+        path.validate_strict()
+    assert info.value.index == 0
+    assert str(info.value) == "step 0->1 has size 3.902e-01"
+
+
+def test_circle_witness_path_validates_without_svd(monkeypatch):
+    circle2 = algebra.AlgebraSpec.circle(2, 64)
+    rng = rand.stream(220, 0)
+    u = rand.unitary(rng, circle2, 1, winding=1)
+    v = rand.unitary(rng, circle2, 1, winding=1)
+    ok, path = eqv.homotopic_unitaries(u, v)
+    assert ok
+    seen = counting_spectral_norms(monkeypatch)
+    path.validate_strict()
+    assert seen == []
+    # flipping the sign of one sample keeps it unitary and makes the
+    # step into it about 2 at every grid point
+    t = 70
+    stacks = [s.copy() for s in path.stacks]
+    stacks[0][t] *= -1
+    broken = eqv.HomotopyPath(stacks, path.relation_domain, path.step_bound,
+                              like=u)
+    size = np.max(np.linalg.svd(stacks[0][t] - stacks[0][t - 1],
+                                compute_uv=False)[:, 0])
+    with pytest.raises(PredicateFailure) as info:
+        broken.validate_strict()
+    assert info.value.index == t - 1
+    assert str(info.value) == f"step {t - 1}->{t} has size {size:.3e}"
+    assert seen == [2 * 64]
+
+
 def library_paths():
     """Paths from each stack-building decider, with their endpoints."""
     rng = rand.stream(219, 0)

@@ -37,3 +37,13 @@ def test_package_has_no_unused_imports():
     found = {p.name: unused_imports(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_sources_parse_as_python_3_10():
+    # the oldest interpreter that pyproject's requires-python admits
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(p for d in ("src/amok", "tests", "perfbench")
+                   for p in (root / d).rglob("*.py"))
+    assert root / "src" / "amok" / "cli.py" in files
+    for p in files:
+        ast.parse(p.read_text(), filename=str(p), feature_version=(3, 10))

@@ -345,6 +345,19 @@ def test_morphism_validation_rejects_non_unital():
                                ((1,),), (np.eye(3),)).validate()
 
 
+def test_apply_and_compose_reject_an_overfilling_spec():
+    # two copies of a 2x2 block do not fit in a 3x3 block, unital or not
+    fd3 = algebra.AlgebraSpec.fd([3])
+    over = morphisms.MorphismSpec(M2, fd3, ((2,),), (np.eye(3),),
+                                  unital=False)
+    with pytest.raises(NotUnital, match="overfill"):
+        morphisms.apply_morphism(over, algebra.order_unit(M2, 1))
+    with pytest.raises(NotUnital, match="overfill"):
+        morphisms.compose(morphisms.identity_morphism(fd3), over)
+    with pytest.raises(NotUnital, match="overfill"):
+        morphisms.compose(over, morphisms.zero_morphism(fd3, M2))
+
+
 # -- the splitting map -----------------------------------------------------
 
 def test_theta_of_zero():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import sys
 import time
 
@@ -54,15 +54,38 @@ _GLOBAL_DEFAULTS = {"seed": 0, "trials": 200, "tol_pred": model.TOL_PRED,
                     "format": "text", "out": None}
 
 
+def _integer_at_least(least: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {least}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--tol-pred", type=float)
-    common.add_argument("--tol-path", type=float)
-    common.add_argument("--tol-bisect", type=float)
+    common.add_argument("--seed", type=functools.partial(_integer_at_least, 0))
+    common.add_argument("--trials",
+                        type=functools.partial(_integer_at_least, 1))
+    common.add_argument("--tol-pred", type=_positive_float)
+    common.add_argument("--tol-path", type=_positive_float)
+    common.add_argument("--tol-bisect", type=_positive_float)
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument("--out",
                         help="write the report to this path instead of stdout")
@@ -236,13 +259,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_theta(args) -> int:
     cfg = _config(args)
-    try:
-        with open(args.x) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read {args.x}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{args.x}: invalid JSON at line {exc.lineno}")
+    obj = serialize._read_json(args.x)
     serialize._require_fields(obj, ("u", "v"), ("u", "v"), "theta input")
     u = serialize.parse_element(obj["u"])
     v = serialize.parse_element(obj["v"])

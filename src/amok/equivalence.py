@@ -10,7 +10,8 @@ A ``HomotopyPath`` keeps its samples as one read-only (T, B, r, c) stack
 per summand, the element layout with a leading sample axis.  The path
 builders compute these stacks in one piece, write the first and last
 entries as exactly the two operands, and hand them to the path; the
-validator and ``serialize.path_to_json`` read them directly.  Per-sample
+validator and the report writer (``serialize.path_to_json``, then
+``serialize.dumps_canonical``) read them directly.  Per-sample
 Elements (``samples``, ``start``, ``end``) are views of the stacks.
 """
 

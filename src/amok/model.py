@@ -125,6 +125,8 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     lo = 0.0
     while hi - lo > tol_bisect:
         mid = (hi + lo) / 2.0
+        if not lo < mid < hi:
+            break  # adjacent floats: a tolerance below their spacing
         if feasible(mid):
             hi = mid
         else:

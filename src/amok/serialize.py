@@ -85,22 +85,12 @@ def _parse_matrix(rows, shape, where: str) -> np.ndarray:
     return out
 
 
-def _pairs(s: np.ndarray) -> list:
-    """A complex stack as nested lists with [re, im] pairs at the bottom."""
-    return np.stack((s.real, s.imag), -1).tolist()
-
-
-def _element_json(algebra: AlgebraSpec, row_level: int, col_level: int,
-                  data: list) -> dict:
-    return {"algebra": algebra_to_json(algebra),
-            "row_level": row_level,
-            "col_level": col_level,
-            "data": data}
-
-
 def element_to_json(v: Element) -> dict:
-    return _element_json(v.algebra, v.row_level, v.col_level,
-                         [m for s in v.stacks for m in _pairs(s)])
+    return {"algebra": algebra_to_json(v.algebra),
+            "row_level": v.row_level,
+            "col_level": v.col_level,
+            "data": [m for s in v.stacks
+                     for m in np.stack((s.real, s.imag), -1).tolist()]}
 
 
 def parse_element(obj) -> Element:
@@ -124,41 +114,49 @@ def parse_element(obj) -> Element:
         raise SpecParseError(f"element: {exc}")
 
 
-def load_element(path: str) -> Element:
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; an unreadable file, text
+    that is not UTF-8 or not JSON, and nesting too deep to parse are
+    input errors."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise SpecParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path}: not UTF-8 text ({exc.reason} at "
+                             f"byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}")
-    return parse_element(obj)
+    except RecursionError:
+        raise SpecParseError(f"{path}: JSON nested too deeply")
+
+
+def load_element(path: str) -> Element:
+    return parse_element(_read_json(path))
 
 
 def load_algebra(path: str) -> AlgebraSpec:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{path}: invalid JSON at line {exc.lineno}, "
-                             f"column {exc.colno}")
-    return parse_algebra(obj)
+    return parse_algebra(_read_json(path))
+
+
+class _PathSamples:
+    """The samples of a path, kept as its (T, B, r, c) stacks until
+    ``dumps_canonical`` writes them."""
+    __slots__ = ("path",)
+
+    def __init__(self, path):
+        self.path = path
 
 
 def path_to_json(path) -> dict:
-    """A path with one element object per sample, written from slices of
-    its (T, B, r, c) stacks."""
-    per_summand = [_pairs(s) for s in path.stacks]
-    samples = [_element_json(path.algebra, path.row_level, path.col_level,
-                             [m for lists in per_summand for m in lists[t]])
-               for t in range(len(path.stacks[0]))]
+    """A path whose ``"samples"`` are written by ``dumps_canonical`` as
+    one element object per sample, straight from its stacks."""
     return {"kind": "path",
             "relation_domain": path.relation_domain,
             "step_bound": path.step_bound,
-            "samples": samples}
+            "samples": _PathSamples(path)}
 
 
 def certificate_to_json(cert) -> dict:
@@ -177,10 +175,63 @@ def group_view_to_json(view) -> dict:
             "generators": [element_to_json(g) for g in view.generators]}
 
 
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, compact separators.
+def _samples_json(path) -> str:
+    """The canonical JSON of a path's samples, as ``element_to_json`` of
+    each sample would give, written in one pass.
 
-    Reports are trees built afresh for each call, never cyclic, so the
-    encoder skips its circular-reference bookkeeping."""
+    One ``%`` template holds every sample, with a ``[%r,%r]`` cell per
+    entry; it is filled from one flat list of the stacks' floats.
+    ``'%r' % x`` is ``float.__repr__``, which the json encoder writes
+    too, so signed zeros, subnormals and exponent forms keep their bytes.
+    """
+    T = len(path.stacks[0])
+    flat = np.concatenate([s.view(np.float64).reshape(T, -1)
+                           for s in path.stacks], axis=1)
+    if not np.isfinite(flat).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    matrices = []
+    for s in path.stacks:
+        _, b, r, c = s.shape
+        row = "[" + ",".join(["[%r,%r]"] * c) + "]"
+        matrices += ["[" + ",".join([row] * r) + "]"] * b
+    algebra = _dumps(algebra_to_json(path.algebra))  # holds no "%"
+    sample = (f'{{"algebra":{algebra},"col_level":{path.col_level},'
+              f'"data":[{",".join(matrices)}],"row_level":{path.row_level}}}')
+    return "[" + ",".join([sample] * T) % tuple(flat.ravel().tolist()) + "]"
+
+
+def _dumps(obj) -> str:
+    # reports are trees built afresh for each call, never cyclic, so the
+    # encoder skips its circular-reference bookkeeping
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False, check_circular=False)
+
+
+def _encode(obj):
+    """The canonical JSON of ``obj`` if it holds path samples, else None:
+    the stdlib dump of ``obj`` is then canonical as it is.  Path samples
+    are looked for as dict values, through nested dicts only; the dicts
+    on the way to them are written here, with string keys in sorted
+    order, and every other value goes through the stdlib dump."""
+    if isinstance(obj, _PathSamples):
+        return _samples_json(obj.path)
+    if not isinstance(obj, dict):
+        return None
+    keys = sorted(obj)
+    parts = [_encode(obj[k]) for k in keys]
+    if all(p is None for p in parts):
+        return None
+    return "{" + ",".join(
+        f"{_dumps(k)}:{_dumps(obj[k]) if p is None else p}"
+        for k, p in zip(keys, parts)) + "}"
+
+
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON: sorted keys, compact separators, no NaN.
+
+    The bytes are those of the stdlib dump with ``sort_keys=True`` and
+    compact separators, also for the samples of a ``path_to_json``
+    witness, which are written from the path's stacks instead of from
+    nested lists."""
+    text = _encode(obj)
+    return _dumps(obj) if text is None else text

@@ -254,6 +254,114 @@ def test_canonical_dump_is_the_stdlib_dump(tmp_path, capsys):
         serialize.dumps_canonical({"x": [1.0, float("nan")]})
 
 
+def nested_list_path_json(path) -> dict:
+    """A path object as the nested-list writer built it: one element dict
+    per sample, for the stdlib dump to write."""
+    samples = []
+    for t in range(len(path.stacks[0])):
+        data = [m for s in path.stacks
+                for m in np.stack((s[t].real, s[t].imag), -1).tolist()]
+        samples.append({"algebra": serialize.algebra_to_json(path.algebra),
+                        "row_level": path.row_level,
+                        "col_level": path.col_level,
+                        "data": data})
+    return {"kind": "path", "relation_domain": path.relation_domain,
+            "step_bound": path.step_bound, "samples": samples}
+
+
+def stdlib_dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def special_float_path() -> eqv.HomotopyPath:
+    """An fd [1,2] path whose entries run through signed zeros, a
+    subnormal and the exponent forms of float repr."""
+    fd12 = algebra.AlgebraSpec.fd([1, 2])
+    values = np.array([-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.0, -1e-05, 1.5,
+                       -5e-324, -1e22, 2.2250738585072014e-308, 1e-7,
+                       123.456])
+    T = 7
+    # [re, im] pairs as complex entries, five per sample; the odd count
+    # of values puts each of them in both parts
+    z = np.resize(values, 2 * T * 5).view(np.complex128).reshape(T, 5)
+    stacks = [z[:, :1].reshape(T, 1, 1, 1), z[:, 1:].reshape(T, 1, 2, 2)]
+    return eqv.HomotopyPath(stacks, eqv.UNITARY_SET,
+                            like=algebra.order_unit(fd12, 1))
+
+
+def test_path_writer_matches_the_nested_list_dump():
+    rng = rand.stream(403, 0)
+    fd12 = algebra.AlgebraSpec.fd([1, 2])
+    ok, fd_path = eqv.homotopic_unitaries(rand.unitary(rng, fd12, 1),
+                                          rand.unitary(rng, fd12, 1))
+    assert ok and [s.shape[1:] for s in fd_path.stacks] == [(1, 1, 1),
+                                                            (1, 2, 2)]
+    circle = algebra.AlgebraSpec.circle(2, 16)
+    ok, circle_path = eqv.simK_equivalent(
+        rand.unitary(rng, circle, 1, winding=1),
+        rand.unitary(rng, circle, 1, winding=1))
+    assert ok and circle_path.relation_domain == eqv.PARTIAL_UNITARY_SET
+    special = special_float_path()
+    flat = np.concatenate([s.view(np.float64).ravel() for s in special.stacks])
+    for x in (-0.0, 5e-324, 1e-05, 1e16, 1e22):
+        assert any(y == x and np.signbit(y) == np.signbit(x) for y in flat)
+    for path in (fd_path, circle_path, special):
+        want = nested_list_path_json(path)
+        assert (serialize.dumps_canonical(serialize.path_to_json(path))
+                == stdlib_dump(want))
+        # inside nested dicts, beside values the stdlib dump writes
+        report = {"witness": serialize.path_to_json(path), "windings": [1, 1],
+                  "config": {"tol_path": 1e-08, "seed": 0}, "extra": None,
+                  "nested": {"a": {"witness": serialize.path_to_json(path)},
+                             "b": 2.5}}
+        assert serialize.dumps_canonical(report) == stdlib_dump(
+            {"witness": want, "windings": [1, 1],
+             "config": {"tol_path": 1e-08, "seed": 0}, "extra": None,
+             "nested": {"a": {"witness": want}, "b": 2.5}})
+
+
+def test_path_writer_rejects_non_finite_samples():
+    path = special_float_path()
+    for bad in (float("nan"), float("inf")):
+        stacks = [s.copy() for s in path.stacks]
+        stacks[1][3, 0, 1, 0] = complex(0.5, bad)
+        broken = eqv.HomotopyPath(stacks, path.relation_domain,
+                                  like=path.start)
+        with pytest.raises(ValueError):
+            serialize.dumps_canonical({"witness":
+                                       serialize.path_to_json(broken)})
+
+
+@pytest.mark.parametrize("command", ["classify", "kgroup", "theta"])
+def test_unreadable_input_gives_exit_2(tmp_path, capsys, command):
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    extra = ["--which", "k"] if command == "kgroup" else []
+    for path in (not_utf8, deep, tmp_path / "missing.json"):
+        assert cli.main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "SpecParseError" in err and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "-3"), ("--trials", "0"), ("--trials", "2.5"),
+    ("--seed", "-1"),
+    ("--tol-bisect", "0"), ("--tol-path", "-1"), ("--tol-pred", "nan"),
+    ("--tol-pred", "inf"), ("--tol-bisect", "1e400"), ("--tol-path", "x")])
+def test_invalid_global_flag_gives_exit_2(tmp_path, capsys, flag, value):
+    spec = write_algebra(tmp_path / "alg.json", M2)
+    for argv in ([flag, value, "kgroup", spec, "--which", "k0"],
+                 ["kgroup", spec, "--which", "k0", flag, value]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a" in err
+
+
 def test_equiv_domain_violation_gives_exit_2(tmp_path, capsys):
     v = algebra.order_unit(M2, 1).scale(0.5)
     vf = write_element(tmp_path / "v.json", v)
@@ -372,20 +480,38 @@ def test_check_axioms_validates_each_witness_once(tmp_path, monkeypatch):
         f"witnesses; {len(built)} built")
 
 
-def test_json_reports_are_byte_identical_across_processes(tmp_path):
-    spec = write_json(tmp_path / "alg.json", {"variant": "fd", "blocks": [1, 2]})
+def stdout_of_fresh_process(argv) -> bytes:
+    """Standard output of ``amok argv`` in a new interpreter, which
+    draws its own hash seed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    outs = []
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "amok.cli", "check-axioms", spec,
-             "--trials", "1", "--format", "json"],
-            capture_output=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    proc = subprocess.run([sys.executable, "-m", "amok.cli"] + argv,
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_json_reports_are_byte_identical_across_processes(tmp_path):
+    spec = write_json(tmp_path / "alg.json", {"variant": "fd", "blocks": [1, 2]})
+    argv = ["check-axioms", spec, "--trials", "1", "--format", "json"]
+    assert stdout_of_fresh_process(argv) == stdout_of_fresh_process(argv)
+
+
+def test_equiv_reports_are_byte_identical_across_processes(tmp_path):
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    rng = rand.stream(404, 0)
+    uf = write_element(tmp_path / "u.json",
+                       rand.unitary(rng, circle, 1, winding=1))
+    vf = write_element(tmp_path / "v.json",
+                       rand.unitary(rng, circle, 1, winding=1))
+    argv = ["equiv", uf, vf, "--relation", "h", "--format", "json"]
+    out = stdout_of_fresh_process(argv)
+    assert out == stdout_of_fresh_process(argv)
+    report = json.loads(out)
+    assert report["equivalent"] is True
+    assert len(report["witness"]["samples"]) == eqv.PATH_SAMPLES
+    assert out.decode() == stdlib_dump(report) + "\n"
 
 
 def test_memo_keeps_check_axioms_bytes(tmp_path, monkeypatch):

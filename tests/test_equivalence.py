@@ -1,5 +1,7 @@
 """Tests for the equivalence decisions, certificates, and paths."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -458,7 +460,8 @@ def test_serialized_step_bound_revalidates_transferred_path():
                             relation_domain=eqv.PARTIAL_UNITARY_SET,
                             step_bound=0.4)
     _, (plus_path, _) = eqv.abs_homotopy_transfer(path)
-    obj = serialize.path_to_json(plus_path)
+    obj = json.loads(serialize.dumps_canonical(
+        serialize.path_to_json(plus_path)))
     assert obj["step_bound"] == 3 * 0.4
     samples = tuple(serialize.parse_element(s) for s in obj["samples"])
     back = eqv.HomotopyPath(samples=samples,
@@ -577,7 +580,8 @@ def test_path_rebuilt_from_samples_round_trips():
         assert (serialize.dumps_canonical(serialize.path_to_json(back))
                 == serialize.dumps_canonical(serialize.path_to_json(path)))
         # the written samples are the element objects of the samples
-        obj = serialize.path_to_json(path)
+        obj = json.loads(serialize.dumps_canonical(
+            serialize.path_to_json(path)))
         assert obj["samples"][57] == serialize.element_to_json(
             path.samples[57])
 

@@ -141,6 +141,15 @@ def test_norm_rectangular_matches_adjoint():
                - model.order_unit_norm(v.adjoint())) <= 10 * model.TOL_BISECT
 
 
+def test_norm_bisection_stops_at_adjacent_floats():
+    # float spacing at 1e8 is 1.5e-8, above the default tolerance; and
+    # no spacing at 1 reaches 1e-300: the bisection stops when its
+    # midpoint is no longer strictly between its bounds
+    e = algebra.order_unit(M2, 1)
+    assert model.order_unit_norm(e.scale(1e8)) == pytest.approx(1e8, rel=1e-12)
+    assert model.order_unit_norm(e, 1e-300) == pytest.approx(1.0, rel=1e-12)
+
+
 # -- positivity and classification ----------------------------------------
 
 def test_is_positive_examples():

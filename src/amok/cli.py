@@ -10,6 +10,7 @@ byte-identical output.  Exit codes: 0 all pass, 1 property failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -45,12 +46,12 @@ _PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
                   "approxK": eqv.approxK_equivalent}
 
 
-# Defaults of the global flags.  The subparsers share the global flags'
-# actions, so those actions default to SUPPRESS: a subparser then leaves
-# a flag given before the command in place, and main() starts parsing
-# from these values instead.
-_GLOBAL_DEFAULTS = {"seed": 0, "trials": 200, "tol_pred": model.TOL_PRED,
-                    "tol_path": eqv.TOL_PATH, "tol_bisect": model.TOL_BISECT,
+# Defaults of the global flags: those of RunConfig, plus the output
+# flags.  The subparsers share the global flags' actions, so those
+# actions default to SUPPRESS: a subparser then leaves a flag given
+# before the command in place, and main() starts parsing from these
+# values instead.
+_GLOBAL_DEFAULTS = {**dataclasses.asdict(suites.RunConfig()),
                     "format": "text", "out": None}
 
 
@@ -124,9 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> suites.RunConfig:
-    return suites.RunConfig(seed=args.seed, trials=args.trials,
-                            tol_pred=args.tol_pred, tol_path=args.tol_path,
-                            tol_bisect=args.tol_bisect)
+    return suites.RunConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(suites.RunConfig)})
 
 
 def _emit(args, report: dict, text_lines, elapsed: float) -> None:
@@ -141,9 +141,9 @@ def _emit(args, report: dict, text_lines, elapsed: float) -> None:
         sys.stdout.write(out)
 
 
-def _config_json(cfg: suites.RunConfig) -> dict:
-    return {"seed": cfg.seed, "trials": cfg.trials, "tol_pred": cfg.tol_pred,
-            "tol_path": cfg.tol_path, "tol_bisect": cfg.tol_bisect}
+def _require_one_algebra(u, v) -> None:
+    if u.algebra != v.algebra:
+        raise AlgebraMismatch("pair members live over different algebras")
 
 
 def cmd_check_axioms(args) -> int:
@@ -154,7 +154,7 @@ def cmd_check_axioms(args) -> int:
     elapsed = time.time() - t0
     report = {"command": "check-axioms",
               "algebra": serialize.algebra_to_json(algebra),
-              "config": _config_json(cfg),
+              "config": dataclasses.asdict(cfg),
               "properties": [r.to_json() for r in results]}
     lines = [f"check-axioms over {serialize.dumps_canonical(report['algebra'])}"]
     for r in results:
@@ -177,7 +177,7 @@ def cmd_classify(args) -> int:
     norm = model.order_unit_norm(v, cfg.tol_bisect)
     elapsed = time.time() - t0
     report = {"command": "classify",
-              "config": _config_json(cfg),
+              "config": dataclasses.asdict(cfg),
               "flags": {"is_selfadjoint": flags.is_selfadjoint,
                         "is_positive": flags.is_positive,
                         "is_order_projection": flags.is_order_projection,
@@ -204,7 +204,7 @@ def cmd_kgroup(args) -> int:
     elapsed = time.time() - t0
     report = {"command": "kgroup",
               "algebra": serialize.algebra_to_json(algebra),
-              "config": _config_json(cfg),
+              "config": dataclasses.asdict(cfg),
               "view": serialize.group_view_to_json(view)}
     lines = [f"{tag} of {serialize.dumps_canonical(report['algebra'])}",
              f"  rank: {view.rank}",
@@ -220,6 +220,7 @@ def cmd_equiv(args) -> int:
     cfg = _config(args)
     u = serialize.load_element(args.u)
     v = serialize.load_element(args.v)
+    _require_one_algebra(u, v)
     t0 = time.time()
     witness = None
     if args.relation == "mvn":
@@ -241,7 +242,7 @@ def cmd_equiv(args) -> int:
             witness = serialize.path_to_json(path)
     elapsed = time.time() - t0
     report = {"command": "equiv", "relation": args.relation,
-              "config": _config_json(cfg), "equivalent": bool(ok),
+              "config": dataclasses.asdict(cfg), "equivalent": bool(ok),
               "witness": witness}
     if u.algebra.variant == "circle":
         try:
@@ -263,14 +264,13 @@ def cmd_theta(args) -> int:
     serialize._require_fields(obj, ("u", "v"), ("u", "v"), "theta input")
     u = serialize.parse_element(obj["u"])
     v = serialize.parse_element(obj["v"])
-    if u.algebra != v.algebra:
-        raise AlgebraMismatch("pair members live over different algebras")
+    _require_one_algebra(u, v)
     t0 = time.time()
     x = kgroups.k_pair_class(u, v, cfg.tol_pred)
     k0_part, k1_part = kgroups.theta_map(u.algebra, x)
     au, mu_u = kgroups.theta_witnesses(u, cfg.tol_pred)
     elapsed = time.time() - t0
-    report = {"command": "theta", "config": _config_json(cfg),
+    report = {"command": "theta", "config": dataclasses.asdict(cfg),
               "k_class": list(x.normal_form),
               "k0_part": list(k0_part.normal_form),
               "k1_part": list(k1_part.normal_form),

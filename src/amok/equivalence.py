@@ -24,9 +24,9 @@ import numpy as np
 from . import kernel, model
 from .algebra import (CIRCLE, FD, AlgebraSpec, Element, _freeze,
                       direct_sum, order_unit, zero)
-from .errors import (LevelMismatch, NotPartialUnitary, NotProjection,
-                     PredicateFailure, PreconditionFailure, ShapeMismatch,
-                     SourceMismatch, Unsupported)
+from .errors import (AlgebraMismatch, LevelMismatch, NotPartialUnitary,
+                     NotProjection, PredicateFailure, PreconditionFailure,
+                     ShapeMismatch, SourceMismatch, Unsupported)
 
 TOL_PATH = kernel.TOL_PATH
 PATH_SAMPLES = 129
@@ -45,9 +45,6 @@ class ProjInvariant:
     """Complete invariant of a projection: rank per block (fd) or the
     constant rank across grid samples (circle)."""
     ranks: tuple
-
-    def __add__(self, other: "ProjInvariant") -> "ProjInvariant":
-        return ProjInvariant(tuple(a + b for a, b in zip(self.ranks, other.ranks)))
 
 
 def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
@@ -69,11 +66,11 @@ def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
     return ProjInvariant(tuple(ranks))
 
 
-def winding(u: Element, tol_wind: float = TOL_WIND) -> int:
+def winding(u: Element) -> int:
     """Degree of the determinant loop of a circle-model unitary.
 
     Summed phase increments of det(u(z_j)) around the grid; the total
-    must be within tol_wind of an integer multiple of 2*pi.
+    must be within TOL_WIND of an integer multiple of 2*pi.
     """
     if u.algebra.variant != CIRCLE:
         raise Unsupported("winding is a circle-model invariant")
@@ -83,7 +80,7 @@ def winding(u: Element, tol_wind: float = TOL_WIND) -> int:
     inc = np.angle(np.roll(dets, -1) / dets)
     total = float(np.sum(inc)) / (2.0 * np.pi)
     w = int(np.rint(total))
-    if abs(total - w) > tol_wind:
+    if abs(total - w) > TOL_WIND:
         raise Unsupported(f"non-integer winding estimate {total}")
     return w
 
@@ -241,6 +238,8 @@ def mvn_equivalent(p: Element, q: Element, tol: float = model.TOL_PRED):
     Returns (decision, certificate-or-None).  The witness has
     |v| = p (source) and |v*| = q (target).
     """
+    if p.algebra != q.algebra:
+        raise AlgebraMismatch("operands live over different algebras")
     for x in (p, q):
         if not model.is_order_projection(x, tol):
             raise NotProjection("operand is not an order projection")
@@ -322,16 +321,15 @@ def _pinned_path(stacks: list, u: Element, v: Element,
     return HomotopyPath(stacks, domain, like=u)
 
 
-def _log_path_stacks(u: Element, w: Element, samples: int,
-                     tol_path: float) -> list:
+def _log_path_stacks(u: Element, w: Element, tol_path: float) -> list:
     """Stacks of t -> u exp(t log(u* w)), one per summand."""
     return [a @ kernel.unitary_log_path(a.conj().transpose(0, 2, 1) @ b,
-                                        samples, tol_path)
+                                        PATH_SAMPLES, tol_path)
             for a, b in zip(u.stacks, w.stacks)]
 
 
-def _unitary_homotopy(u: Element, v: Element, tol: float, samples: int,
-                      tol_path: float, domain: str):
+def _unitary_homotopy(u: Element, v: Element, tol: float, tol_path: float,
+                      domain: str):
     """Decide u ~h v for unitaries; a positive answer carries the log path,
     validated once at tol_path in the given domain."""
     if not u.same_shape(v) or not u.is_square_level:
@@ -341,22 +339,20 @@ def _unitary_homotopy(u: Element, v: Element, tol: float, samples: int,
             raise PreconditionFailure("operand fails the unitary predicate")
     if u.algebra.variant == CIRCLE and winding(u) != winding(v):
         return False, None
-    path = _pinned_path(_log_path_stacks(u, v, samples, tol_path), u, v,
-                        domain)
+    path = _pinned_path(_log_path_stacks(u, v, tol_path), u, v, domain)
     path.validate_strict(tol_path)
     return True, path
 
 
 def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
-                        samples: int = PATH_SAMPLES, *,
-                        tol_path: float = TOL_PATH):
+                        *, tol_path: float = TOL_PATH):
     """u ~h v inside the unitary set at a fixed level.
 
     fd model: always true (the unitary group is connected); circle
     model: true iff the determinant windings agree.  Positive answers
     return a log path validated at tol_path.
     """
-    return _unitary_homotopy(u, v, tol, samples, tol_path, UNITARY_SET)
+    return _unitary_homotopy(u, v, tol, tol_path, UNITARY_SET)
 
 
 def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
@@ -397,11 +393,11 @@ def _conjugation_path(u: Element, W: list, samples: int,
     return paths
 
 
-def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
+def _fd_partial_unitary_path(u: Element, v: Element,
                              tol_path: float) -> HomotopyPath:
     """Two-stage path: rotate the support of u onto that of v, then
     deform the corner unitary inside the common support."""
-    half = samples // 2 + 1
+    half = PATH_SAMPLES // 2 + 1
     # stage 1: conjugate so supports match
     W, ranges = [], []
     for a, b in zip(model.abs_value(u).stacks, model.abs_value(v).stacks):
@@ -426,8 +422,7 @@ def _fd_partial_unitary_path(u: Element, v: Element, samples: int,
 
 
 def homotopic_partial_unitaries(u: Element, v: Element,
-                                tol: float = model.TOL_PRED,
-                                samples: int = PATH_SAMPLES, *,
+                                tol: float = model.TOL_PRED, *,
                                 tol_path: float = TOL_PATH):
     """u ~h v inside the partial-unitary set at a fixed level.
 
@@ -443,18 +438,17 @@ def homotopic_partial_unitaries(u: Element, v: Element,
     if u.algebra.variant == FD:
         if iu != iv:
             return False, None
-        path = _fd_partial_unitary_path(u, v, samples, tol_path)
+        path = _fd_partial_unitary_path(u, v, tol_path)
         path.validate_strict(tol_path)
         return True, path
     n = u.row_level * u.algebra.dim
     if iu.ranks == (0,) and iv.ranks == (0,):
-        path = _pinned_path([np.repeat(a[None], samples, axis=0)
+        path = _pinned_path([np.repeat(a[None], PATH_SAMPLES, axis=0)
                              for a in u.stacks], u, v, PARTIAL_UNITARY_SET)
         path.validate_strict(tol_path)
         return True, path
     if iu.ranks == (n,) and iv.ranks == (n,):
-        return _unitary_homotopy(u, v, tol, samples, tol_path,
-                                 PARTIAL_UNITARY_SET)
+        return _unitary_homotopy(u, v, tol, tol_path, PARTIAL_UNITARY_SET)
     if iu != iv:
         return False, None
     raise Unsupported(

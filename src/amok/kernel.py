@@ -150,16 +150,13 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
     for i in np.nonzero(near.any(axis=1))[0]:
         S = (U[i] - Uh[i]) / 2.0j
         S = (S + S.conj().T) / 2.0
-        start = 0
-        while start < n:
-            stop = start + 1
-            while stop < n and near[i, stop - 1]:
-                stop += 1
+        # clusters are the runs between the gaps of w[i]
+        bounds = [0, *(np.flatnonzero(~near[i]) + 1), n]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
             if stop - start > 1:
                 Qc = W[i, :, start:stop]
                 _, Vc = eig_stack((Qc.conj().T @ S @ Qc)[None])
                 W[i, :, start:stop] = Qc @ Vc[0]
-            start = stop
     D = _adjoint(W) @ U @ W
     off = D[:, ~np.eye(n, dtype=bool)]
     if np.max(np.abs(off), initial=0.0) > 100 * max(tol, 1e-12) * n:

@@ -24,6 +24,11 @@ K0 = "K0"
 K1 = "K1"
 K = "K"
 
+# fixed streams of the spot checks behind the group views' flags
+WHITEHEAD_SEED = 2024
+WHITEHEAD_TRIALS = 3
+PROPERNESS_SEED = 2025
+
 
 # -- classes and views -----------------------------------------------------
 
@@ -66,12 +71,10 @@ class KClass:
         return self + (-other)
 
     def scale(self, n: int) -> "KClass":
-        out = KClass(self.group_tag, (0,) * len(self.plus_part),
-                     (0,) * len(self.plus_part))
         step = self if n >= 0 else -self
-        for _ in range(abs(n)):
-            out = out + step
-        return out
+        k = abs(n)
+        return KClass(self.group_tag, tuple(k * a for a in step.plus_part),
+                      tuple(k * b for b in step.minus_part))
 
 
 @dataclass(frozen=True)
@@ -180,11 +183,7 @@ def grothendieck_complete(classes, tol: float = model.TOL_PRED) -> dict:
     witnessed = [m for m in classes if m.witness is not None]
     for a in witnessed[:8]:
         for b in witnessed[:8]:
-            both = direct_sum(a.witness, b.witness)
-            try:
-                got = _witness_invariant(both, tol)
-            except Unsupported:
-                continue
+            got = _witness_invariant(direct_sum(a.witness, b.witness), tol)
             want = tuple(x + y for x, y in zip(a.invariant, b.invariant))
             if got != want:
                 raise NotCancellative(
@@ -234,11 +233,10 @@ def _unit_rank_projections(algebra: AlgebraSpec) -> tuple:
                  for i in range(k))
 
 
-def whitehead_flag(algebra: AlgebraSpec, seed: int = 2024,
-                   trials: int = 3) -> bool:
+def whitehead_flag(algebra: AlgebraSpec) -> bool:
     """Check v (+) v* ~h e at the doubled level on sampled unitaries."""
-    for t in range(trials):
-        rng = rand.stream(seed, t)
+    for t in range(WHITEHEAD_TRIALS):
+        rng = rand.stream(WHITEHEAD_SEED, t)
         w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
         v = rand.unitary(rng, algebra, 1, winding=w)
         both = direct_sum(v, v.adjoint())
@@ -265,7 +263,7 @@ def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
                                                              (gen,)),))
 
 
-def _k_properness_flags(algebra: AlgebraSpec, seed: int = 2025) -> tuple:
+def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
     """The three hypotheses behind cone properness, each spot-checked.
 
     (a) homotopic projections are equivalent (rank is a homotopy
@@ -273,7 +271,7 @@ def _k_properness_flags(algebra: AlgebraSpec, seed: int = 2025) -> tuple:
         subprojection is equivalent to it (rank strict monotonicity);
         (c) the absolute value is continuous (Hoelder-1/2 spot check).
     """
-    rng = rand.stream(seed, 0)
+    rng = rand.stream(PROPERNESS_SEED, 0)
     # (a): homotopy => equivalence on a sampled conjugation pair
     p = rand.projection(rng, algebra, 2)
     u = rand.unitary(rng, algebra, 2)
@@ -341,8 +339,6 @@ def induced_map(phi: MorphismSpec, which: str) -> np.ndarray:
 
 def induced_class(phi: MorphismSpec, x: KClass) -> KClass:
     m = induced_map(phi, x.group_tag)
-    if x.group_tag == K1:
-        return KClass(K1, (), ())
     plus = tuple(int(v) for v in m @ np.array(x.plus_part, dtype=np.int64))
     minus = tuple(int(v) for v in m @ np.array(x.minus_part, dtype=np.int64))
     return KClass(x.group_tag, plus, minus)

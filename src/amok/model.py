@@ -2,8 +2,9 @@
 orthogonality and the classification predicates.
 
 Every "=" in a defining equation is evaluated as an operator-norm
-distance at a predicate tolerance; element equality uses the same
-semantics.
+distance at a predicate tolerance, with two exceptions that compare the
+largest entry instead: ``is_selfadjoint`` bounds the largest entry of
+v - v*, and ``orthogonal_infty_a`` the largest entry of uv.
 
 Inside ``memo_scope`` the two element functions that reach LAPACK most,
 ``abs_value`` and ``op_norm``, are computed once per distinct input:
@@ -88,10 +89,6 @@ def distance(u: Element, v: Element) -> float:
     return op_norm(u - v)
 
 
-def elements_equal(u: Element, v: Element, tol: float = TOL_PRED) -> bool:
-    return distance(u, v) <= tol
-
-
 def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     """Order-unit norm by bisection over PSD feasibility.
 
@@ -101,16 +98,11 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     """
     if not v.is_square_level:
         v = dilate(v)
-    # [[0, g], [g*, 0]] per summand, built once; each step writes k on
-    # the diagonal through a strided view
-    bigs, diags = [], []
-    for g in v.stacks:
-        b, n, _ = g.shape
-        big = np.zeros((b, 2 * n, 2 * n), dtype=complex)
-        big[:, :n, n:] = g
-        big[:, n:, :n] = g.conj().transpose(0, 2, 1)
-        bigs.append(big)
-        diags.append(big.reshape(b, -1)[:, ::2 * n + 1])
+    # writable copies of the dilation [[0, v], [v*, 0]], built once;
+    # each step writes k on the diagonal through a strided view
+    bigs = [s.copy() for s in dilate(v).stacks]
+    diags = [big.reshape(len(big), -1)[:, ::big.shape[-1] + 1]
+             for big in bigs]
 
     def feasible(k: float) -> bool:
         for big, diag in zip(bigs, diags):

@@ -74,12 +74,6 @@ def element(rng, algebra: AlgebraSpec, row_level: int, col_level: int,
     return Element(algebra, row_level, col_level, tuple(stacks))
 
 
-def hermitian(rng, algebra: AlgebraSpec, level: int,
-              scale: float = 1.0) -> Element:
-    v = element(rng, algebra, level, level, scale)
-    return (v + v.adjoint()).scale(0.5)
-
-
 def positive(rng, algebra: AlgebraSpec, level: int,
              scale: float = 1.0) -> Element:
     v = element(rng, algebra, level, level, scale)
@@ -164,22 +158,18 @@ def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     are split along the circle itself instead.
     """
     w = unitary(rng, algebra, level)
-    split_grid = algebra.variant == CIRCLE and level * algebra.dim == 1
     half = algebra.components // 2
     mats_u, mats_v = [], []
     # one component at a time: the draws per component fix the stream
     for i, w0 in enumerate(w.data):
         s = w0.shape[0]
-        if split_grid:
-            val = complex(rng.uniform(0.2, 2.0))
-            mats_u.append(np.array([[val if i < half else 0.0]], dtype=complex))
-            mats_v.append(np.array([[0.0 if i < half else val]], dtype=complex))
-            continue
         if s == 1:
-            # a one-dimensional block cannot split; alternate whole blocks
+            # a one-dimensional component cannot split; u takes the first
+            # half of the grid, or every other fd block
+            first = i < half if algebra.variant == CIRCLE else i % 2 == 0
             val = complex(rng.uniform(0.2, 2.0))
-            mats_u.append(np.array([[val if i % 2 == 0 else 0.0]], dtype=complex))
-            mats_v.append(np.array([[0.0 if i % 2 == 0 else val]], dtype=complex))
+            mats_u.append(np.array([[val if first else 0.0]], dtype=complex))
+            mats_v.append(np.array([[0.0 if first else val]], dtype=complex))
             continue
         cut = int(rng.integers(1, s))
         a = np.concatenate([rng.uniform(0.2, 2.0, size=cut), np.zeros(s - cut)])
@@ -196,21 +186,17 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     by common unitaries on both sides."""
     x = unitary(rng, algebra, level)
     y = unitary(rng, algebra, level)
-    split_grid = algebra.variant == CIRCLE and level * algebra.dim == 1
     half = algebra.components // 2
     mats_u, mats_v = [], []
     # one component at a time: the draws per component fix the stream
     for i, (x0, y0) in enumerate(zip(x.data, y.data)):
         s = x0.shape[0]
-        if split_grid:
-            val = _cnormal(rng, (1, 1))
-            mats_u.append(val if i < half else np.zeros((1, 1), dtype=complex))
-            mats_v.append(np.zeros((1, 1), dtype=complex) if i < half else val)
-            continue
         if s == 1:
+            # as in positive_orthogonal_pair
+            first = i < half if algebra.variant == CIRCLE else i % 2 == 0
             val = _cnormal(rng, (1, 1))
-            mats_u.append(val if i % 2 == 0 else np.zeros((1, 1), dtype=complex))
-            mats_v.append(np.zeros((1, 1), dtype=complex) if i % 2 == 0 else val)
+            mats_u.append(val if first else np.zeros((1, 1), dtype=complex))
+            mats_v.append(np.zeros((1, 1), dtype=complex) if first else val)
             continue
         r = int(rng.integers(1, s))
         c = int(rng.integers(1, s))

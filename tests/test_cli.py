@@ -383,6 +383,23 @@ def test_theta_command(tmp_path, capsys):
     assert report["k1_part"] == []
 
 
+@pytest.mark.parametrize("relation", ("mvn", "h", "sim1", "approx1", "simK",
+                                      "approxK"))
+def test_equiv_over_different_algebras_gives_exit_2(tmp_path, capsys,
+                                                   relation):
+    # order units are projections, unitaries and partial unitaries alike
+    p = write_element(tmp_path / "p.json",
+                      algebra.order_unit(algebra.AlgebraSpec.fd([1, 2]), 1))
+    q = write_element(tmp_path / "q.json",
+                      algebra.order_unit(algebra.AlgebraSpec.fd([3]), 1))
+    code = cli.main(["equiv", p, q, "--relation", relation,
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "AlgebraMismatch" in captured.err
+
+
 def test_theta_of_zero_pair(tmp_path, capsys):
     z = algebra.zero(FD23, 1)
     pair = tmp_path / "pair.json"

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from amok import algebra, equivalence as eqv, model, rand, serialize
-from amok.errors import (PredicateFailure, ShapeMismatch, SourceMismatch,
-                         Unsupported)
+from amok import algebra, equivalence as eqv, model, rand, serialize, suites
+from amok.errors import (AlgebraMismatch, NoConvergence, PredicateFailure,
+                         ShapeMismatch, SourceMismatch, Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -69,6 +69,12 @@ def test_mvn_rank_equal_projections():
     # the witness is a matrix unit up to phase: |v| = p, |v*| = q
     assert model.distance(model.abs_value(cert.witness), P10) <= 1e-9
     assert model.distance(model.abs_value(cert.witness.adjoint()), P01) <= 1e-9
+
+
+def test_mvn_rejects_operands_over_different_algebras():
+    q = algebra.order_unit(algebra.AlgebraSpec.fd([3]), 1)
+    with pytest.raises(AlgebraMismatch):
+        eqv.mvn_equivalent(E, q)
 
 
 def test_mvn_rank_distinct_is_false():
@@ -415,6 +421,19 @@ def test_invariant_cancellation():
                       == eqv.support_invariant(algebra.direct_sum(v, w)))
         parts_equal = eqv.support_invariant(u) == eqv.support_invariant(v)
         assert sums_equal == parts_equal
+
+
+def test_cancellation_trial_whose_decider_raises_is_a_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("LAPACK eigh failed")
+
+    monkeypatch.setattr(eqv, "simK_equivalent", no_convergence)
+    results = suites.equivalence_suite(FD23, suites.RunConfig(trials=5))
+    result, = [r for r in results if r.name == "simK-cancellation"]
+    assert not result.passed
+    assert len(result.failures) == result.trials
+    assert all(f["error"] == "NoConvergence: LAPACK eigh failed"
+               for f in result.failures)
 
 
 # -- derived paths ---------------------------------------------------------

@@ -86,6 +86,18 @@ def test_kclass_inverse_swaps_parts():
     assert x + (-x) == kgroups.KClass(kgroups.K, (0, 0), (0, 0))
 
 
+def test_kclass_scale_matches_repeated_addition():
+    x = kgroups.KClass(kgroups.K, (3, 1), (0, 2))
+    for n in range(-4, 5):
+        step = x if n >= 0 else -x
+        total = kgroups.KClass(kgroups.K, (0, 0), (0, 0))
+        for _ in range(abs(n)):
+            total = total + step
+        got = x.scale(n)
+        assert (got.plus_part, got.minus_part) == (total.plus_part,
+                                                   total.minus_part), n
+
+
 def test_well_definedness_under_padding():
     for t in range(10):
         rng = rand.stream(300, t)

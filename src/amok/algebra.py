@@ -212,8 +212,9 @@ class Element:
             (a @ b for a, b in zip(self.stacks, other.stacks)))
 
     def max_abs(self) -> float:
-        return max((float(np.max(np.abs(a))) if a.size else 0.0)
-                   for a in self.stacks)
+        """Largest entry modulus (0 if empty, NaN if any entry is NaN)."""
+        return float(np.max([np.max(np.abs(a), initial=0.0)
+                             for a in self.stacks]))
 
 
 # -- constructors ----------------------------------------------------------

@@ -6,6 +6,10 @@ every positive decision is backed by an explicitly constructed witness:
 a partial isometry linking two projections, or a sampled homotopy path.
 Witnesses are re-validated before they are returned.
 
+Each public decider checks its operands once and eigendecomposes each
+projection once, for both its rank and its range basis; the stabilized
+relations only pad their operands and delegate to a public decider.
+
 A ``HomotopyPath`` keeps its samples as one read-only (T, B, r, c) stack
 per summand, the element layout with a leading sample axis.  The path
 builders compute these stacks in one piece, write the first and last
@@ -47,23 +51,36 @@ class ProjInvariant:
     ranks: tuple
 
 
-def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
-    """Rank invariant; raises NotProjection when spectra are not 0/1."""
+def _spectral_support(p: Element, tol: float):
+    """Rank invariant of a projection and, per summand, its (range,
+    kernel) eigenvector columns, from one ``eig_stack`` per summand.
+
+    Raises NotProjection when spectra are not within sqrt(tol) of 0/1,
+    or when a circle projection's rank varies across grid samples."""
     band = np.sqrt(tol)
-    ranks = []
+    ranks, bases = [], []
     for a in p.stacks:
-        w, _, above = kernel.spectral_split(a, 0.5)
+        w, V = kernel.eig_stack(a)
         off = (np.abs(w) > band) & (np.abs(w - 1.0) > band)
         if off.any():
             i = int(np.nonzero(off.any(axis=1))[0][0])
             raise NotProjection(f"eigenvalues {np.round(w[i], 6)} are not "
                                 "within tolerance of 0/1")
-        ranks.extend(int(r) for r in np.count_nonzero(above, axis=1))
+        counts = np.count_nonzero(w > 0.5, axis=1)
+        ranks.extend(int(r) for r in counts)
+        # eigenvalues ascend: the range is spanned by the last columns
+        k = V.shape[-1] - int(counts[0])
+        bases.append((V[..., k:], V[..., :k]))
     if p.algebra.variant == CIRCLE:
         if len(set(ranks)) > 1:
             raise NotProjection("projection rank varies across grid samples")
-        return ProjInvariant((ranks[0],))
-    return ProjInvariant(tuple(ranks))
+        ranks = ranks[:1]
+    return ProjInvariant(tuple(ranks)), bases
+
+
+def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
+    """Rank invariant; raises NotProjection when spectra are not 0/1."""
+    return _spectral_support(p, tol)[0]
 
 
 def winding(u: Element) -> int:
@@ -221,13 +238,46 @@ class HomotopyPath:
                 np.max(norms, axis=1, initial=0.0))
 
 
-def _range_basis(a: np.ndarray):
-    """(range columns, kernel columns) of a stack of projections that
-    share one rank."""
-    _, V, above = kernel.spectral_split(a, 0.5)
-    n = V.shape[-1]
-    r = int(np.count_nonzero(above[0]))
-    return V[..., n - r:], V[..., :n - r]
+# -- operands --------------------------------------------------------------
+
+# per domain: the model predicate an operand must pass (by name, looked up
+# per call), its error and message, and for the homotopy domains the message
+# for operands not at one square level (MvN links projections at any levels)
+_OPERANDS = {
+    PROJECTION_SET: ("is_order_projection", NotProjection,
+                     "operand is not an order projection", None),
+    UNITARY_SET: ("is_unitary", PreconditionFailure,
+                  "operand fails the unitary predicate",
+                  "homotopy needs unitaries at one common level"),
+    PARTIAL_UNITARY_SET: ("is_partial_unitary", NotPartialUnitary,
+                          "operand fails the partial-unitary predicate",
+                          "homotopy needs operands at one common level"),
+}
+
+
+def _check_operands(u: Element, v: Element, tol: float, domain: str) -> None:
+    """The operand check of a public decider: one algebra, then for the
+    homotopy domains one square level, then the domain predicate."""
+    holds, error, message, level_message = _OPERANDS[domain]
+    if u.algebra != v.algebra:
+        raise AlgebraMismatch("operands live over different algebras")
+    if level_message and not (u.same_shape(v) and u.is_square_level):
+        raise LevelMismatch(level_message)
+    for x in (u, v):
+        if not getattr(model, holds)(x, tol):
+            raise error(message)
+
+
+def _padded(u: Element, v: Element, level: int, filler, domain: str) -> list:
+    """u and v padded with ``filler(algebra, k)`` to ``level``; only a
+    square operand pads to a square level, any other fails the domain
+    predicate."""
+    if not (u.is_square_level and v.is_square_level):
+        _, error, message, _ = _OPERANDS[domain]
+        raise error(message)
+    return [x if x.row_level == level else
+            direct_sum(x, filler(x.algebra, level - x.row_level))
+            for x in (u, v)]
 
 
 # -- projection equivalence ------------------------------------------------
@@ -238,32 +288,19 @@ def mvn_equivalent(p: Element, q: Element, tol: float = model.TOL_PRED):
     Returns (decision, certificate-or-None).  The witness has
     |v| = p (source) and |v*| = q (target).
     """
-    if p.algebra != q.algebra:
-        raise AlgebraMismatch("operands live over different algebras")
-    for x in (p, q):
-        if not model.is_order_projection(x, tol):
-            raise NotProjection("operand is not an order projection")
-    ip = proj_invariant(p, tol)
-    iq = proj_invariant(q, tol)
+    _check_operands(p, q, tol, PROJECTION_SET)
+    ip, bp = _spectral_support(p, tol)
+    iq, bq = _spectral_support(q, tol)
     if ip != iq:
         return False, None
-    stacks = []
-    for a, b in zip(p.stacks, q.stacks):
-        rp, _ = _range_basis(a)
-        rq, _ = _range_basis(b)
-        # v = (range basis of q) (range basis of p)^*: v*v = p, vv* = q
-        stacks.append(rq @ rp.conj().transpose(0, 2, 1))
-    v = Element(p.algebra, q.row_level, p.row_level, tuple(stacks))
+    # v = (range basis of q) (range basis of p)^*: v*v = p, vv* = q
+    v = Element(p.algebra, q.row_level, p.row_level,
+                tuple(rq @ rp.conj().transpose(0, 2, 1)
+                      for (rp, _), (rq, _) in zip(bp, bq)))
     cert = PartialIsometryCertificate(witness=v, source=p, target=q)
     if not cert.validate(tol):
         raise PredicateFailure("constructed certificate failed validation")
     return True, cert
-
-
-def _pad_to_level(p: Element, level: int) -> Element:
-    if p.row_level == level:
-        return p
-    return direct_sum(p, zero(p.algebra, level - p.row_level))
 
 
 def stabilized_projection_equiv(p: Element, q: Element,
@@ -271,11 +308,8 @@ def stabilized_projection_equiv(p: Element, q: Element,
     """p (+) r ~ q (+) r for some r: reduces to ~ after zero-padding to
     a common level, because the rank invariant is additive and
     cancellative."""
-    for x in (p, q):
-        if not model.is_order_projection(x, tol):
-            raise NotProjection("operand is not an order projection")
     level = max(p.row_level, q.row_level)
-    return mvn_equivalent(_pad_to_level(p, level), _pad_to_level(q, level), tol)
+    return mvn_equivalent(*_padded(p, q, level, zero, PROJECTION_SET), tol)
 
 
 def condition_T_transport(u: PartialIsometryCertificate,
@@ -328,15 +362,9 @@ def _log_path_stacks(u: Element, w: Element, tol_path: float) -> list:
             for a, b in zip(u.stacks, w.stacks)]
 
 
-def _unitary_homotopy(u: Element, v: Element, tol: float, tol_path: float,
-                      domain: str):
-    """Decide u ~h v for unitaries; a positive answer carries the log path,
-    validated once at tol_path in the given domain."""
-    if not u.same_shape(v) or not u.is_square_level:
-        raise LevelMismatch("homotopy needs unitaries at one common level")
-    for x in (u, v):
-        if not model.is_unitary(x, tol):
-            raise PreconditionFailure("operand fails the unitary predicate")
+def _unitary_homotopy(u: Element, v: Element, tol_path: float, domain: str):
+    """Decide u ~h v for checked unitaries; a positive answer carries the
+    log path, validated once at tol_path in the given domain."""
     if u.algebra.variant == CIRCLE and winding(u) != winding(v):
         return False, None
     path = _pinned_path(_log_path_stacks(u, v, tol_path), u, v, domain)
@@ -352,19 +380,16 @@ def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
     model: true iff the determinant windings agree.  Positive answers
     return a log path validated at tol_path.
     """
-    return _unitary_homotopy(u, v, tol, tol_path, UNITARY_SET)
+    _check_operands(u, v, tol, UNITARY_SET)
+    return _unitary_homotopy(u, v, tol_path, UNITARY_SET)
 
 
 def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
                     tol_path: float = TOL_PATH):
     """Homotopy after padding both with order units to a common level."""
-    for x in (u, v):
-        if not x.is_square_level or not model.is_unitary(x, tol):
-            raise PreconditionFailure("operand fails the unitary predicate")
-    k = max(u.row_level, v.row_level) + 1
-    up = direct_sum(u, order_unit(u.algebra, k - u.row_level))
-    vp = direct_sum(v, order_unit(v.algebra, k - v.row_level))
-    return homotopic_unitaries(up, vp, tol, tol_path=tol_path)
+    level = max(u.row_level, v.row_level) + 1
+    return homotopic_unitaries(*_padded(u, v, level, order_unit, UNITARY_SET),
+                               tol, tol_path=tol_path)
 
 
 def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
@@ -393,23 +418,20 @@ def _conjugation_path(u: Element, W: list, samples: int,
     return paths
 
 
-def _fd_partial_unitary_path(u: Element, v: Element,
+def _fd_partial_unitary_path(u: Element, v: Element, bu: list, bv: list,
                              tol_path: float) -> HomotopyPath:
-    """Two-stage path: rotate the support of u onto that of v, then
-    deform the corner unitary inside the common support."""
+    """Two-stage path: rotate the support of u onto that of v (their
+    per-summand support bases bu, bv), then deform the corner unitary
+    inside the common support."""
     half = PATH_SAMPLES // 2 + 1
     # stage 1: conjugate so supports match
-    W, ranges = [], []
-    for a, b in zip(model.abs_value(u).stacks, model.abs_value(v).stacks):
-        rp, kp = _range_basis(a)
-        rq, kq = _range_basis(b)
-        ranges.append(rq)
-        W.append(np.concatenate([rq, kq], axis=2)
-                 @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
+    W = [np.concatenate([rq, kq], axis=2)
+         @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1)
+         for (rp, kp), (rq, kq) in zip(bu, bv)]
     stage1 = _conjugation_path(u, W, half, tol_path)
     # stage 2: log path between the compressions onto the shared support
     paths = []
-    for s1, b, rq in zip(stage1, v.stacks, ranges):
+    for s1, b, (rq, _) in zip(stage1, v.stacks, bv):
         a = s1[-1]
         rqh = rq.conj().transpose(0, 2, 1)
         ca = rqh @ a @ rq
@@ -431,14 +453,13 @@ def homotopic_partial_unitaries(u: Element, v: Element,
     full-support case (reduces to unitaries, via winding) and the zero
     case; mixed-rank functions are outside the decidable fragment.
     """
-    if not u.same_shape(v) or not u.is_square_level:
-        raise LevelMismatch("homotopy needs operands at one common level")
-    iu = support_invariant(u, tol)
-    iv = support_invariant(v, tol)
+    _check_operands(u, v, tol, PARTIAL_UNITARY_SET)
+    iu, bu = _spectral_support(model.abs_value(u), tol)
+    iv, bv = _spectral_support(model.abs_value(v), tol)
     if u.algebra.variant == FD:
         if iu != iv:
             return False, None
-        path = _fd_partial_unitary_path(u, v, tol_path)
+        path = _fd_partial_unitary_path(u, v, bu, bv, tol_path)
         path.validate_strict(tol_path)
         return True, path
     n = u.row_level * u.algebra.dim
@@ -448,7 +469,7 @@ def homotopic_partial_unitaries(u: Element, v: Element,
         path.validate_strict(tol_path)
         return True, path
     if iu.ranks == (n,) and iv.ranks == (n,):
-        return _unitary_homotopy(u, v, tol, tol_path, PARTIAL_UNITARY_SET)
+        return _unitary_homotopy(u, v, tol_path, PARTIAL_UNITARY_SET)
     if iu != iv:
         return False, None
     raise Unsupported(
@@ -458,13 +479,10 @@ def homotopic_partial_unitaries(u: Element, v: Element,
 def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
                     tol_path: float = TOL_PATH):
     """Homotopy after padding both with zeros to a common level."""
-    for x in (u, v):
-        if not x.is_square_level or not model.is_partial_unitary(x, tol):
-            raise NotPartialUnitary("operand fails the partial-unitary predicate")
     level = max(u.row_level, v.row_level)
-    return homotopic_partial_unitaries(_pad_to_level(u, level),
-                                       _pad_to_level(v, level), tol,
-                                       tol_path=tol_path)
+    return homotopic_partial_unitaries(
+        *_padded(u, v, level, zero, PARTIAL_UNITARY_SET), tol,
+        tol_path=tol_path)
 
 
 def approxK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,

@@ -60,16 +60,6 @@ def eig_stack(A: np.ndarray):
     return w, V * (lead.conj() / np.abs(lead))[:, None, :]
 
 
-def spectral_split(A: np.ndarray, cut: float):
-    """``eig_stack`` of a stack, with the mask ``w > cut`` of each entry.
-
-    Eigenvalues ascend, so the eigenvectors above the cut are the last
-    columns of each entry of ``V``.
-    """
-    w, V = eig_stack(A)
-    return w, V, w > cut
-
-
 def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
     """(A)^{1/2} for a stack of PSD Hermitian matrices.
 

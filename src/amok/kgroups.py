@@ -16,8 +16,8 @@ import numpy as np
 from . import equivalence as eqv
 from . import model, rand
 from .algebra import CIRCLE, FD, AlgebraSpec, Element, direct_sum, order_unit
-from .errors import (NotCancellative, NotPartialUnitary, NotProjection,
-                     PreconditionFailure, Unsupported)
+from .errors import (AlgebraMismatch, NotCancellative, NotPartialUnitary,
+                     NotProjection, PreconditionFailure, Unsupported)
 from .morphisms import MorphismSpec
 
 K0 = "K0"
@@ -136,6 +136,8 @@ def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
 
 def k_pair_class(u: Element, v: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(u, v)] as a formal difference of two partial unitaries."""
+    if u.algebra != v.algebra:
+        raise AlgebraMismatch("pair members live over different algebras")
     return k_class(u, tol) - k_class(v, tol)
 
 
@@ -280,11 +282,9 @@ def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
     a_ok = eqv.mvn_equivalent(p, q)[0]
     # (b): any strictly smaller diagonal projection is inequivalent to e
     e = order_unit(algebra, 1)
-    if algebra.variant == FD:
-        ranks = [d - 1 if d > 0 else 0 for d in algebra.block_dims]
-        sub = _diagonal_projection(algebra, 1, ranks)
-    else:
-        sub = _diagonal_projection(algebra, 1, algebra.dim - 1)
+    ranks = ([d - 1 for d in algebra.block_dims] if algebra.variant == FD
+             else algebra.dim - 1)
+    sub = _diagonal_projection(algebra, 1, ranks)
     b_ok = not eqv.mvn_equivalent(sub, e)[0]
     # (c): |.| is (square-root) continuous under small perturbations
     c_ok = True
@@ -338,7 +338,11 @@ def induced_map(phi: MorphismSpec, which: str) -> np.ndarray:
 
 
 def induced_class(phi: MorphismSpec, x: KClass) -> KClass:
+    """Image of a class over phi's source: one invariant entry per source
+    block (none in the trivial fd K1)."""
     m = induced_map(phi, x.group_tag)
+    if len(x.plus_part) != m.shape[1]:
+        raise AlgebraMismatch("class does not live over the morphism's source")
     plus = tuple(int(v) for v in m @ np.array(x.plus_part, dtype=np.int64))
     minus = tuple(int(v) for v in m @ np.array(x.minus_part, dtype=np.int64))
     return KClass(x.group_tag, plus, minus)
@@ -379,15 +383,9 @@ def theta_surjectivity_witness(algebra: AlgebraSpec, k0_target: KClass):
     if algebra.variant != FD:
         raise Unsupported("theta is computed over fd algebras")
     nf = k0_target.normal_form
-    k = len(algebra.block_dims)
-    pos = [max(c, 0) for c in nf]
-    neg = [max(-c, 0) for c in nf]
-    level = 1
-    for i, d in enumerate(algebra.block_dims):
-        need = max(pos[i], neg[i])
-        level = max(level, -(-need // d))
-    v = _diagonal_projection(algebra, level, pos)
-    p = _diagonal_projection(algebra, level, neg)
+    level = max([1] + [-(-abs(c) // d) for c, d in zip(nf, algebra.block_dims)])
+    v = _diagonal_projection(algebra, level, [max(c, 0) for c in nf])
+    p = _diagonal_projection(algebra, level, [max(-c, 0) for c in nf])
     return v, p
 
 

@@ -129,9 +129,7 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
 def is_selfadjoint(v: Element, tol: float = TOL_PRED) -> bool:
     if not v.is_square_level:
         return False
-    return all((float(np.max(np.abs(a - a.conj().transpose(0, 2, 1))))
-                if a.size else 0.0) <= tol
-               for a in v.stacks)
+    return (v - v.adjoint()).max_abs() <= tol
 
 
 def is_positive(v: Element, tol: float = TOL_PRED) -> bool:

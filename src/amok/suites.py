@@ -416,8 +416,8 @@ def _support_projection(u: Element) -> Element:
     """Spectral support projection of a positive element."""
     stacks = []
     for a in u.stacks:
-        _, V, above = kernel.spectral_split(a, 0.1)
-        m = (V * above[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        w, V = kernel.eig_stack(a)
+        m = (V * (w > 0.1)[:, None, :]) @ V.conj().transpose(0, 2, 1)
         stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
     return Element(u.algebra, u.row_level, u.col_level, tuple(stacks))
 

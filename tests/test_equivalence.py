@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from amok import algebra, equivalence as eqv, model, rand, serialize, suites
-from amok.errors import (AlgebraMismatch, NoConvergence, PredicateFailure,
-                         ShapeMismatch, SourceMismatch, Unsupported)
+from amok import (algebra, equivalence as eqv, kgroups, model, rand,
+                  serialize, suites)
+from amok.errors import (AlgebraMismatch, LevelMismatch, NoConvergence,
+                         NotPartialUnitary, NotProjection, PredicateFailure,
+                         PreconditionFailure, ShapeMismatch, SourceMismatch,
+                         Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -75,6 +78,61 @@ def test_mvn_rejects_operands_over_different_algebras():
     q = algebra.order_unit(algebra.AlgebraSpec.fd([3]), 1)
     with pytest.raises(AlgebraMismatch):
         eqv.mvn_equivalent(E, q)
+
+
+FD12 = algebra.AlgebraSpec.fd([1, 2])
+E12 = algebra.order_unit(FD12, 1)
+# one operand pair per row: order units over different algebras, a
+# rectangular operand, 2e (outside every predicate set), square operands
+# at two different levels
+OPERAND_ROWS = {
+    "algebras": (E12, algebra.order_unit(algebra.AlgebraSpec.fd([3]), 1)),
+    "rectangular": (algebra.zero(FD12, 1, 2), E12),
+    "outside-domain": (E12.scale(2.0), E12),
+    "levels": (E12, algebra.order_unit(FD12, 2)),
+}
+_NOT_PROJ = (NotProjection, "operand is not an order projection")
+_NOT_UNIT = (PreconditionFailure, "operand fails the unitary predicate")
+_NOT_PART = (NotPartialUnitary, "operand fails the partial-unitary predicate")
+_UNIT_LEVELS = (LevelMismatch, "homotopy needs unitaries at one common level")
+_PART_LEVELS = (LevelMismatch, "homotopy needs operands at one common level")
+_DIFFERENT = (AlgebraMismatch, "operands live over different algebras")
+# outcome per row: an (error class, message) pair, or the decision (the
+# class for k_pair_class)
+OPERAND_TABLE = {
+    "mvn_equivalent": (_DIFFERENT, _NOT_PROJ, _NOT_PROJ, False),
+    "stabilized_projection_equiv": (_DIFFERENT, _NOT_PROJ, _NOT_PROJ, False),
+    "homotopic_unitaries": (_DIFFERENT, _UNIT_LEVELS, _NOT_UNIT, _UNIT_LEVELS),
+    "homotopic_partial_unitaries": (_DIFFERENT, _PART_LEVELS, _NOT_PART,
+                                    _PART_LEVELS),
+    "sim1_equivalent": (_DIFFERENT, _NOT_UNIT, _NOT_UNIT, True),
+    "approx1_equivalent": (_DIFFERENT, _NOT_UNIT, _NOT_UNIT, True),
+    "simK_equivalent": (_DIFFERENT, _NOT_PART, _NOT_PART, False),
+    "approxK_equivalent": (_DIFFERENT, _NOT_PART, _NOT_PART, False),
+    "k_pair_class": (
+        (AlgebraMismatch, "pair members live over different algebras"),
+        (LevelMismatch, "partial unitarity is defined at square levels only"),
+        _NOT_PART, kgroups.KClass(kgroups.K, (1, 2), (2, 4))),
+}
+
+
+@pytest.mark.parametrize("decider", OPERAND_TABLE)
+@pytest.mark.parametrize("row", OPERAND_ROWS)
+def test_decider_operand_errors(decider, row):
+    decide = getattr(kgroups if decider == "k_pair_class" else eqv, decider)
+    want = OPERAND_TABLE[decider][list(OPERAND_ROWS).index(row)]
+    if isinstance(want, tuple):
+        error, message = want
+        with pytest.raises(error) as info:
+            decide(*OPERAND_ROWS[row])
+        assert type(info.value) is error
+        assert str(info.value) == message
+    elif decider == "k_pair_class":
+        got = decide(*OPERAND_ROWS[row])
+        assert (got.plus_part, got.minus_part) == (want.plus_part,
+                                                   want.minus_part)
+    else:
+        assert decide(*OPERAND_ROWS[row])[0] is want
 
 
 def test_mvn_rank_distinct_is_false():
@@ -502,17 +560,16 @@ def test_path_validator_catches_bad_samples():
     assert not broken.validate()
 
 
-def counting_spectral_norms(monkeypatch):
-    """Count the entries that path validation sends to the exact
-    operator norm."""
+def counting_kernel_calls(monkeypatch, name):
+    """Record the number of stack entries of each call to kernel.<name>."""
     seen = []
-    exact = eqv.kernel.spectral_norms_per_entry
+    exact = getattr(eqv.kernel, name)
 
     def counted(A):
         seen.append(len(A))
         return exact(A)
 
-    monkeypatch.setattr(eqv.kernel, "spectral_norms_per_entry", counted)
+    monkeypatch.setattr(eqv.kernel, name, counted)
     return seen
 
 
@@ -523,7 +580,7 @@ def test_step_screen_passes_steps_within_the_operator_bound(monkeypatch):
     path = eqv.HomotopyPath(
         samples=tuple(E.scale(np.exp(1j * k * delta)) for k in range(12)),
         relation_domain=eqv.UNITARY_SET)
-    seen = counting_spectral_norms(monkeypatch)
+    seen = counting_kernel_calls(monkeypatch, "spectral_norms_per_entry")
     path.validate_strict()
     assert seen == [11]
 
@@ -547,7 +604,7 @@ def test_circle_witness_path_validates_without_svd(monkeypatch):
     v = rand.unitary(rng, circle2, 1, winding=1)
     ok, path = eqv.homotopic_unitaries(u, v)
     assert ok
-    seen = counting_spectral_norms(monkeypatch)
+    seen = counting_kernel_calls(monkeypatch, "spectral_norms_per_entry")
     path.validate_strict()
     assert seen == []
     # flipping the sign of one sample keeps it unitary and makes the
@@ -564,6 +621,27 @@ def test_circle_witness_path_validates_without_svd(monkeypatch):
     assert info.value.index == t - 1
     assert str(info.value) == f"step {t - 1}->{t} has size {size:.3e}"
     assert seen == [2 * 64]
+
+
+@pytest.mark.parametrize("decider, draw, calls", [
+    (eqv.mvn_equivalent,
+     lambda rng: rand.projection(rng, FD12, 1, [1, 1]), 16),
+    (eqv.sim1_equivalent, lambda rng: rand.unitary(rng, FD12, 1), 11),
+    (eqv.simK_equivalent,
+     lambda rng: rand.partial_unitary(rng, FD12, 1, [1, 1]), 20),
+], ids=["mvn", "sim1", "simK"])
+def test_each_operand_is_checked_and_decomposed_once(monkeypatch, decider,
+                                                     draw, calls):
+    # fd [1,2], one eigensolve per summand for: each predicate check
+    # (padded operands only, for sim1), each spectral support and
+    # certificate check, and each log path (one more for the eigenvalue
+    # cluster of the order-unit padding)
+    rng = rand.stream(223, 0)
+    u, v = draw(rng), draw(rng)
+    seen = counting_kernel_calls(monkeypatch, "eig_stack")
+    with model.memo_scope():
+        assert decider(u, v)[0]
+    assert len(seen) == calls
 
 
 def library_paths():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amok import algebra, equivalence as eqv, kgroups, model, morphisms, rand
-from amok.errors import (NoConvergence, NotUnital, PreconditionFailure,
-                         Unsupported)
+from amok.errors import (AlgebraMismatch, NoConvergence, NotUnital,
+                         PreconditionFailure, Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -250,6 +250,25 @@ def test_identity_morphism_acts_trivially():
     ident = morphisms.identity_morphism(FD23)
     assert model.distance(morphisms.apply_morphism(ident, v), v) <= 1e-12
     assert np.array_equal(kgroups.induced_map(ident, kgroups.K0), np.eye(2))
+
+
+def test_induced_class_needs_a_class_over_the_source():
+    fd1, fd12 = algebra.AlgebraSpec.fd([1]), algebra.AlgebraSpec.fd([1, 2])
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    u = rand.unitary(rand.stream(309, 0), circle, 1, winding=1)
+    p = rand.projection(rand.stream(309, 1), fd12, 1, ranks=[1, 1])
+    x, y = kgroups.k1_class(u), kgroups.k0_class(p)
+    assert x.normal_form == (1,)
+    with pytest.raises(AlgebraMismatch):
+        kgroups.induced_class(morphisms.identity_morphism(fd1), x)
+    with pytest.raises(AlgebraMismatch):
+        kgroups.induced_class(
+            morphisms.identity_morphism(algebra.AlgebraSpec.fd([3])), y)
+    # over the source itself the identity fixes the class
+    assert kgroups.induced_class(morphisms.identity_morphism(fd12), y) == y
+    trivial = kgroups.KClass(kgroups.K1, (), ())
+    assert kgroups.induced_class(morphisms.identity_morphism(fd1),
+                                 trivial) == trivial
 
 
 def test_morphism_preserves_unit_and_abs():

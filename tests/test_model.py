@@ -182,6 +182,22 @@ def test_classify_matrix_unit():
     assert not flags.is_order_projection
 
 
+def test_selfadjoint_sees_every_block_and_level_zero():
+    fd12 = algebra.AlgebraSpec.fd([1, 2])
+    h = np.array([[1.0, 2j], [-2j, 0.0]])
+    assert model.is_selfadjoint(fd_element(fd12, np.eye(1), h))
+    assert not model.is_selfadjoint(fd_element(fd12, np.eye(1), h + 1e-6j))
+    # a NaN in a later block is seen, not masked by an earlier maximum
+    nan = h.copy()
+    nan[0, 1] = np.nan
+    v = fd_element(fd12, np.eye(1), nan)
+    assert np.isnan(v.max_abs())
+    assert not model.is_selfadjoint(v)
+    empty = algebra.zero(fd12, 0)
+    assert empty.max_abs() == 0.0
+    assert model.is_selfadjoint(empty)
+
+
 def test_classify_circle_coordinate_is_unitary():
     f = algebra.circle_function(CIRCLE1, 1, 1,
                                 lambda z: np.array([[z]], dtype=complex))

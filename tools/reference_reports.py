@@ -13,6 +13,9 @@ Builds every input from seeded ``amok.rand`` draws and writes it under
 * ``kgroup --which k0|k1|k`` on the same four algebras;
 * ``equiv`` in every relation on fd [1,2], circle dim 1 grid 16 and
   circle dim 2 grid 64 pairs, equivalent and not;
+* ``equiv --relation mvn`` on an fd [1,2] projection at level 1 against
+  level-2 projections: its zero-padding, an equivalent draw and an
+  inequivalent one;
 * ``classify`` and ``theta`` on fd [1,2] inputs.
 
 Exits 1 if any command exits non-zero.  To compare two checkouts, run it
@@ -26,7 +29,7 @@ import sys
 from pathlib import Path
 
 from amok import cli, rand, serialize
-from amok.algebra import AlgebraSpec
+from amok.algebra import AlgebraSpec, direct_sum, zero
 
 SEED = 3
 AXIOM_ALGEBRAS = {"fd12": AlgebraSpec.fd([1, 2]),
@@ -99,6 +102,16 @@ def commands(inputs: Path):
             yield (f"equiv-{relation}-{name}-{x}{y}",
                    ["equiv", f[x], f[y], "--relation", relation])
     fd12 = EQUIV_ALGEBRAS["fd12"]
+    # MvN equivalence links projections at different levels
+    p = str(inputs / "fd12-p.json")
+    wider = {"p0": direct_sum(serialize.load_element(p), zero(fd12, 1)),
+             "s": rand.projection(rand.stream(SEED, 12), fd12, 2, [1, 1]),
+             "t": rand.projection(rand.stream(SEED, 13), fd12, 2, [2, 1])}
+    for role, y in wider.items():
+        yield (f"equiv-mvn-fd12-p{role}",
+               ["equiv", p, _write(inputs / f"fd12-{role}.json",
+                                   serialize.element_to_json(y)),
+                "--relation", "mvn"])
     x = rand.element(rand.stream(SEED, 9), fd12, 1, 2)
     yield "classify-fd12-x", ["classify", _write(
         inputs / "fd12-x.json", serialize.element_to_json(x))]

@@ -18,27 +18,16 @@ import time
 
 from . import equivalence as eqv
 from . import kgroups, model, serialize, suites
-from .errors import (AlgebraMismatch, AmokError, DomainError, LevelMismatch,
-                     NoConvergence, NotCancellative, NotHermitian,
-                     NotPartialUnitary, NotProjection, NotUnital, NotUnitary,
-                     PreconditionFailure, PredicateFailure, ShapeMismatch,
-                     SourceMismatch, SpecParseError, Unsupported, ZeroOperand)
+from .errors import AmokError, InputError, NumericalError
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# OSError covers unreadable input files and an unwritable --out path;
-# SourceMismatch is a precondition on the input witnesses
-_INPUT_ERRORS = (SpecParseError, ShapeMismatch, AlgebraMismatch,
-                 LevelMismatch, NotProjection, NotPartialUnitary,
-                 PreconditionFailure, Unsupported, ZeroOperand, NotUnital,
-                 SourceMismatch, OSError)
-# NotUnitary / NotHermitian: a kernel check on a matrix the predicates
-# accepted at --tol-pred, e.g. a path that cannot be built at --tol-path
-_NUMERICAL_ERRORS = (NoConvergence, DomainError, PredicateFailure,
-                     NotCancellative, NotUnitary, NotHermitian)
+# OSError covers unreadable input files and an unwritable --out path
+_INPUT_ERRORS = (InputError, OSError)
+_NUMERICAL_ERRORS = (NumericalError,)
 
 _PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
                   "approx1": eqv.approx1_equivalent,

@@ -1,10 +1,11 @@
 """Equivalence relations with machine-checkable certificates.
 
-Decisions run on complete invariants (block ranks of projections and
-supports; winding of the determinant loop in the circle model), and
-every positive decision is backed by an explicitly constructed witness:
-a partial isometry linking two projections, or a sampled homotopy path.
-Witnesses are re-validated before they are returned.
+Decisions run on complete invariants (the rank on each summand of
+projections and supports; winding of the determinant loop in the circle
+model), and every positive decision is backed by an explicitly
+constructed witness: a partial isometry linking two projections, or a
+sampled homotopy path.  Witnesses are re-validated before they are
+returned.
 
 Each public decider checks its operands once and eigendecomposes each
 projection once, for both its rank and its range basis; the stabilized
@@ -44,19 +45,14 @@ PROJECTION_SET = "projection"
 
 # -- invariants ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjInvariant:
-    """Complete invariant of a projection: rank per block (fd) or the
-    constant rank across grid samples (circle)."""
-    ranks: tuple
-
-
 def _spectral_support(p: Element, tol: float):
-    """Rank invariant of a projection and, per summand, its (range,
-    kernel) eigenvector columns, from one ``eig_stack`` per summand.
+    """Rank of a projection on each summand (one fd block, or the whole
+    circle grid) and, per summand, its (range, kernel) eigenvector
+    columns, from one ``eig_stack`` per summand.
 
     Raises NotProjection when spectra are not within sqrt(tol) of 0/1,
-    or when a circle projection's rank varies across grid samples."""
+    or when the rank varies across a summand's batch (circle grid
+    samples); each summand is checked for both in this order."""
     band = np.sqrt(tol)
     ranks, bases = [], []
     for a in p.stacks:
@@ -67,19 +63,19 @@ def _spectral_support(p: Element, tol: float):
             raise NotProjection(f"eigenvalues {np.round(w[i], 6)} are not "
                                 "within tolerance of 0/1")
         counts = np.count_nonzero(w > 0.5, axis=1)
-        ranks.extend(int(r) for r in counts)
-        # eigenvalues ascend: the range is spanned by the last columns
-        k = V.shape[-1] - int(counts[0])
-        bases.append((V[..., k:], V[..., :k]))
-    if p.algebra.variant == CIRCLE:
-        if len(set(ranks)) > 1:
+        if np.any(counts != counts[0]):
             raise NotProjection("projection rank varies across grid samples")
-        ranks = ranks[:1]
-    return ProjInvariant(tuple(ranks)), bases
+        ranks.append(int(counts[0]))
+        # eigenvalues ascend: the range is spanned by the last columns
+        k = V.shape[-1] - ranks[-1]
+        bases.append((V[..., k:], V[..., :k]))
+    return tuple(ranks), bases
 
 
-def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
-    """Rank invariant; raises NotProjection when spectra are not 0/1."""
+def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> tuple:
+    """Complete invariant of a projection: its rank on each summand, one
+    entry per ``algebra.summands`` entry.  Raises NotProjection when
+    spectra are not 0/1."""
     return _spectral_support(p, tol)[0]
 
 
@@ -401,8 +397,9 @@ def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
 
 # -- partial-unitary homotopy ----------------------------------------------
 
-def support_invariant(u: Element, tol: float = model.TOL_PRED) -> ProjInvariant:
-    """Rank invariant of the support projection |u| of a partial unitary."""
+def support_invariant(u: Element, tol: float = model.TOL_PRED) -> tuple:
+    """Rank per summand of the support projection |u| of a partial
+    unitary."""
     if not model.is_partial_unitary(u, tol):
         raise NotPartialUnitary("operand fails the partial-unitary predicate")
     return proj_invariant(model.abs_value(u), tol)
@@ -456,24 +453,20 @@ def homotopic_partial_unitaries(u: Element, v: Element,
     _check_operands(u, v, tol, PARTIAL_UNITARY_SET)
     iu, bu = _spectral_support(model.abs_value(u), tol)
     iv, bv = _spectral_support(model.abs_value(v), tol)
-    if u.algebra.variant == FD:
-        if iu != iv:
-            return False, None
-        path = _fd_partial_unitary_path(u, v, bu, bv, tol_path)
-        path.validate_strict(tol_path)
-        return True, path
-    n = u.row_level * u.algebra.dim
-    if iu.ranks == (0,) and iv.ranks == (0,):
-        path = _pinned_path([np.repeat(a[None], PATH_SAMPLES, axis=0)
-                             for a in u.stacks], u, v, PARTIAL_UNITARY_SET)
-        path.validate_strict(tol_path)
-        return True, path
-    if iu.ranks == (n,) and iv.ranks == (n,):
-        return _unitary_homotopy(u, v, tol_path, PARTIAL_UNITARY_SET)
     if iu != iv:
         return False, None
-    raise Unsupported(
-        "circle-model homotopy of mixed-rank partial unitaries is undecided")
+    if u.algebra.variant == FD:
+        path = _fd_partial_unitary_path(u, v, bu, bv, tol_path)
+    elif iu == (0,):
+        path = _pinned_path([np.repeat(a[None], PATH_SAMPLES, axis=0)
+                             for a in u.stacks], u, v, PARTIAL_UNITARY_SET)
+    elif iu == (u.row_level * u.algebra.dim,):
+        return _unitary_homotopy(u, v, tol_path, PARTIAL_UNITARY_SET)
+    else:
+        raise Unsupported("circle-model homotopy of mixed-rank partial "
+                          "unitaries is undecided")
+    path.validate_strict(tol_path)
+    return True, path
 
 
 def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,

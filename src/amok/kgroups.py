@@ -1,10 +1,10 @@
 """The three K-groups over the concrete models.
 
-Classes are stored by complete additive integer invariants (block ranks
-of projections / supports; winding numbers), with representative
-elements retained as witnesses.  Because the underlying monoids are
-cancellative, formal differences have a canonical normal form and group
-arithmetic reduces to integer vectors.
+Classes are stored by complete additive integer invariants (the rank on
+each summand of projections / supports; winding numbers), with
+representative elements retained as witnesses.  Because the underlying
+monoids are cancellative, formal differences have a canonical normal
+form and group arithmetic reduces to integer vectors.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class OrderedGroupView:
 
 def k0_class(p: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(p, 0)] from an order projection."""
-    inv = eqv.proj_invariant(p, tol).ranks
+    inv = eqv.proj_invariant(p, tol)
     return KClass(K0, inv, (0,) * len(inv))
 
 
@@ -122,7 +122,7 @@ def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
 
 def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(v, 0)] from a partial unitary."""
-    inv = eqv.support_invariant(v, tol).ranks
+    inv = eqv.support_invariant(v, tol)
     if v.algebra.variant == FD:
         return KClass(K, inv, (0,) * len(inv))
     n = v.row_level * v.algebra.dim
@@ -197,31 +197,25 @@ def grothendieck_complete(classes, tol: float = model.TOL_PRED) -> dict:
 def _witness_invariant(w: Element, tol: float) -> tuple:
     """Invariant of a witness, trying projection then support."""
     try:
-        return eqv.proj_invariant(w, tol).ranks
+        return eqv.proj_invariant(w, tol)
     except NotProjection:
-        return eqv.support_invariant(w, tol).ranks
+        return eqv.support_invariant(w, tol)
 
 
 # -- the three groups ------------------------------------------------------
 
 def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
-    """Projection classes under stabilized equivalence, completed."""
-    if algebra.variant == FD:
-        k = len(algebra.block_dims)
-        unit = KClass(K0, tuple(algebra.block_dims), (0,) * k)
-        return OrderedGroupView(K0, algebra, k, unit, "nonneg-orthant",
-                                generators=_unit_rank_projections(algebra))
-    unit = KClass(K0, (algebra.dim,), (0,))
-    gen = _diagonal_projection(algebra, 1, 1)
-    return OrderedGroupView(K0, algebra, 1, unit, "nonneg-orthant",
-                            generators=(gen,))
+    """Projection classes under stabilized equivalence, completed: one
+    rank per summand, with the order unit at the summand dims."""
+    dims = tuple(d for _, d in algebra.summands)
+    unit = KClass(K0, dims, (0,) * len(dims))
+    return OrderedGroupView(K0, algebra, len(dims), unit, "nonneg-orthant",
+                            generators=_unit_rank_projections(algebra))
 
 
 def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
-    """diag(1, ..., 1, 0, ..., 0) with ranks[i] ones in fd block i, or
-    with the one rank ``ranks`` at every circle grid point."""
-    if algebra.variant != FD:
-        ranks = (ranks,)
+    """diag(1, ..., 1, 0, ..., 0) with ranks[i] ones in summand i (at
+    every grid point of the circle's one summand)."""
     return Element._from_stacks(algebra, level, level, (
         np.broadcast_to(np.diag(np.arange(level * d) < r).astype(complex),
                         (b, level * d, level * d))
@@ -229,10 +223,9 @@ def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
 
 
 def _unit_rank_projections(algebra: AlgebraSpec) -> tuple:
-    """One rank-one diagonal projection per fd block."""
-    k = len(algebra.block_dims)
-    return tuple(_diagonal_projection(algebra, 1, np.eye(k, dtype=int)[i])
-                 for i in range(k))
+    """One rank-one diagonal projection per summand."""
+    return tuple(_diagonal_projection(algebra, 1, row)
+                 for row in np.eye(len(algebra.summands), dtype=int))
 
 
 def whitehead_flag(algebra: AlgebraSpec) -> bool:
@@ -282,9 +275,8 @@ def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
     a_ok = eqv.mvn_equivalent(p, q)[0]
     # (b): any strictly smaller diagonal projection is inequivalent to e
     e = order_unit(algebra, 1)
-    ranks = ([d - 1 for d in algebra.block_dims] if algebra.variant == FD
-             else algebra.dim - 1)
-    sub = _diagonal_projection(algebra, 1, ranks)
+    sub = _diagonal_projection(algebra, 1,
+                               [d - 1 for _, d in algebra.summands])
     b_ok = not eqv.mvn_equivalent(sub, e)[0]
     # (c): |.| is (square-root) continuous under small perturbations
     c_ok = True

@@ -12,6 +12,9 @@ alone.  Recipes (documented in the README and fixed as contract):
 * projection: unitary conjugate of a 0/1 diagonal.
 * partial isometry: truncated unitary u p.
 * partial unitary: unitary conjugate of (corner unitary) + (zero block).
+
+The last three take one rank per summand (one per fd block, one for
+the whole circle grid), or draw them with ``uniform_ranks``.
 """
 
 from __future__ import annotations
@@ -118,30 +121,24 @@ def unitary(rng, algebra: AlgebraSpec, level: int, winding: int = 0) -> Element:
     return Element(algebra, level, level, tuple(stacks))
 
 
-def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
-    """Unitary conjugate of a 0/1 diagonal with the given rank(s).
+def uniform_ranks(rng, algebra: AlgebraSpec, level: int) -> list:
+    """One rank per summand, each uniform over 0..(its size at level)."""
+    return [int(rng.integers(0, level * d + 1)) for _, d in algebra.summands]
 
-    ranks: per-block list for the fd model, single int for circle;
-    None draws ranks uniformly.
-    """
+
+def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
+    """Unitary conjugate of a 0/1 diagonal with the given rank per
+    summand; None draws the ranks uniformly."""
     w = unitary(rng, algebra, level)
-    if algebra.variant == FD:
-        sizes = [level * d for d in algebra.block_dims]
-        if ranks is None:
-            ranks = [int(rng.integers(0, s + 1)) for s in sizes]
-        diags = [np.diag([1.0] * r + [0.0] * (s - r)).astype(complex)
-                 for r, s in zip(ranks, sizes)]
-    else:
-        s = level * algebra.dim
-        if ranks is None:
-            ranks = int(rng.integers(0, s + 1))
-        d = np.diag([1.0] * ranks + [0.0] * (s - ranks)).astype(complex)
-        diags = [d]
-    stacks = [u @ d0 @ u.conj().transpose(0, 2, 1)
-              for u, d0 in zip(w.stacks, diags)]
-    return Element(algebra, level, level,
-                   tuple((m + m.conj().transpose(0, 2, 1)) / 2.0
-                         for m in stacks))
+    if ranks is None:
+        ranks = uniform_ranks(rng, algebra, level)
+    stacks = []
+    for u, (_, d), r in zip(w.stacks, algebra.summands, ranks):
+        s = level * d
+        d0 = np.diag([1.0] * r + [0.0] * (s - r)).astype(complex)
+        m = u @ d0 @ u.conj().transpose(0, 2, 1)
+        stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
+    return Element(algebra, level, level, tuple(stacks))
 
 
 def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
@@ -212,30 +209,32 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
 
 def partial_unitary(rng, algebra: AlgebraSpec, level: int, ranks=None,
                     winding: int = 0) -> Element:
-    """w (corner unitary + zero block) w* built in a shared eigenbasis."""
+    """w (corner unitary + zero block) w* built in a shared eigenbasis,
+    with the given support rank per summand; None draws the ranks.
+
+    fd corners are diagonal phases; the circle corner is a slowly varying
+    unitary field, twisted by the winding."""
     w = unitary(rng, algebra, level)
-    if algebra.variant == FD:
-        sizes = [level * d for d in algebra.block_dims]
-        if ranks is None:
-            ranks = [int(rng.integers(0, s + 1)) for s in sizes]
-        cores = []
-        for r, s in zip(ranks, sizes):
+    if ranks is None:
+        # every rank is drawn before the first corner
+        ranks = uniform_ranks(rng, algebra, level)
+    cores = []
+    for (b, d), r in zip(algebra.summands, ranks):
+        s = level * d
+        if algebra.variant == FD:
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=r))
             cores.append(np.diag(np.concatenate([phases, np.zeros(s - r)]))
                          .astype(complex))
-    else:
-        s = level * algebra.dim
-        if ranks is None:
-            ranks = int(rng.integers(0, s + 1))
-        core = np.zeros((algebra.grid_points, s, s), dtype=complex)
-        if ranks:
-            field, = _hermitian_fields(rng, algebra, level, size=ranks)
+            continue
+        core = np.zeros((b, s, s), dtype=complex)
+        if r:
+            field, = _hermitian_fields(rng, algebra, level, size=r)
             corner = _expi(field)
             if winding != 0:
                 twist = [z ** winding for z in algebra.sample_points()]
                 corner[:, :, 0] *= np.array(twist)[:, None]
-            core[:, :ranks, :ranks] = corner
-        cores = [core]
+            core[:, :r, :r] = corner
+        cores.append(core)
     return Element(algebra, level, level,
                    tuple(u0 @ c0 @ u0.conj().transpose(0, 2, 1)
                          for u0, c0 in zip(w.stacks, cores)))

@@ -153,7 +153,7 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         # at least one of the sum identities
         x = rand.element(rng, algebra, n, n)
         y = rand.element(rng, algebra, n, n)
-        if not model.orthogonal(x, y):
+        if not model.orthogonal(x, y, cfg.tol_pred):
             gap = model.distance(model.abs_value(x + y),
                                  model.abs_value(x) + model.abs_value(y))
             if gap <= cfg.tol_pred:
@@ -169,7 +169,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         n = int(rng.integers(1, 4))
         u, v = rand.orthogonal_pair(rng, algebra, n)
         alpha, beta = rand._cnormal(rng, (2,))
-        return _bool(model.orthogonal(u.scale(alpha), v.scale(beta)))
+        return _bool(model.orthogonal(u.scale(alpha), v.scale(beta),
+                                      cfg.tol_pred))
 
     results.append(_run("orthogonality-scalar-invariance", cfg, t_all,
                         orth_scalar_invariance))
@@ -177,13 +178,15 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     def orth_equals_algebraic(rng, t):
         n = int(rng.integers(1, 4))
         u, v = rand.positive_orthogonal_pair(rng, algebra, n)
-        ok = model.orthogonal(u, v) and model.orthogonal_infty_a(u, v)
+        tol = cfg.tol_pred
+        ok = model.orthogonal(u, v, tol) and model.orthogonal_infty_a(u, v, tol)
         # the normalized-sum characterization only covers nonzero operands
-        if min(model.op_norm(u), model.op_norm(v)) > cfg.tol_pred:
-            ok = ok and model.orthogonal_infty(u, v)
+        if min(model.op_norm(u), model.op_norm(v)) > tol:
+            ok = ok and model.orthogonal_infty(u, v, tol)
         x = rand.positive(rng, algebra, n)
         y = rand.positive(rng, algebra, n)
-        ok = ok and (model.orthogonal(x, y) == model.orthogonal_infty_a(x, y))
+        ok = ok and (model.orthogonal(x, y, tol)
+                     == model.orthogonal_infty_a(x, y, tol))
         return _bool(ok)
 
     results.append(_run("orthogonal-equals-algebraic", cfg, t_all,
@@ -235,16 +238,16 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         n = int(rng.integers(1, 3))
         ok = True
         for maker in (rand.projection, rand.partial_unitary):
-            c = model.classify(maker(rng, algebra, n))
+            c = model.classify(maker(rng, algebra, n), cfg.tol_pred)
             if c.is_order_projection and not (
                     c.is_selfadjoint and c.is_positive and c.is_partial_unitary):
                 ok = False
             if c.is_unitary and not (c.is_partial_isometry and c.is_partial_unitary):
                 ok = False
         u = rand.unitary(rng, algebra, n)
-        cu = model.classify(u)
+        cu = model.classify(u, cfg.tol_pred)
         ok = ok and cu.is_unitary and cu.is_partial_isometry and cu.is_partial_unitary
-        p = model.classify(rand.projection(rng, algebra, n))
+        p = model.classify(rand.projection(rng, algebra, n), cfg.tol_pred)
         ok = ok and p.is_order_projection
         return _bool(ok)
 
@@ -275,12 +278,10 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     t_fast = max(10, cfg.trials // 4)
     t_path = max(5, cfg.trials // 20)
 
+    tol, tol_path = cfg.tol_pred, cfg.tol_path
+
     def _rand_proj_pair_same_rank(rng, level):
-        if algebra.variant == FD:
-            ranks = [int(rng.integers(0, level * d + 1))
-                     for d in algebra.block_dims]
-        else:
-            ranks = int(rng.integers(0, level * algebra.dim + 1))
+        ranks = rand.uniform_ranks(rng, algebra, level)
         return (rand.projection(rng, algebra, level, ranks),
                 rand.projection(rng, algebra, level, ranks))
 
@@ -288,8 +289,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         p = rand.projection(rng, algebra, 1)
         left = direct_sum(zero(algebra, 1), p)
         right = direct_sum(p, zero(algebra, 1))
-        return _bool(eqv.stabilized_projection_equiv(p, left)[0]
-                     and eqv.stabilized_projection_equiv(p, right)[0])
+        return _bool(eqv.stabilized_projection_equiv(p, left, tol)[0]
+                     and eqv.stabilized_projection_equiv(p, right, tol)[0])
 
     results.append(_run("projection-zero-padding", cfg, t_fast, proj_pad))
 
@@ -297,7 +298,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         p, p2 = _rand_proj_pair_same_rank(rng, 1)
         q, q2 = _rand_proj_pair_same_rank(rng, 1)
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
-                                        direct_sum(p2, q2))[0])
+                                        direct_sum(p2, q2), tol)[0])
 
     results.append(_run("projection-sum-compatible", cfg, t_fast,
                         proj_sum_compat))
@@ -306,7 +307,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         p = rand.projection(rng, algebra, 1)
         q = rand.projection(rng, algebra, 1)
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
-                                        direct_sum(q, p))[0])
+                                        direct_sum(q, p), tol)[0])
 
     results.append(_run("projection-swap", cfg, t_fast, proj_swap))
 
@@ -315,9 +316,9 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         # snap the disjoint-support positives to projections
         p = _support_projection(u)
         q = _support_projection(v)
-        if not model.orthogonal(p, q, cfg.tol_pred):
+        if not model.orthogonal(p, q, tol):
             return 1.0
-        return _bool(eqv.mvn_equivalent(p + q, direct_sum(p, q))[0])
+        return _bool(eqv.mvn_equivalent(p + q, direct_sum(p, q), tol)[0])
 
     results.append(_run("orthogonal-sum-matches-direct-sum", cfg, t_fast,
                         proj_orth_add))
@@ -332,16 +333,20 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             v, model.abs_value(v), model.abs_value(v.adjoint()))
         # the transport raises PredicateFailure unless its certificate
         # validates
-        eqv.condition_T_transport(cu, cv)
+        eqv.condition_T_transport(cu, cv, tol)
         return 0.0
 
     results.append(_run("condition-T-transport", cfg, t_fast, condition_t))
+
+    def holds(decide, x, y) -> bool:
+        """The decision of a path decider at the run's tolerances."""
+        return decide(x, y, tol, tol_path=tol_path)[0]
 
     def unitary_homotopy(rng, t):
         w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
         u = rand.unitary(rng, algebra, 2, winding=w)
         v = rand.unitary(rng, algebra, 2, winding=w)
-        return _bool(eqv.homotopic_unitaries(u, v, tol_path=cfg.tol_path)[0])
+        return _bool(holds(eqv.homotopic_unitaries, u, v))
 
     results.append(_run("unitary-homotopy-paths", cfg, t_path,
                         unitary_homotopy))
@@ -352,27 +357,30 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         u = rand.unitary(rng, algebra, 1, winding=ws[0])
         v = rand.unitary(rng, algebra, 1, winding=ws[0])
         w = rand.unitary(rng, algebra, 2, winding=ws[1])
-        ok = eqv.sim1_equivalent(u, u)[0]                      # reflexive
-        uv = eqv.sim1_equivalent(u, v)[0]
-        ok = ok and uv == eqv.sim1_equivalent(v, u)[0]         # symmetric
-        if uv and eqv.sim1_equivalent(v, w)[0]:                # transitive
-            ok = ok and eqv.sim1_equivalent(u, w)[0]
+        sim1 = eqv.sim1_equivalent
+        ok = holds(sim1, u, u)                                 # reflexive
+        uv = holds(sim1, u, v)
+        ok = ok and uv == holds(sim1, v, u)                    # symmetric
+        if uv and holds(sim1, v, w):                           # transitive
+            ok = ok and holds(sim1, u, w)
         return _bool(ok)
 
     results.append(_run("sim1-equivalence-laws", cfg, t_path, sim1_laws))
 
     def simK_laws(rng, t):
         if algebra.variant == FD:
-            ranks = [int(rng.integers(0, d + 1)) for d in algebra.block_dims]
+            ranks = rand.uniform_ranks(rng, algebra, 1)
             u = rand.partial_unitary(rng, algebra, 1, ranks)
             v = rand.partial_unitary(rng, algebra, 1, ranks)
         else:
+            # circle partial unitaries are decided at full support only
             w0 = int(rng.integers(-1, 2))
-            u = rand.partial_unitary(rng, algebra, 1, algebra.dim, winding=w0)
-            v = rand.partial_unitary(rng, algebra, 1, algebra.dim, winding=w0)
-        ok = eqv.simK_equivalent(u, u)[0]
-        uv = eqv.simK_equivalent(u, v)[0]
-        ok = ok and uv == eqv.simK_equivalent(v, u)[0]
+            u = rand.partial_unitary(rng, algebra, 1, [algebra.dim], winding=w0)
+            v = rand.partial_unitary(rng, algebra, 1, [algebra.dim], winding=w0)
+        simK = eqv.simK_equivalent
+        ok = holds(simK, u, u)
+        uv = holds(simK, u, v)
+        ok = ok and uv == holds(simK, v, u)
         return _bool(ok)
 
     results.append(_run("simK-equivalence-laws", cfg, t_path, simK_laws))
@@ -383,8 +391,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         u = rand.unitary(rng, algebra, 1, winding=w0)
         v = rand.unitary(rng, algebra, 1, winding=w1)
         w = rand.unitary(rng, algebra, 1, winding=0)
-        lhs = eqv.sim1_equivalent(direct_sum(u, w), direct_sum(v, w))[0]
-        rhs = eqv.approx1_equivalent(u, v)[0]
+        lhs = holds(eqv.sim1_equivalent, direct_sum(u, w), direct_sum(v, w))
+        rhs = holds(eqv.approx1_equivalent, u, v)
         return _bool(lhs == rhs)
 
     results.append(_run("stabilization-consistency", cfg, t_path,
@@ -392,19 +400,18 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     def cancellation(rng, t):
         if algebra.variant == FD:
-            r1 = [int(rng.integers(0, d + 1)) for d in algebra.block_dims]
-            r2 = [int(rng.integers(0, d + 1)) for d in algebra.block_dims]
-            rw = [int(rng.integers(0, d + 1)) for d in algebra.block_dims]
+            r1, r2, rw = [rand.uniform_ranks(rng, algebra, 1)
+                          for _ in range(3)]
             u = rand.partial_unitary(rng, algebra, 1, r1)
             v = rand.partial_unitary(rng, algebra, 1, r2)
             w = rand.partial_unitary(rng, algebra, 1, rw)
         else:
-            n = algebra.dim
+            n = [algebra.dim]
             u = rand.partial_unitary(rng, algebra, 1, n, winding=int(rng.integers(-1, 2)))
             v = rand.partial_unitary(rng, algebra, 1, n, winding=int(rng.integers(-1, 2)))
             w = rand.partial_unitary(rng, algebra, 1, n, winding=0)
-        lhs = eqv.simK_equivalent(direct_sum(u, w), direct_sum(v, w))[0]
-        rhs = eqv.simK_equivalent(u, v)[0]
+        lhs = holds(eqv.simK_equivalent, direct_sum(u, w), direct_sum(v, w))
+        rhs = holds(eqv.simK_equivalent, u, v)
         return _bool(lhs == rhs)
 
     results.append(_run("simK-cancellation", cfg, t_path, cancellation))

@@ -1,5 +1,6 @@
 """Tests for the equivalence decisions, certificates, and paths."""
 
+import inspect
 import json
 
 import numpy as np
@@ -400,8 +401,8 @@ def test_fd_random_equal_rank_partial_unitaries():
 
 def test_circle_mixed_rank_unsupported():
     rng = rand.stream(210, 0)
-    u = rand.partial_unitary(rng, CIRCLE1, 2, ranks=1)
-    v = rand.partial_unitary(rng, CIRCLE1, 2, ranks=1)
+    u = rand.partial_unitary(rng, CIRCLE1, 2, ranks=[1])
+    v = rand.partial_unitary(rng, CIRCLE1, 2, ranks=[1])
     with pytest.raises(Unsupported):
         eqv.homotopic_partial_unitaries(u, v)
 
@@ -492,6 +493,36 @@ def test_cancellation_trial_whose_decider_raises_is_a_failure(monkeypatch):
     assert len(result.failures) == result.trials
     assert all(f["error"] == "NoConvergence: LAPACK eigh failed"
                for f in result.failures)
+
+
+def test_check_axioms_passes_its_tolerances_to_every_check(monkeypatch):
+    seen = []
+
+    def recording(fn, tol_name):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((fn.__name__, bound.arguments[tol_name]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in dir(model):
+        if name.startswith(("is_", "orthogonal")):
+            monkeypatch.setattr(model, name,
+                                recording(getattr(model, name), "tol"))
+    monkeypatch.setattr(eqv.HomotopyPath, "validate_strict", recording(
+        eqv.HomotopyPath.validate_strict, "tol_path"))
+    cfg = suites.RunConfig(trials=2, tol_pred=2e-9, tol_path=2e-8)
+    suites.check_axioms(FD12, cfg)
+    assert {"is_order_projection", "is_unitary", "is_partial_unitary",
+            "orthogonal", "orthogonal_infty", "validate_strict"} <= {
+        name for name, _ in seen}
+    wrong = {(name, tol) for name, tol in seen
+             if tol != (cfg.tol_path if name == "validate_strict"
+                        else cfg.tol_pred)}
+    assert not wrong
 
 
 # -- derived paths ---------------------------------------------------------

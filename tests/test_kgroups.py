@@ -165,6 +165,24 @@ def test_k0_two_blocks():
         assert model.classify(g).is_order_projection
 
 
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("alg", [FD23, algebra.AlgebraSpec.circle(2, 16)],
+                         ids=["fd23", "circle2x16"])
+def test_one_rank_per_summand_in_and_out(alg, level):
+    # the generators take and the invariants return one rank per summand:
+    # one per fd block, one for the whole circle grid
+    rng = rand.stream(310, level)
+    ranks = [level * d - 1 for _, d in alg.summands]
+    p = rand.projection(rng, alg, level, ranks)
+    assert eqv.proj_invariant(p) == tuple(ranks)
+    u = rand.partial_unitary(rng, alg, level, ranks)
+    assert eqv.support_invariant(u) == tuple(ranks)
+    k = len(alg.summands)
+    gens = kgroups.k0_group(alg).generators
+    assert [eqv.proj_invariant(g) for g in gens] == [
+        tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
 def test_k0_order_unit_dominates():
     view = kgroups.k0_group(FD23)
     rng = rand.stream(302, 0)
@@ -237,7 +255,7 @@ def test_k_circle_exposes_fragment():
     assert dict(view.flags)["fragment"]
     assert view.cone == "support"
     rng = rand.stream(305, 0)
-    mixed = rand.partial_unitary(rng, CIRCLE1, 2, ranks=1)
+    mixed = rand.partial_unitary(rng, CIRCLE1, 2, ranks=[1])
     with pytest.raises(Unsupported):
         kgroups.k_class(mixed)
 

@@ -398,8 +398,7 @@ def count_sqrt_inputs(monkeypatch):
 def test_memo_computes_each_abs_input_once(spec, monkeypatch):
     seen = count_sqrt_inputs(monkeypatch)
     rng = rand.stream(117, 0)
-    u = rand.partial_unitary(rng, spec, 2,
-                             ranks=[1] if spec.variant == algebra.FD else 1)
+    u = rand.partial_unitary(rng, spec, 2, ranks=[1])
     v = rand.element(rng, spec, 2, 2)
     with model.memo_scope():
         first = model.classify(u)

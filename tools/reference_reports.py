@@ -55,13 +55,11 @@ def _pair_inputs(name: str, algebra: AlgebraSpec, inputs: Path) -> dict:
         return rand.stream(SEED, k)
 
     def ranks(k: int):
-        if circle:
-            return k % (algebra.dim + 1)
-        return [k % (d + 1) for d in algebra.block_dims]
+        return [k % (d + 1) for _, d in algebra.summands]
 
     def support(k: int):
         # circle partial unitaries are decided at full support only
-        return algebra.dim if circle else ranks(k)
+        return [algebra.dim] if circle else ranks(k)
 
     elements = {
         "u": rand.unitary(draw(0), algebra, 1, winding=wind),

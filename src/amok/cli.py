@@ -10,6 +10,7 @@ byte-identical output.  Exit codes: 0 all pass, 1 property failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -227,14 +228,12 @@ def cmd_equiv(args) -> int:
     report = {"command": "equiv", "relation": args.relation,
               "config": dataclasses.asdict(cfg), "equivalent": bool(ok),
               "witness": witness}
-    if u.algebra.variant == "circle":
-        try:
-            report["windings"] = [eqv.winding(u), eqv.winding(v)]
-        except AmokError:
-            pass
     lines = [f"equiv --relation {args.relation}: {bool(ok)}"]
-    if "windings" in report:
-        lines.append(f"  windings: {report['windings']}")
+    with contextlib.suppress(AmokError):
+        # the K1 invariant is empty over fd blocks: no windings there
+        if windings := list(eqv.k1_invariant(u) + eqv.k1_invariant(v)):
+            report["windings"] = windings
+            lines.append(f"  windings: {windings}")
     if witness is not None:
         lines.append(f"  witness kind: {witness['kind']} (validated)")
     _emit(args, report, lines, elapsed)
@@ -260,7 +259,8 @@ def cmd_theta(args) -> int:
               "mu_witness": serialize.element_to_json(mu_u)}
     lines = [f"theta of K class {list(x.normal_form)}",
              f"  K0 part: {list(k0_part.normal_form)}",
-             f"  K1 part: {list(k1_part.normal_form)} (trivial group)",
+             f"  K1 part: {list(k1_part.normal_form)}"
+             + ("" if k1_part.normal_form else " (trivial group)"),
              "  mu witness validated unitary"]
     _emit(args, report, lines, elapsed)
     return EXIT_PASS

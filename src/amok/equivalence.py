@@ -79,14 +79,14 @@ def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> tuple:
     return _spectral_support(p, tol)[0]
 
 
-def winding(u: Element) -> int:
-    """Degree of the determinant loop of a circle-model unitary.
-
-    Summed phase increments of det(u(z_j)) around the grid; the total
-    must be within TOL_WIND of an integer multiple of 2*pi.
+def k1_invariant(u: Element) -> tuple:
+    """Complete K1 invariant of a unitary: ``()`` over fd blocks, whose
+    unitary groups are connected; ``(w,)`` on the circle grid, w the
+    degree of the determinant loop: the summed phase increments of
+    det(u(z_j)) around the grid, within TOL_WIND of a multiple of 2*pi.
     """
     if u.algebra.variant != CIRCLE:
-        raise Unsupported("winding is a circle-model invariant")
+        return ()
     dets = np.linalg.det(u.stacks[0])
     if np.any(np.abs(dets) < 1e-6):
         raise Unsupported("determinant loop passes too close to zero")
@@ -95,7 +95,14 @@ def winding(u: Element) -> int:
     w = int(np.rint(total))
     if abs(total - w) > TOL_WIND:
         raise Unsupported(f"non-integer winding estimate {total}")
-    return w
+    return (w,)
+
+
+def winding(u: Element) -> int:
+    """The winding w of a circle-model unitary: k1_invariant(u) = (w,)."""
+    if not (inv := k1_invariant(u)):
+        raise Unsupported("winding is a circle-model invariant")
+    return inv[0]
 
 
 # -- certificates ----------------------------------------------------------
@@ -361,7 +368,7 @@ def _log_path_stacks(u: Element, w: Element, tol_path: float) -> list:
 def _unitary_homotopy(u: Element, v: Element, tol_path: float, domain: str):
     """Decide u ~h v for checked unitaries; a positive answer carries the
     log path, validated once at tol_path in the given domain."""
-    if u.algebra.variant == CIRCLE and winding(u) != winding(v):
+    if k1_invariant(u) != k1_invariant(v):
         return False, None
     path = _pinned_path(_log_path_stacks(u, v, tol_path), u, v, domain)
     path.validate_strict(tol_path)

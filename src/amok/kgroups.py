@@ -1,10 +1,12 @@
 """The three K-groups over the concrete models.
 
-Classes are stored by complete additive integer invariants (the rank on
-each summand of projections / supports; winding numbers), with
-representative elements retained as witnesses.  Because the underlying
-monoids are cancellative, formal differences have a canonical normal
-form and group arithmetic reduces to integer vectors.
+Classes are stored by complete additive integer invariants (K0: the
+rank on each summand; K1: ``equivalence.k1_invariant``; K: the support
+ranks, then the K1 invariant of the unitary completion, which theta
+splits off), with representative elements retained as witnesses.
+Because the underlying monoids are cancellative, formal differences
+have a canonical normal form and group arithmetic reduces to integer
+vectors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from . import equivalence as eqv
 from . import model, rand
-from .algebra import CIRCLE, FD, AlgebraSpec, Element, direct_sum, order_unit
+from .algebra import (CIRCLE, AlgebraSpec, Element, circle_function,
+                      direct_sum, order_unit)
 from .errors import (AlgebraMismatch, NotCancellative, NotPartialUnitary,
                      NotProjection, PreconditionFailure, Unsupported)
 from .morphisms import MorphismSpec
@@ -115,23 +118,21 @@ def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(u, e)] from a unitary."""
     if not model.is_unitary(u, tol):
         raise PreconditionFailure("operand fails the unitary predicate")
-    if u.algebra.variant == FD:
-        return KClass(K1, (), ())
-    return KClass(K1, (eqv.winding(u),), (0,))
+    inv = eqv.k1_invariant(u)
+    return KClass(K1, inv, (0,) * len(inv))
 
 
 def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
-    """[(v, 0)] from a partial unitary."""
-    inv = eqv.support_invariant(v, tol)
-    if v.algebra.variant == FD:
-        return KClass(K, inv, (0,) * len(inv))
-    n = v.row_level * v.algebra.dim
-    if inv == (0,):
-        return KClass(K, (0, 0), (0, 0))
-    if inv == (n,):
-        return KClass(K, (n, eqv.winding(v)), (0, 0))
-    raise Unsupported("circle-model K classes exist for the "
-                      "full-support/zero fragment only")
+    """[(v, 0)] from a partial unitary: the rank of |v| on each summand,
+    then the K1 invariant of the unitary completion v + e - |v|."""
+    a, mu = theta_witnesses(v, tol)
+    inv = eqv.proj_invariant(a, tol)
+    if (v.algebra.variant == CIRCLE
+            and inv not in ((0,), (v.row_level * v.algebra.dim,))):
+        raise Unsupported("circle-model K classes exist for the "
+                          "full-support/zero fragment only")
+    nf = inv + eqv.k1_invariant(mu)
+    return KClass(K, nf, (0,) * len(nf))
 
 
 def k_pair_class(u: Element, v: Element, tol: float = model.TOL_PRED) -> KClass:
@@ -209,8 +210,10 @@ def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
     rank per summand, with the order unit at the summand dims."""
     dims = tuple(d for _, d in algebra.summands)
     unit = KClass(K0, dims, (0,) * len(dims))
+    gens = tuple(_diagonal_projection(algebra, 1, row)
+                 for row in np.eye(len(dims), dtype=int))
     return OrderedGroupView(K0, algebra, len(dims), unit, "nonneg-orthant",
-                            generators=_unit_rank_projections(algebra))
+                            generators=gens)
 
 
 def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
@@ -222,18 +225,12 @@ def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
         for (b, d), r in zip(algebra.summands, ranks)))
 
 
-def _unit_rank_projections(algebra: AlgebraSpec) -> tuple:
-    """One rank-one diagonal projection per summand."""
-    return tuple(_diagonal_projection(algebra, 1, row)
-                 for row in np.eye(len(algebra.summands), dtype=int))
-
-
 def whitehead_flag(algebra: AlgebraSpec) -> bool:
     """Check v (+) v* ~h e at the doubled level on sampled unitaries."""
     for t in range(WHITEHEAD_TRIALS):
         rng = rand.stream(WHITEHEAD_SEED, t)
-        w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
-        v = rand.unitary(rng, algebra, 1, winding=w)
+        v = rand.unitary(rng, algebra, 1,
+                         winding=rand.draw_winding(rng, algebra, 2))
         both = direct_sum(v, v.adjoint())
         if not eqv.homotopic_unitaries(both, order_unit(algebra, 2))[0]:
             return False
@@ -241,21 +238,17 @@ def whitehead_flag(algebra: AlgebraSpec) -> bool:
 
 
 def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
-    """Unitary classes: trivial over fd blocks, winding over the circle."""
+    """Unitary classes: one loop generator per K1 invariant entry."""
     wh = whitehead_flag(algebra)
-    if algebra.variant == FD:
-        unit = KClass(K1, (), ())
-        return OrderedGroupView(K1, algebra, 0, unit, "full",
-                                flags=(("whitehead", wh),))
-    # diag(z, 1, ..., 1) at every grid point z
-    gen = np.tile(np.eye(algebra.dim, dtype=complex),
-                  (algebra.grid_points, 1, 1))
-    gen[:, 0, 0] = algebra.sample_points()
-    unit = KClass(K1, (0,), (0,))
-    return OrderedGroupView(K1, algebra, 1, unit, "full",
-                            flags=(("whitehead", wh),),
-                            generators=(Element._from_stacks(algebra, 1, 1,
-                                                             (gen,)),))
+    unit = k1_class(order_unit(algebra, 1))
+    gens = ()
+    if unit.plus_part:
+        # the circle's winding: diag(z, 1, ..., 1) at every grid point z
+        ones = [1] * (algebra.dim - 1)
+        gens = (circle_function(algebra, 1, 1,
+                                lambda z: np.diag([z] + ones)),)
+    return OrderedGroupView(K1, algebra, len(gens), unit, "full",
+                            flags=(("whitehead", wh),), generators=gens)
 
 
 def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
@@ -292,18 +285,18 @@ def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
 
 
 def k_group(algebra: AlgebraSpec) -> OrderedGroupView:
-    """Partial-unitary classes under zero-padded homotopy, completed."""
+    """Partial-unitary classes under zero-padded homotopy, completed, with
+    the class of e as the order unit."""
     flags = _k_properness_flags(algebra)
-    if algebra.variant == FD:
-        k = len(algebra.block_dims)
-        unit = KClass(K, tuple(algebra.block_dims), (0,) * k)
-        return OrderedGroupView(K, algebra, k, unit, "nonneg-orthant",
-                                flags=flags,
-                                generators=_unit_rank_projections(algebra))
-    # circle: only the full-support/zero fragment is classified
-    unit = KClass(K, (algebra.dim, 0), (0, 0))
-    flags = flags + (("fragment", True),)
-    return OrderedGroupView(K, algebra, 2, unit, "support", flags=flags)
+    unit = k_class(order_unit(algebra, 1))
+    rank = len(unit.normal_form)
+    if algebra.variant == CIRCLE:
+        # only the full-support/zero fragment is classified
+        return OrderedGroupView(K, algebra, rank, unit, "support",
+                                flags=flags + (("fragment", True),))
+    return OrderedGroupView(K, algebra, rank, unit, "nonneg-orthant",
+                            flags=flags,
+                            generators=k0_group(algebra).generators)
 
 
 def group_view(algebra: AlgebraSpec, tag: str) -> OrderedGroupView:
@@ -345,15 +338,15 @@ def induced_class(phi: MorphismSpec, x: KClass) -> KClass:
 def theta_map(algebra: AlgebraSpec, x: KClass):
     """theta([(u,v)]) = (eta part in K0, mu part in K1).
 
-    Over fd blocks the support-rank invariant carries eta and K1 is
-    trivial, so theta is the identity on invariants paired with the
-    trivial class; injectivity (ker theta = 0) is then immediate.
+    A K class lists the support ranks (eta), then the K1 invariant of the
+    unitary completion mu, so theta splits it after the rank on each
+    summand; injectivity (ker theta = 0) is then immediate.
     """
-    if algebra.variant != FD:
-        raise Unsupported("theta is computed over fd algebras")
     if x.group_tag != K:
         raise PreconditionFailure("theta consumes K classes")
-    return (KClass(K0, x.plus_part, x.minus_part), KClass(K1, (), ()))
+    k = len(algebra.summands)
+    return (KClass(K0, x.plus_part[:k], x.minus_part[:k]),
+            KClass(K1, x.plus_part[k:], x.minus_part[k:]))
 
 
 def theta_witnesses(u: Element, tol: float = model.TOL_PRED):
@@ -372,10 +365,9 @@ def theta_surjectivity_witness(algebra: AlgebraSpec, k0_target: KClass):
     """Partial unitaries (v, p') with theta([(v,0)] - [(p',0)]) hitting
     the target: v carries the positive part, p' = complement carries the
     negative part."""
-    if algebra.variant != FD:
-        raise Unsupported("theta is computed over fd algebras")
     nf = k0_target.normal_form
-    level = max([1] + [-(-abs(c) // d) for c, d in zip(nf, algebra.block_dims)])
+    level = max([1] + [-(-abs(c) // d)
+                       for c, (_, d) in zip(nf, algebra.summands)])
     v = _diagonal_projection(algebra, level, [max(c, 0) for c in nf])
     p = _diagonal_projection(algebra, level, [max(-c, 0) for c in nf])
     return v, p

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernel
 from .algebra import CIRCLE, FD, AlgebraSpec, Element
+from .errors import PreconditionFailure
 
 
 def stream(seed: int, trial: int = 0) -> np.random.Generator:
@@ -121,17 +122,36 @@ def unitary(rng, algebra: AlgebraSpec, level: int, winding: int = 0) -> Element:
     return Element(algebra, level, level, tuple(stacks))
 
 
+def draw_winding(rng, algebra: AlgebraSpec, k: int) -> int:
+    """A winding uniform over -k..k on the circle; 0, drawing nothing,
+    over fd blocks."""
+    return int(rng.integers(-k, k + 1)) if algebra.variant == CIRCLE else 0
+
+
 def uniform_ranks(rng, algebra: AlgebraSpec, level: int) -> list:
     """One rank per summand, each uniform over 0..(its size at level)."""
     return [int(rng.integers(0, level * d + 1)) for _, d in algebra.summands]
+
+
+def _ranks(rng, algebra: AlgebraSpec, level: int, ranks):
+    """The given ranks, which must be one integer per summand, each in
+    0..(its size at level); None draws them with ``uniform_ranks``."""
+    if ranks is None:
+        return uniform_ranks(rng, algebra, level)
+    sizes = [level * d for _, d in algebra.summands]
+    if len(ranks) != len(sizes) or not all(
+            isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+            and 0 <= r <= s for r, s in zip(ranks, sizes)):
+        raise PreconditionFailure(f"ranks {list(ranks)} do not fit the "
+                                  f"summand sizes {sizes} at level {level}")
+    return ranks
 
 
 def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
     """Unitary conjugate of a 0/1 diagonal with the given rank per
     summand; None draws the ranks uniformly."""
     w = unitary(rng, algebra, level)
-    if ranks is None:
-        ranks = uniform_ranks(rng, algebra, level)
+    ranks = _ranks(rng, algebra, level, ranks)
     stacks = []
     for u, (_, d), r in zip(w.stacks, algebra.summands, ranks):
         s = level * d
@@ -215,9 +235,8 @@ def partial_unitary(rng, algebra: AlgebraSpec, level: int, ranks=None,
     fd corners are diagonal phases; the circle corner is a slowly varying
     unitary field, twisted by the winding."""
     w = unitary(rng, algebra, level)
-    if ranks is None:
-        # every rank is drawn before the first corner
-        ranks = uniform_ranks(rng, algebra, level)
+    # every rank is drawn before the first corner
+    ranks = _ranks(rng, algebra, level, ranks)
     cores = []
     for (b, d), r in zip(algebra.summands, ranks):
         s = level * d

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import equivalence as eqv
 from . import kernel, model, rand
-from .algebra import (CIRCLE, FD, AlgebraSpec, Element, dilate, direct_sum,
+from .algebra import (FD, AlgebraSpec, Element, dilate, direct_sum,
                       scalar_conjugate, zero)
 from .errors import AmokError
 
@@ -343,7 +343,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return decide(x, y, tol, tol_path=tol_path)[0]
 
     def unitary_homotopy(rng, t):
-        w = int(rng.integers(-2, 3)) if algebra.variant == CIRCLE else 0
+        w = rand.draw_winding(rng, algebra, 2)
         u = rand.unitary(rng, algebra, 2, winding=w)
         v = rand.unitary(rng, algebra, 2, winding=w)
         return _bool(holds(eqv.homotopic_unitaries, u, v))
@@ -352,8 +352,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                         unitary_homotopy))
 
     def sim1_laws(rng, t):
-        ws = [int(rng.integers(-1, 2)) if algebra.variant == CIRCLE else 0
-              for _ in range(2)]
+        ws = [rand.draw_winding(rng, algebra, 1) for _ in range(2)]
         u = rand.unitary(rng, algebra, 1, winding=ws[0])
         v = rand.unitary(rng, algebra, 1, winding=ws[0])
         w = rand.unitary(rng, algebra, 2, winding=ws[1])
@@ -367,16 +366,17 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     results.append(_run("sim1-equivalence-laws", cfg, t_path, sim1_laws))
 
-    def simK_laws(rng, t):
+    def decided_ranks(rng):
+        # circle partial unitaries are decided at full or zero support only
         if algebra.variant == FD:
-            ranks = rand.uniform_ranks(rng, algebra, 1)
-            u = rand.partial_unitary(rng, algebra, 1, ranks)
-            v = rand.partial_unitary(rng, algebra, 1, ranks)
-        else:
-            # circle partial unitaries are decided at full support only
-            w0 = int(rng.integers(-1, 2))
-            u = rand.partial_unitary(rng, algebra, 1, [algebra.dim], winding=w0)
-            v = rand.partial_unitary(rng, algebra, 1, [algebra.dim], winding=w0)
+            return rand.uniform_ranks(rng, algebra, 1)
+        return [algebra.dim]
+
+    def simK_laws(rng, t):
+        ranks = decided_ranks(rng)
+        w0 = rand.draw_winding(rng, algebra, 1)
+        u = rand.partial_unitary(rng, algebra, 1, ranks, winding=w0)
+        v = rand.partial_unitary(rng, algebra, 1, ranks, winding=w0)
         simK = eqv.simK_equivalent
         ok = holds(simK, u, u)
         uv = holds(simK, u, v)
@@ -386,8 +386,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     results.append(_run("simK-equivalence-laws", cfg, t_path, simK_laws))
 
     def approx_consistency(rng, t):
-        w0 = int(rng.integers(-1, 2)) if algebra.variant == CIRCLE else 0
-        w1 = int(rng.integers(-1, 2)) if algebra.variant == CIRCLE else 0
+        w0 = rand.draw_winding(rng, algebra, 1)
+        w1 = rand.draw_winding(rng, algebra, 1)
         u = rand.unitary(rng, algebra, 1, winding=w0)
         v = rand.unitary(rng, algebra, 1, winding=w1)
         w = rand.unitary(rng, algebra, 1, winding=0)
@@ -399,17 +399,12 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                         approx_consistency))
 
     def cancellation(rng, t):
-        if algebra.variant == FD:
-            r1, r2, rw = [rand.uniform_ranks(rng, algebra, 1)
-                          for _ in range(3)]
-            u = rand.partial_unitary(rng, algebra, 1, r1)
-            v = rand.partial_unitary(rng, algebra, 1, r2)
-            w = rand.partial_unitary(rng, algebra, 1, rw)
-        else:
-            n = [algebra.dim]
-            u = rand.partial_unitary(rng, algebra, 1, n, winding=int(rng.integers(-1, 2)))
-            v = rand.partial_unitary(rng, algebra, 1, n, winding=int(rng.integers(-1, 2)))
-            w = rand.partial_unitary(rng, algebra, 1, n, winding=0)
+        r1, r2, rw = [decided_ranks(rng) for _ in range(3)]
+        u = rand.partial_unitary(rng, algebra, 1, r1,
+                                 winding=rand.draw_winding(rng, algebra, 1))
+        v = rand.partial_unitary(rng, algebra, 1, r2,
+                                 winding=rand.draw_winding(rng, algebra, 1))
+        w = rand.partial_unitary(rng, algebra, 1, rw)
         lhs = holds(eqv.simK_equivalent, direct_sum(u, w), direct_sum(v, w))
         rhs = holds(eqv.simK_equivalent, u, v)
         return _bool(lhs == rhs)

@@ -400,6 +400,44 @@ def test_equiv_over_different_algebras_gives_exit_2(tmp_path, capsys,
     assert "AlgebraMismatch" in captured.err
 
 
+def test_theta_circle_splits_off_the_winding(tmp_path, capsys):
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    u = rand.partial_unitary(rand.stream(402, 0), circle, 1, [1], winding=1)
+    pair = write_json(tmp_path / "pair.json",
+                      {"u": serialize.element_to_json(u),
+                       "v": serialize.element_to_json(algebra.zero(circle, 1))})
+    assert cli.main(["theta", pair, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["k_class"] == [1, 1]
+    assert report["k0_part"] == [1]
+    assert report["k1_part"] == [1]
+    assert cli.main(["theta", pair]) == 0
+    out = capsys.readouterr().out
+    assert "  K1 part: [1]\n" in out
+    assert "trivial group" not in out
+
+
+def test_theta_fd_text_names_the_trivial_k1_part(tmp_path, capsys):
+    z = algebra.zero(FD23, 1)
+    pair = write_json(tmp_path / "pair.json",
+                      {"u": serialize.element_to_json(z),
+                       "v": serialize.element_to_json(z)})
+    assert cli.main(["theta", pair]) == 0
+    assert "  K1 part: [] (trivial group)\n" in capsys.readouterr().out
+
+
+def test_theta_circle_mixed_rank_gives_exit_2(tmp_path, capsys):
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    u = rand.partial_unitary(rand.stream(403, 0), circle, 2, [1])
+    pair = write_json(tmp_path / "pair.json",
+                      {"u": serialize.element_to_json(u),
+                       "v": serialize.element_to_json(algebra.zero(circle, 2))})
+    assert cli.main(["theta", pair, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Unsupported" in captured.err
+
+
 def test_theta_of_zero_pair(tmp_path, capsys):
     z = algebra.zero(FD23, 1)
     pair = tmp_path / "pair.json"

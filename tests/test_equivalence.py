@@ -281,7 +281,17 @@ def test_winding_matches_oracle_on_twisted_unitaries():
     for w in (-2, -1, 0, 1, 2):
         u = rand.unitary(rng, CIRCLE1, 2, winding=w)
         assert eqv.winding(u) == w
+        assert eqv.k1_invariant(u) == (w,)
         assert winding_oracle(u) == w
+
+
+def test_k1_invariant_is_empty_over_fd_blocks():
+    rng = rand.stream(215, 0)
+    for alg in (M2, FD23):
+        u = rand.unitary(rng, alg, 2)
+        assert eqv.k1_invariant(u) == ()
+        with pytest.raises(Unsupported, match="circle-model invariant"):
+            eqv.winding(u)
 
 
 def test_circle_equal_winding_gives_validated_path():

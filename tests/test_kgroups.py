@@ -250,6 +250,16 @@ def test_k_cone_proper():
                 assert g.normal_form == (0, 0)
 
 
+def test_k_group_fd_takes_the_k0_unit_and_generators():
+    view, k0 = kgroups.k_group(FD23), kgroups.k0_group(FD23)
+    assert view.rank == k0.rank
+    assert view.order_unit.normal_form == k0.order_unit.normal_form
+    assert len(view.generators) == len(k0.generators)
+    for g, h in zip(view.generators, k0.generators):
+        for a, b in zip(g.stacks, h.stacks):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_k_circle_exposes_fragment():
     view = kgroups.k_group(CIRCLE1)
     assert dict(view.flags)["fragment"]
@@ -473,6 +483,63 @@ def test_theta_kernel_trivial_fd():
             k0_part, k1_part = kgroups.theta_map(FD23, x)
             if k0_part.normal_form == (0, 0) and k1_part.normal_form == ():
                 assert x.normal_form == (0, 0)
+
+
+CIRCLE_FRAGMENT = (algebra.AlgebraSpec.circle(1, 16),
+                   algebra.AlgebraSpec.circle(2, 64))
+
+
+def fragment_partial_unitary(rng, alg):
+    """A circle partial unitary of full or zero support at level 1 or 2,
+    and its winding (in -2..2 at full support, 0 at zero support)."""
+    level = int(rng.integers(1, 3))
+    if rng.integers(0, 2):
+        w = int(rng.integers(-2, 3))
+        rank = level * alg.dim
+    else:
+        w = rank = 0
+    return rand.partial_unitary(rng, alg, level, [rank], winding=w), w
+
+
+@pytest.mark.parametrize("alg", CIRCLE_FRAGMENT, ids=("dim1", "dim2"))
+def test_theta_is_additive_on_the_circle_fragment(alg):
+    rng = rand.stream(315, 0)
+    for _ in range(6):
+        u1, v1, u2, v2 = [fragment_partial_unitary(rng, alg)[0]
+                          for _ in range(4)]
+        x = kgroups.k_pair_class(u1, v1)
+        y = kgroups.k_pair_class(u2, v2)
+        sx0, sx1 = kgroups.theta_map(alg, x)
+        sy0, sy1 = kgroups.theta_map(alg, y)
+        ts0, ts1 = kgroups.theta_map(alg, x + y)
+        assert ts0 == sx0 + sy0
+        assert ts1 == sx1 + sy1
+        # a direct sum of two full-support operands is of full support
+        full = [f for f in (u1, v1, u2, v2) if eqv.support_invariant(f)[0]]
+        for a, b in zip(full, full[1:]):
+            assert (kgroups.k_class(algebra.direct_sum(a, b))
+                    == kgroups.k_class(a) + kgroups.k_class(b))
+
+
+@pytest.mark.parametrize("alg", CIRCLE_FRAGMENT, ids=("dim1", "dim2"))
+def test_theta_k1_part_is_the_winding_on_the_circle_fragment(alg):
+    rng = rand.stream(316, 0)
+    for _ in range(8):
+        u, w = fragment_partial_unitary(rng, alg)
+        z = algebra.zero(alg, u.row_level)
+        k0_part, k1_part = kgroups.theta_map(alg, kgroups.k_pair_class(u, z))
+        assert k0_part.normal_form == eqv.support_invariant(u)
+        assert k1_part.normal_form == (w,)
+
+
+def test_theta_surjectivity_recipe_circle():
+    alg = CIRCLE_FRAGMENT[0]
+    for c in range(-4, 5):
+        target = kgroups.KClass(kgroups.K0, (c,), (0,))
+        v, p = kgroups.theta_surjectivity_witness(alg, target)
+        k0_part, k1_part = kgroups.theta_map(alg, kgroups.k_pair_class(v, p))
+        assert k0_part == target
+        assert k1_part.normal_form == (0,)
 
 
 # -- decomposition constructions -------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from amok import algebra, kernel, model, rand, serialize
-from amok.errors import ShapeMismatch, SpecParseError, ZeroOperand
+from amok.errors import (InputError, PreconditionFailure, ShapeMismatch,
+                         SpecParseError, ZeroOperand)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -228,6 +229,17 @@ def test_generated_elements_pass_their_predicates():
         assert model.classify(rand.unitary(rng, alg, 2)).is_unitary
         assert model.classify(rand.partial_unitary(rng, alg, 2)).is_partial_unitary
         assert model.classify(rand.partial_isometry(rng, alg, 2)).is_partial_isometry
+
+
+@pytest.mark.parametrize("draw", (rand.projection, rand.partial_isometry,
+                                  rand.partial_unitary))
+@pytest.mark.parametrize("ranks", ([1, 1, 1], [1], [3, 0], [-1, 0], [1.5, 0],
+                                   [True, 0]))
+def test_generators_reject_ranks_that_do_not_fit_the_summands(draw, ranks):
+    # FD23 has two blocks, of sizes 2 and 3 at level 1
+    with pytest.raises(PreconditionFailure, match="do not fit") as exc:
+        draw(rand.stream(109, 0), FD23, 1, ranks)
+    assert isinstance(exc.value, InputError)
 
 
 # -- orthogonality ---------------------------------------------------------

@@ -8,15 +8,16 @@ Builds every input from seeded ``amok.rand`` draws and writes it under
 ``OUTDIR/inputs``, then runs each reference command through
 ``amok.cli.main`` with ``--format json --out`` into ``OUTDIR/reports``:
 
-* ``check-axioms --trials 8 --seed 3`` on fd [1,2], [2,2], [3] and
-  circle dim 1 grid 16;
+* ``check-axioms --trials 8 --seed 3`` on fd [1,2], [2,2], [3],
+  circle dim 1 grid 16 and circle dim 2 grid 64;
 * ``kgroup --which k0|k1|k`` on the same four algebras;
 * ``equiv`` in every relation on fd [1,2], circle dim 1 grid 16 and
   circle dim 2 grid 64 pairs, equivalent and not;
 * ``equiv --relation mvn`` on an fd [1,2] projection at level 1 against
   level-2 projections: its zero-padding, an equivalent draw and an
   inequivalent one;
-* ``classify`` and ``theta`` on fd [1,2] inputs.
+* ``classify`` on fd [1,2] inputs, and ``theta`` on an fd [1,2] pair
+  and on a circle dim 1 grid 16 pair of full support (windings 1, -1).
 
 Exits 1 if any command exits non-zero.  To compare two checkouts, run it
 once with each checkout's ``src`` on ``PYTHONPATH`` and ``diff -r`` the
@@ -88,6 +89,11 @@ def commands(inputs: Path):
                ["check-axioms", spec, "--trials", "8", "--seed", str(SEED)])
         for which in ("k0", "k1", "k"):
             yield f"kgroup-{which}-{name}", ["kgroup", spec, "--which", which]
+    # the dim-2 grid runs the suite only
+    spec = _write(inputs / "circle2x64.json",
+                  serialize.algebra_to_json(EQUIV_ALGEBRAS["circle2x64"]))
+    yield ("check-axioms-circle2x64",
+           ["check-axioms", spec, "--trials", "8", "--seed", str(SEED)])
     for name, algebra in EQUIV_ALGEBRAS.items():
         f = _pair_inputs(name, algebra, inputs)
         pairs = [("mvn", "p", "q"), ("mvn", "p", "r"),
@@ -119,6 +125,12 @@ def commands(inputs: Path):
             "v": serialize.element_to_json(
                 rand.partial_unitary(rand.stream(SEED, 11), fd12, 1, [0, 1]))}
     yield "theta-fd12", ["theta", _write(inputs / "fd12-theta.json", pair)]
+    circle = EQUIV_ALGEBRAS["circle1x16"]
+    pair = {role: serialize.element_to_json(rand.partial_unitary(
+                rand.stream(SEED, k), circle, 1, [1], winding=w))
+            for role, k, w in (("u", 14, 1), ("v", 15, -1))}
+    yield ("theta-circle1x16",
+           ["theta", _write(inputs / "circle1x16-theta.json", pair)])
 
 
 def main(argv=None) -> int:

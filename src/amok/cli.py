@@ -121,14 +121,17 @@ def _config(args) -> suites.RunConfig:
 
 def _emit(args, report: dict, text_lines, elapsed: float) -> None:
     if args.format == "json":
-        out = serialize.dumps_canonical(report) + "\n"
+        out = serialize.dumps_canonical(report)
     else:
-        out = "\n".join(text_lines + [f"elapsed: {elapsed:.2f}s"]) + "\n"
+        out = "\n".join(text_lines + [f"elapsed: {elapsed:.2f}s"])
+    # two writes: a witness report is too large to copy for one newline
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
+            fh.write("\n")
     else:
         sys.stdout.write(out)
+        sys.stdout.write("\n")
 
 
 def cmd_check_axioms(args) -> int:

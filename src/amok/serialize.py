@@ -2,13 +2,19 @@
 paths, and group views.
 
 Field names are part of the external contract; parsers reject unknown
-fields.  Canonical dumps are sorted-key compact JSON so identical inputs
-produce byte-identical output.
+fields.  An element matrix is type-checked in one scan and converted in
+one array; only a malformed one is walked again, to name its first bad
+entry.  Canonical dumps are sorted-key compact JSON so identical inputs
+produce byte-identical output, the bytes of the stdlib ``json.dumps``.
+Path samples are written straight from their stacks, a few samples at a
+time, with the float text of ``repr`` computed for whole arrays.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -65,24 +71,38 @@ def parse_algebra(obj) -> AlgebraSpec:
 
 
 def _parse_matrix(rows, shape, where: str) -> np.ndarray:
+    """The complex matrix of JSON rows of ``[re, im]`` pairs; only a
+    malformed one is walked cell by cell, to name its first bad entry."""
     if not isinstance(rows, list) or len(rows) != shape[0]:
         raise SpecParseError(f"{where}: expected {shape[0]} rows")
-    out = np.zeros(shape, dtype=complex)
+    values = None
+    if all(type(row) is list and len(row) == shape[1] for row in rows):
+        cells = list(chain.from_iterable(rows))
+        if set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}:
+            numbers = list(chain.from_iterable(cells))
+            if set(map(type, numbers)) <= {int, float}:
+                with suppress(OverflowError):
+                    values = np.array(numbers, dtype=float)
+    if values is None:
+        _raise_first_bad_entry(rows, shape, where)
+    if not np.isfinite(values).all():
+        raise SpecParseError(f"{where}: entries must be finite numbers")
+    return values.view(complex).reshape(shape)
+
+
+def _raise_first_bad_entry(rows, shape, where: str):
     for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != shape[1]:
+        if type(row) is not list or len(row) != shape[1]:
             raise SpecParseError(f"{where}: row {r} must have {shape[1]} entries")
         for c, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
+            if (type(cell) is not list or len(cell) != 2
                     or not all(type(x) in (int, float) for x in cell)):
                 raise SpecParseError(
                     f"{where}: entry ({r},{c}) must be a [re, im] pair")
             try:
-                out[r, c] = complex(cell[0], cell[1])
+                complex(cell[0], cell[1])
             except OverflowError:
                 raise SpecParseError(f"{where}: entry ({r},{c}) is too large")
-    if not np.all(np.isfinite(out)):
-        raise SpecParseError(f"{where}: entries must be finite numbers")
-    return out
 
 
 def element_to_json(v: Element) -> dict:
@@ -175,14 +195,99 @@ def group_view_to_json(view) -> dict:
             "generators": [element_to_json(g) for g in view.generators]}
 
 
+_POW10 = np.array([float(10 ** k) for k in range(22)])  # exact below 1e23
+_POW10_INT = _POW10[:18].astype(np.int64)
+# the ASCII digits of 0..9999, four bytes to a uint32
+_digits2 = (np.arange(100)[:, None] // [10, 1] % 10 + 48).astype(np.uint8)
+_DIGITS4 = np.concatenate(np.broadcast_arrays(_digits2[:, None], _digits2),
+                          axis=2).view(np.uint32).ravel()
+# which bytes of "-0.0" and 20 digits to keep, by sign, k - 18 and J: the
+# sign if negative, "0.", and the columns [24 - k, 24 - J)
+_neg, _k, _J, _column = np.ix_(range(2), range(4), range(18), range(24))
+_NUMBER_KEEP = ((_column == 0) & (_neg == 1) | (_column == 1) | (_column == 2)
+                | (6 - _k <= _column) & (_column < 24 - _J)).reshape(-1, 24)
+# floats per pass: four samples of a circle dim 2 grid 64 path; larger
+# passes raise the peak memory of a dump
+_CHUNK_FLOATS = 2048
+
+
+def _float_rows(x, pieces):
+    """Rows of bytes that read, once their zero bytes are dropped, row
+    ``i % F`` of the ``(F, P)`` matrix ``pieces`` and then ``repr(x[i])``
+    for each ``i``.  24 bytes hold any float repr.  For ``1e-4 <= |x| < 1``
+    its digits come from exact float arithmetic, as in Ryu: ``|x| * 10**k
+    = hi + lo`` (Dekker) with ``hi`` an integer in ``[1e17, 1e18)``; the
+    half-ulp gap scaled by ``10**k`` is exact, and so are the integer
+    bounds ``[low, high]`` of the decimals that read back as ``x``.  The
+    digits are the multiple of the largest ``10**J`` in there nearest
+    ``hi + lo``, ties to even.
+    """
+    n = len(x)
+    F, P = pieces.shape
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a = np.where(fast, a, 0.5)
+    # exact: the doubles 0.1, 0.01 and 0.001 lie above those decimals
+    k = 18 + (a < 0.1) + (a < 0.01) + (a < 0.001)
+    b = _POW10[k]
+    hi = a * b
+    c = 134217729.0 * a  # 2**27 + 1: split a and b into 26-bit halves
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    lo = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+    up = np.spacing(a) * 0.5 * b  # the scaled half-ulp gap, exact
+    li, ui = np.floor(lo), np.floor(up)
+    lf, uf = lo - li, up - ui  # exact: multiples of 2**-46
+    base = hi.astype(np.int64) + li.astype(np.int64)  # floor(hi + lo)
+    # the ends hi + lo -+ up are odd multiples of powers of two below 1,
+    # never integers; below a power of two the gap is half as wide, but the
+    # powers of two here are short exact decimals, written either way
+    low = base - ui.astype(np.int64) + (lf > uf)
+    high = base + ui.astype(np.int64) + (lf + uf >= 1)
+    J = np.zeros(n, np.int64)  # below 18: 1e18 is in no interval
+    todo = np.arange(n)
+    for j, p in enumerate(_POW10_INT[1:].tolist(), 1):
+        todo = todo[high[todo] // p * p >= low[todo]]
+        if not todo.size:
+            break
+        J[todo] = j
+    p = _POW10_INT[J]
+    q = base // p
+    below = q * p
+    # the multiple above is nearer when p - 2 (base - below) < 2 lf
+    t = (p - 2 * (base - below)).astype(np.float64)
+    nearer_above = (2 * lf > t) | ((2 * lf == t) & (q % 2 == 1))
+    decimal = np.where((below < low) | (nearer_above & (below + p <= high)),
+                       below + p, below)
+    # four-digit groups, by division by scalars only (array divisors are slow)
+    quotients = [decimal // g for g in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)]
+    groups = np.stack([quotients[0]] + [
+        lower - 10000 * upper
+        for upper, lower in zip(quotients, quotients[1:] + [decimal])], axis=1)
+    rows = np.empty((n, P + 24), np.uint8)
+    rows.reshape(-1, F, P + 24)[:, :, :P + 4] = np.concatenate(
+        [pieces, np.broadcast_to(np.frombuffer(b"-0.0", np.uint8), (F, 4))], 1)
+    rows[:, P + 4:] = _DIGITS4.take(groups).view(np.uint8).reshape(n, 20)
+    rows[:, P:] *= _NUMBER_KEEP.take(((x < 0) * 4 + k - 18) * 18 + J, axis=0)
+    slow = np.flatnonzero(~fast)
+    rows[slow, P:] = np.frombuffer(b"".join(
+        repr(v).encode().ljust(24, b"\0") for v in x[slow].tolist()),
+        np.uint8).reshape(-1, 24)
+    return rows
+
+
 def _samples_json(path) -> str:
     """The canonical JSON of a path's samples, as ``element_to_json`` of
-    each sample would give, written in one pass.
+    each sample would give, written straight from the stacks.
 
-    One ``%`` template holds every sample, with a ``[%r,%r]`` cell per
-    entry; it is filled from one flat list of the stacks' floats.
-    ``'%r' % x`` is ``float.__repr__``, which the json encoder writes
-    too, so signed zeros, subnormals and exponent forms keep their bytes.
+    The text of a sample is cut at its floats into a header, the short
+    pieces between floats, and a trailer.  ``_float_rows`` writes the
+    floats of a few samples at a time with their pieces, in the float text
+    of the json encoder (``float.__repr__``); the headers and trailers go
+    around them in one byte buffer, decoded once.
     """
     T = len(path.stacks[0])
     flat = np.concatenate([s.view(np.float64).reshape(T, -1)
@@ -192,12 +297,32 @@ def _samples_json(path) -> str:
     matrices = []
     for s in path.stacks:
         _, b, r, c = s.shape
-        row = "[" + ",".join(["[%r,%r]"] * c) + "]"
+        row = "[" + ",".join(["[\0,\0]"] * c) + "]"
         matrices += ["[" + ",".join([row] * r) + "]"] * b
-    algebra = _dumps(algebra_to_json(path.algebra))  # holds no "%"
+    algebra = _dumps(algebra_to_json(path.algebra))  # holds no "\0"
     sample = (f'{{"algebra":{algebra},"col_level":{path.col_level},'
               f'"data":[{",".join(matrices)}],"row_level":{path.row_level}}}')
-    return "[" + ",".join([sample] * T) % tuple(flat.ravel().tolist()) + "]"
+    F = flat.shape[1]
+    if not F:
+        return "[" + ",".join([sample] * T) + "]"
+    head, *inner, tail = (sample + ",").encode().split(b"\0")
+    width = max(map(len, inner), default=0)
+    pieces = np.frombuffer(b"".join(p.ljust(width, b"\0")
+                                    for p in [b"", *inner]), np.uint8)
+    pieces = pieces.reshape(F, width)
+    per = max(1, _CHUNK_FLOATS // F)
+    out = bytearray(b"[")
+    for t in range(0, T, per):
+        rows = _float_rows(flat[t:t + per].ravel(), pieces)
+        text = memoryview(rows[rows != 0])
+        ends = np.cumsum(np.count_nonzero(rows.reshape(-1, F * rows.shape[1]),
+                                          axis=1)).tolist()
+        for start, end in zip([0] + ends, ends):
+            out += head
+            out += text[start:end]
+            out += tail
+    out[-1:] = b"]"
+    return out.decode("ascii")
 
 
 def _dumps(obj) -> str:

@@ -6,6 +6,7 @@ from collections import Counter
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,70 @@ def test_nan_entry_gives_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "SpecParseError" in captured.err
+
+
+def _set_cell(r, c, cell):
+    def edit(rows):
+        rows[r][c] = cell
+    return edit
+
+
+def _set_row(r, row):
+    def edit(rows):
+        rows[r] = row
+    return edit
+
+
+def _set_cells(*edits):
+    def edit(rows):
+        for e in edits:
+            e(rows)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_cell(1, 0, [True, 0.0]), "entry (1,0) must be a [re, im] pair"),
+    (_set_cell(0, 1, [0.5, False]), "entry (0,1) must be a [re, im] pair"),
+    (_set_cell(0, 1, ["1", 0.0]), "entry (0,1) must be a [re, im] pair"),
+    (_set_cell(1, 1, [1.0, 0.0, 0.0]), "entry (1,1) must be a [re, im] pair"),
+    (_set_cell(1, 1, [1.0]), "entry (1,1) must be a [re, im] pair"),
+    (_set_cell(0, 0, 1.0), "entry (0,0) must be a [re, im] pair"),
+    (_set_cell(0, 0, None), "entry (0,0) must be a [re, im] pair"),
+    (_set_cell(1, 0, [[1.0, 0.0], 0.0]), "entry (1,0) must be a [re, im] pair"),
+    (lambda rows: rows[1].pop(), "row 1 must have 2 entries"),
+    (lambda rows: rows[0].append([0.0, 0.0]), "row 0 must have 2 entries"),
+    (_set_row(1, "ab"), "row 1 must have 2 entries"),
+    (_set_row(0, {"a": 1, "b": 2}), "row 0 must have 2 entries"),
+    (lambda rows: rows.pop(), "expected 2 rows"),
+    (lambda rows: rows.append(rows[0]), "expected 2 rows"),
+    (_set_cell(1, 0, [10 ** 400, 0.0]), "entry (1,0) is too large"),
+    (_set_cell(0, 1, [0.0, -2 * 10 ** 308]), "entry (0,1) is too large"),
+    (_set_cell(0, 0, [float("nan"), 0.0]), "entries must be finite numbers"),
+    (_set_cell(1, 1, [0.0, float("inf")]), "entries must be finite numbers"),
+    (_set_cell(0, 1, [float("-inf"), 1.0]), "entries must be finite numbers"),
+    # the first bad cell in row order is named; the finite check comes last
+    (_set_cells(_set_cell(0, 0, [float("nan"), 0.0]),
+                _set_cell(1, 1, [True, 0.0])),
+     "entry (1,1) must be a [re, im] pair"),
+    (_set_cells(_set_cell(0, 1, [10 ** 400, 0.0]),
+                _set_cell(1, 0, ["x", 0.0])), "entry (0,1) is too large"),
+    (_set_cells(_set_cell(0, 0, [True, 0.0]),
+                lambda rows: rows[1].pop()),
+     "entry (0,0) must be a [re, im] pair"),
+    (_set_cells(lambda rows: rows[0].pop(),
+                _set_cell(1, 0, [True, 0.0])), "row 0 must have 2 entries"),
+])
+def test_bad_matrix_entry_gives_exit_2_with_its_message(tmp_path, capsys,
+                                                        edit, message):
+    obj = serialize.element_to_json(algebra.order_unit(M2, 1))
+    edit(obj["data"][0])
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["classify", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error (SpecParseError): element.data[0]: "
+                            f"{message}\n")
 
 
 def test_out_into_missing_directory_gives_exit_2(tmp_path, capsys):
@@ -330,6 +395,75 @@ def test_path_writer_rejects_non_finite_samples():
         with pytest.raises(ValueError):
             serialize.dumps_canonical({"witness":
                                        serialize.path_to_json(broken)})
+
+
+def test_path_writer_writes_samples_without_entries():
+    fd12 = algebra.AlgebraSpec.fd([1, 2])
+    empty = algebra.order_unit(fd12, 0)
+    ok, path = eqv.homotopic_unitaries(empty, empty)
+    assert ok and path.stacks[1].shape == (eqv.PATH_SAMPLES, 1, 0, 0)
+    assert (serialize.dumps_canonical(serialize.path_to_json(path))
+            == stdlib_dump(nested_list_path_json(path)))
+
+
+def written_floats(x) -> list:
+    """The text the path writer gives each float of ``x``."""
+    comma = np.frombuffer(b",", np.uint8).reshape(1, 1)
+    texts = []
+    for block in np.array_split(x, -(-len(x) // 50_000)):
+        rows = serialize._float_rows(block, comma)
+        texts += rows[rows != 0].tobytes().decode("ascii").split(",")[1:]
+    return texts
+
+
+def test_float_writer_matches_repr_on_a_million_doubles():
+    rng = np.random.default_rng(2024)
+    signs = rng.choice([-1.0, 1.0], 300_000)
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(np.float64)
+    # k / 2**n are exact decimals; about 1,700 of these (n = 17 to 27) lie
+    # halfway between the two nearest shortest decimals: the even one wins
+    n = rng.integers(1, 64, 150_000)
+    dyadic = (rng.integers(0, 2 ** 53, 150_000) % (2.0 ** np.minimum(n, 53))
+              + 1) / 2.0 ** n
+    anchors = np.array([1e-4, 1.0] + [10.0 ** e for e in range(-12, 6)]
+                       + [2.0 ** -e for e in range(1, 16)])
+    steps = np.arange(-3, 4)
+    neighbours = (anchors[:, None].view(np.int64) + steps).view(np.float64)
+    x = np.concatenate([
+        rng.uniform(-1, 1, 450_000),
+        signs * np.exp(rng.uniform(np.log(1e-9), np.log(1e3), 300_000)),
+        bits[np.isfinite(bits)],
+        dyadic, -dyadic,
+        neighbours.ravel(), -neighbours.ravel(),
+        [0.0, -0.0, 5e-324, -5e-324, 0.1, 0.01, 0.001, 0.5, 0.3]])
+    assert len(x) >= 10 ** 6
+    got, want = written_floats(x), [repr(v) for v in x.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_path_writer_peak_memory_stays_near_the_report_size(tmp_path,
+                                                            monkeypatch):
+    circle2 = algebra.AlgebraSpec.circle(2, 64)
+    rng = rand.stream(402, 0)
+    uf = write_element(tmp_path / "u.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    vf = write_element(tmp_path / "v.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    dumps, reports = serialize.dumps_canonical, []
+    monkeypatch.setattr(serialize, "dumps_canonical",
+                        lambda report: reports.append(report) or "")
+    assert cli.main(["equiv", "--relation", "h", uf, vf,
+                     "--format", "json"]) == 0
+    assert reports[0]["witness"]["samples"]
+    tracemalloc.start()
+    try:
+        text = dumps(reports[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10 ** 6
+    assert peak <= 3.5 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("command", ["classify", "kgroup", "theta"])

@@ -9,7 +9,8 @@ v - v*, and ``orthogonal_infty_a`` the largest entry of uv.
 Inside ``memo_scope`` the two element functions that reach LAPACK most,
 ``abs_value`` and ``op_norm``, are computed once per distinct input:
 a repeat call with a bit-identical argument returns the stored result.
-Outside a scope nothing is cached.
+Outside a scope nothing is cached, except that ``classify`` opens one
+for its own predicates.
 """
 
 from __future__ import annotations
@@ -190,16 +191,19 @@ def classify(v: Element, tol: float = TOL_PRED) -> ElementClass:
     """Evaluate every defining predicate at the given tolerance.
 
     The square-only flags (unitary, partial unitary, order projection)
-    are False for rectangular input.
+    are False for rectangular input.  The predicates share |v| and |v*|,
+    so this opens a memo scope when none is open.
     """
     sq = v.is_square_level
-    return ElementClass(
-        is_selfadjoint=is_selfadjoint(v, tol),
-        is_positive=sq and is_positive(v, tol),
-        is_order_projection=is_order_projection(v, tol),
-        is_partial_isometry=is_partial_isometry(v, tol),
-        is_unitary=sq and is_unitary(v, tol),
-        is_partial_unitary=sq and is_partial_unitary(v, tol))
+    with (memo_scope() if _MEMO.get(None) is None
+          else contextlib.nullcontext()):
+        return ElementClass(
+            is_selfadjoint=is_selfadjoint(v, tol),
+            is_positive=sq and is_positive(v, tol),
+            is_order_projection=is_order_projection(v, tol),
+            is_partial_isometry=is_partial_isometry(v, tol),
+            is_unitary=sq and is_unitary(v, tol),
+            is_partial_unitary=sq and is_partial_unitary(v, tol))
 
 
 def orthogonal_positive(u: Element, v: Element, tol: float = TOL_PRED) -> bool:

@@ -4,11 +4,19 @@ Each property draws its inputs from a per-trial RNG stream derived from
 (seed, trial index), measures a residual, and records any trial whose
 residual exceeds the property tolerance.  The same suites back the
 command-line ``check-axioms`` run and the test suite.
+
+The properties of a run are independent, so they run on forked worker
+processes, one per usable CPU, with the calling process as one of them.
+Results are collected in property order, so the report bytes are the
+same for any CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,23 +55,153 @@ class PropertyResult:
                 "failures": self.failures, "passed": self.passed}
 
 
-def _run(name: str, cfg: RunConfig, trials: int, fn,
-         tol: float = RESIDUAL_TOL) -> PropertyResult:
+class Property(NamedTuple):
+    """A law checked on ``trials`` seeded trials: ``fn(rng, t)`` returns
+    a residual, and a trial fails above ``tol``."""
+    name: str
+    trials: int
+    fn: Callable
+    tol: float = RESIDUAL_TOL
+
+
+def _run(cfg: RunConfig, prop: Property) -> PropertyResult:
     worst = 0.0
     failures = []
-    for t in range(trials):
+    for t in range(prop.trials):
         rng = rand.stream(cfg.seed, t)
         try:
             with model.memo_scope():
-                res = float(fn(rng, t))
+                res = float(prop.fn(rng, t))
         except AmokError as exc:
             failures.append({"trial": t, "seed": cfg.seed,
                              "error": f"{type(exc).__name__}: {exc}"})
             continue
         worst = max(worst, res)
-        if res > tol:
+        if res > prop.tol:
             failures.append({"trial": t, "seed": cfg.seed, "residual": res})
-    return PropertyResult(name, trials, worst, failures)
+    return PropertyResult(prop.name, prop.trials, worst, failures)
+
+
+# -- the runner: properties on forked workers ------------------------------
+
+_INDEX_BYTES = 4   # one property index on the task pipe
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drain(tasks: int) -> None:
+    """Empty the task pipe, whose write end is closed."""
+    while os.read(tasks, 1 << 16):
+        pass
+
+
+def _take(tasks: int, cfg: RunConfig, properties: list) -> tuple:
+    """Run the properties whose indices this process reads from the task
+    pipe, one at a time until EOF: ``({index: result}, failure)``.
+
+    ``failure`` is None, or ``(index, exception)`` for the first
+    exception; the queue is then drained, so every process stops after
+    its current property.  Every index below a failing one was taken
+    before it and still runs, so the lowest failing index over all
+    processes is the one a serial run raises first.
+    """
+    done = {}
+    while chunk := os.read(tasks, _INDEX_BYTES):
+        i = int.from_bytes(chunk, "little")
+        try:
+            done[i] = _run(cfg, properties[i])
+        except Exception as exc:
+            _drain(tasks)
+            return done, (i, exc)
+    return done, None
+
+
+def _fork_worker(tasks: int, cfg: RunConfig, properties: list,
+                 inherited: list) -> tuple:
+    """Fork a child that runs ``_take`` and pickles its outcome, with the
+    traceback text of a failure, to a pipe of its own.  Returns
+    ``(pid, read end of that pipe)``; the child closes ``inherited``,
+    the read ends of earlier children."""
+    out, feed = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(out)
+        os.close(feed)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (*inherited, out):
+                os.close(fd)
+            done, failure = _take(tasks, cfg, properties)
+            if failure is not None:
+                import traceback  # loaded only by a failing worker
+                failure += ("".join(traceback.format_exception(failure[1])),)
+            with open(feed, "wb") as fh:
+                pickle.dump((done, failure), fh)
+            status = 0
+        finally:
+            # never flush the parent's buffers or run its exit handlers
+            os._exit(status)
+    os.close(feed)
+    return pid, out
+
+
+def run_properties(cfg: RunConfig, properties: list) -> list:
+    """``_run`` every property; return the results in property order.
+
+    The properties run on ``min(usable_cpus(), len(properties))``
+    processes: this one and forked children, each taking one property
+    index at a time from a shared pipe.  A trial draws only from
+    ``rand.stream(seed, t)``, so no result depends on the process that
+    computes it.  With one worker, or without ``os.fork``, every
+    property runs here.  An exception is re-raised here from the lowest
+    failing property index, the one a serial run raises first; no child
+    outlives the call.
+    """
+    workers = min(usable_cpus(), len(properties)) if hasattr(os, "fork") else 1
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little")
+                            for i in range(len(properties))))
+    os.close(feed)
+    children, payloads = [], []
+    try:
+        for _ in range(workers - 1):
+            children.append(_fork_worker(tasks, cfg, properties,
+                                         [out for _, out in children]))
+        done, failure = _take(tasks, cfg, properties)
+        for _, out in children:
+            with open(out, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        # after an error here, the empty queue and the closed read ends
+        # let each child finish its current property and exit
+        _drain(tasks)
+        os.close(tasks)
+        for _, out in children:
+            os.close(out)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    failures = [failure] if failure else []
+    for (pid, _), status, payload in zip(children, statuses, payloads):
+        if status != 0:
+            raise ChildProcessError(
+                f"property worker {pid} ended with wait status {status}")
+        theirs, their_failure = pickle.loads(payload)
+        done.update(theirs)
+        if their_failure is not None:
+            index, exc, text = their_failure
+            exc.__cause__ = ChildProcessError(
+                f"raised in property worker {pid}:\n{text}")
+            failures.append((index, exc))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [done[i] for i in range(len(properties))]
 
 
 def _bool(ok) -> float:
@@ -82,8 +220,8 @@ def _levels(rng):
 
 # -- element-calculus properties -------------------------------------------
 
-def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
-    results = []
+def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
+    properties = []
     t_all = cfg.trials
     t_slow = max(10, cfg.trials // 4)
 
@@ -98,8 +236,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = model.abs_value(vb).scale(float(np.linalg.norm(alpha, 2)))
         return _neg_part(rhs - lhs)
 
-    results.append(_run("abs-scalar-contraction", cfg, t_all,
-                        abs_scalar_contraction))
+    properties.append(Property("abs-scalar-contraction", t_all,
+                               abs_scalar_contraction))
 
     def abs_direct_sum(rng, t):
         m, n = _levels(rng)
@@ -109,7 +247,7 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = direct_sum(model.abs_value(u), model.abs_value(w))
         return model.distance(lhs, rhs)
 
-    results.append(_run("abs-direct-sum", cfg, t_all, abs_direct_sum))
+    properties.append(Property("abs-direct-sum", t_all, abs_direct_sum))
 
     def abs_dilation(rng, t):
         m, n = _levels(rng)
@@ -118,7 +256,7 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = direct_sum(model.abs_value(v.adjoint()), model.abs_value(v))
         return model.distance(lhs, rhs)
 
-    results.append(_run("abs-dilation", cfg, t_all, abs_dilation))
+    properties.append(Property("abs-dilation", t_all, abs_dilation))
 
     def abs_corner_positive(rng, t):
         m, n = _levels(rng)
@@ -130,15 +268,16 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             for a, x, b in zip(top.stacks, v.stacks, bot.stacks)))
         return _neg_part(corner)
 
-    results.append(_run("abs-corner-positive", cfg, t_all, abs_corner_positive))
+    properties.append(Property("abs-corner-positive", t_all,
+                               abs_corner_positive))
 
     def abs_idempotent(rng, t):
         m, n = _levels(rng)
         a = model.abs_value(rand.element(rng, algebra, m, n))
         return model.distance(model.abs_value(a), a)
 
-    results.append(_run("abs-idempotent-on-positives", cfg, t_all,
-                        abs_idempotent))
+    properties.append(Property("abs-idempotent-on-positives", t_all,
+                               abs_idempotent))
 
     def orth_sum_iff(rng, t):
         n = int(rng.integers(1, 4))
@@ -163,7 +302,7 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                     res = max(res, 1.0)
         return res
 
-    results.append(_run("orthogonality-sum-iff", cfg, t_all, orth_sum_iff))
+    properties.append(Property("orthogonality-sum-iff", t_all, orth_sum_iff))
 
     def orth_scalar_invariance(rng, t):
         n = int(rng.integers(1, 4))
@@ -172,8 +311,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return _bool(model.orthogonal(u.scale(alpha), v.scale(beta),
                                       cfg.tol_pred))
 
-    results.append(_run("orthogonality-scalar-invariance", cfg, t_all,
-                        orth_scalar_invariance))
+    properties.append(Property("orthogonality-scalar-invariance", t_all,
+                               orth_scalar_invariance))
 
     def orth_equals_algebraic(rng, t):
         n = int(rng.integers(1, 4))
@@ -189,16 +328,16 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                      == model.orthogonal_infty_a(x, y, tol))
         return _bool(ok)
 
-    results.append(_run("orthogonal-equals-algebraic", cfg, t_all,
-                        orth_equals_algebraic))
+    properties.append(Property("orthogonal-equals-algebraic", t_all,
+                               orth_equals_algebraic))
 
     def norm_bisect_agreement(rng, t):
         m, n = _levels(rng)
         v = rand.element(rng, algebra, m, n)
         return abs(model.order_unit_norm(v, cfg.tol_bisect) - model.op_norm(v))
 
-    results.append(_run("norm-bisection-agreement", cfg, t_slow,
-                        norm_bisect_agreement, tol=10 * cfg.tol_bisect))
+    properties.append(Property("norm-bisection-agreement", t_slow,
+                               norm_bisect_agreement, tol=10 * cfg.tol_bisect))
 
     def norm_direct_sum_max(rng, t):
         m, n = _levels(rng)
@@ -207,8 +346,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         lhs = model.order_unit_norm(direct_sum(u, w), cfg.tol_bisect)
         return abs(lhs - max(model.op_norm(u), model.op_norm(w)))
 
-    results.append(_run("norm-direct-sum-max", cfg, t_slow,
-                        norm_direct_sum_max, tol=10 * cfg.tol_bisect))
+    properties.append(Property("norm-direct-sum-max", t_slow,
+                               norm_direct_sum_max, tol=10 * cfg.tol_bisect))
 
     def isometry_abs(rng, t):
         m, n = _levels(rng)
@@ -220,7 +359,7 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         lhs = model.abs_value(scalar_conjugate(alpha, v, np.eye(n)))
         return model.distance(lhs, model.abs_value(v))
 
-    results.append(_run("isometry-preserves-abs", cfg, t_all, isometry_abs))
+    properties.append(Property("isometry-preserves-abs", t_all, isometry_abs))
 
     def unitary_conj_abs(rng, t):
         n = int(rng.integers(1, 4))
@@ -231,8 +370,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = scalar_conjugate(q.conj().T, model.abs_value(v), q)
         return model.distance(lhs, rhs)
 
-    results.append(_run("unitary-scalar-conjugation-abs", cfg, t_all,
-                        unitary_conj_abs))
+    properties.append(Property("unitary-scalar-conjugation-abs", t_all,
+                               unitary_conj_abs))
 
     def classify_lattice(rng, t):
         n = int(rng.integers(1, 3))
@@ -251,8 +390,8 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         ok = ok and p.is_order_projection
         return _bool(ok)
 
-    results.append(_run("classify-implication-lattice", cfg, t_slow,
-                        classify_lattice))
+    properties.append(Property("classify-implication-lattice", t_slow,
+                               classify_lattice))
 
     def abs_continuity(rng, t):
         n = int(rng.integers(1, 4))
@@ -266,15 +405,15 @@ def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                 res = max(res, gap)
         return res
 
-    results.append(_run("abs-continuity", cfg, t_slow, abs_continuity))
+    properties.append(Property("abs-continuity", t_slow, abs_continuity))
 
-    return results
+    return properties
 
 
 # -- equivalence properties ------------------------------------------------
 
-def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
-    results = []
+def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
+    properties = []
     t_fast = max(10, cfg.trials // 4)
     t_path = max(5, cfg.trials // 20)
 
@@ -292,7 +431,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return _bool(eqv.stabilized_projection_equiv(p, left, tol)[0]
                      and eqv.stabilized_projection_equiv(p, right, tol)[0])
 
-    results.append(_run("projection-zero-padding", cfg, t_fast, proj_pad))
+    properties.append(Property("projection-zero-padding", t_fast, proj_pad))
 
     def proj_sum_compat(rng, t):
         p, p2 = _rand_proj_pair_same_rank(rng, 1)
@@ -300,8 +439,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
                                         direct_sum(p2, q2), tol)[0])
 
-    results.append(_run("projection-sum-compatible", cfg, t_fast,
-                        proj_sum_compat))
+    properties.append(Property("projection-sum-compatible", t_fast,
+                               proj_sum_compat))
 
     def proj_swap(rng, t):
         p = rand.projection(rng, algebra, 1)
@@ -309,7 +448,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
                                         direct_sum(q, p), tol)[0])
 
-    results.append(_run("projection-swap", cfg, t_fast, proj_swap))
+    properties.append(Property("projection-swap", t_fast, proj_swap))
 
     def proj_orth_add(rng, t):
         u, v = rand.positive_orthogonal_pair(rng, algebra, 1)
@@ -320,8 +459,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             return 1.0
         return _bool(eqv.mvn_equivalent(p + q, direct_sum(p, q), tol)[0])
 
-    results.append(_run("orthogonal-sum-matches-direct-sum", cfg, t_fast,
-                        proj_orth_add))
+    properties.append(Property("orthogonal-sum-matches-direct-sum", t_fast,
+                               proj_orth_add))
 
     def condition_t(rng, t):
         p = rand.projection(rng, algebra, 2)
@@ -336,7 +475,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         eqv.condition_T_transport(cu, cv, tol)
         return 0.0
 
-    results.append(_run("condition-T-transport", cfg, t_fast, condition_t))
+    properties.append(Property("condition-T-transport", t_fast, condition_t))
 
     def holds(decide, x, y) -> bool:
         """The decision of a path decider at the run's tolerances."""
@@ -348,8 +487,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         v = rand.unitary(rng, algebra, 2, winding=w)
         return _bool(holds(eqv.homotopic_unitaries, u, v))
 
-    results.append(_run("unitary-homotopy-paths", cfg, t_path,
-                        unitary_homotopy))
+    properties.append(Property("unitary-homotopy-paths", t_path,
+                               unitary_homotopy))
 
     def sim1_laws(rng, t):
         ws = [rand.draw_winding(rng, algebra, 1) for _ in range(2)]
@@ -364,7 +503,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             ok = ok and holds(sim1, u, w)
         return _bool(ok)
 
-    results.append(_run("sim1-equivalence-laws", cfg, t_path, sim1_laws))
+    properties.append(Property("sim1-equivalence-laws", t_path, sim1_laws))
 
     def decided_ranks(rng):
         # circle partial unitaries are decided at full or zero support only
@@ -383,7 +522,7 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         ok = ok and uv == holds(simK, v, u)
         return _bool(ok)
 
-    results.append(_run("simK-equivalence-laws", cfg, t_path, simK_laws))
+    properties.append(Property("simK-equivalence-laws", t_path, simK_laws))
 
     def approx_consistency(rng, t):
         w0 = rand.draw_winding(rng, algebra, 1)
@@ -395,8 +534,8 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = holds(eqv.approx1_equivalent, u, v)
         return _bool(lhs == rhs)
 
-    results.append(_run("stabilization-consistency", cfg, t_path,
-                        approx_consistency))
+    properties.append(Property("stabilization-consistency", t_path,
+                               approx_consistency))
 
     def cancellation(rng, t):
         r1, r2, rw = [decided_ranks(rng) for _ in range(3)]
@@ -409,9 +548,9 @@ def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         rhs = holds(eqv.simK_equivalent, u, v)
         return _bool(lhs == rhs)
 
-    results.append(_run("simK-cancellation", cfg, t_path, cancellation))
+    properties.append(Property("simK-cancellation", t_path, cancellation))
 
-    return results
+    return properties
 
 
 def _support_projection(u: Element) -> Element:
@@ -424,5 +563,14 @@ def _support_projection(u: Element) -> Element:
     return Element(u.algebra, u.row_level, u.col_level, tuple(stacks))
 
 
+def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
+    return run_properties(cfg, _model_properties(algebra, cfg))
+
+
+def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
+    return run_properties(cfg, _equivalence_properties(algebra, cfg))
+
+
 def check_axioms(algebra: AlgebraSpec, cfg: RunConfig) -> list:
-    return model_suite(algebra, cfg) + equivalence_suite(algebra, cfg)
+    return run_properties(cfg, _model_properties(algebra, cfg)
+                          + _equivalence_properties(algebra, cfg))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from amok import (algebra, cli, equivalence as eqv, errors, model, rand,
-                  serialize)
+                  serialize, suites)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -623,6 +623,8 @@ def test_check_axioms_validates_each_witness_once(tmp_path, monkeypatch):
     decider returns, is validated exactly once.  (The condition-T
     property also builds its two input certificates itself; they are
     inputs of the transport, not witnesses of a decision.)"""
+    # one worker: witnesses of forked workers are not recorded here
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 1)
     built, validated, alive = set(), Counter(), []
 
     def keep(witness):
@@ -719,6 +721,8 @@ def test_memo_keeps_check_axioms_bytes(tmp_path, monkeypatch):
 
 
 def test_memo_is_dropped_after_each_command(tmp_path, monkeypatch):
+    # one worker: calls made in forked workers are not counted here
+    monkeypatch.setattr(suites, "usable_cpus", lambda: 1)
     calls = []
     eigh = np.linalg.eigh
 

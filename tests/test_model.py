@@ -422,6 +422,15 @@ def test_memo_computes_each_abs_input_once(spec, monkeypatch):
     assert seen and max(Counter(seen).values()) == 1
 
 
+@pytest.mark.parametrize("spec", [M2, CIRCLE1])
+def test_classify_opens_its_own_memo_scope(spec, monkeypatch):
+    seen = count_sqrt_inputs(monkeypatch)
+    u = rand.partial_unitary(rand.stream(120, 0), spec, 2, ranks=[1])
+    assert model.classify(u).is_partial_unitary
+    assert seen and max(Counter(seen).values()) == 1
+    assert model._MEMO.get(None) is None
+
+
 def test_memo_caches_nothing_outside_a_scope(monkeypatch):
     seen = count_sqrt_inputs(monkeypatch)
     v = rand.element(rand.stream(118, 0), M2, 1, 1)

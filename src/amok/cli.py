@@ -251,7 +251,7 @@ def cmd_theta(args) -> int:
     v = serialize.parse_element(obj["v"])
     t0 = time.time()
     x = kgroups.k_pair_class(u, v, cfg.tol_pred)
-    k0_part, k1_part = kgroups.theta_map(u.algebra, x)
+    k0_part, k1_part = kgroups.theta_map(x)
     au, mu_u = kgroups.theta_witnesses(u, cfg.tol_pred)
     elapsed = time.time() - t0
     report = {"command": "theta", "config": dataclasses.asdict(cfg),

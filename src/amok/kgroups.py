@@ -6,7 +6,10 @@ ranks, then the K1 invariant of the unitary completion, which theta
 splits off), with representative elements retained as witnesses.
 Because the underlying monoids are cancellative, formal differences
 have a canonical normal form and group arithmetic reduces to integer
-vectors.
+vectors.  A class carries the algebra it lives over: classes over
+different algebras do not add, theta splits a class by its own
+algebra's summands, and a morphism maps a class over its source to
+one over its target.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ class MonoidElement:
 
 @dataclass(frozen=True)
 class KClass:
-    """Formal difference [(plus, minus)] in normal form."""
+    """Formal difference [(plus, minus)] over ``algebra``, compared by
+    its normal form."""
     group_tag: str
+    algebra: AlgebraSpec
     plus_part: tuple
     minus_part: tuple
 
@@ -55,20 +60,24 @@ class KClass:
     def __eq__(self, other) -> bool:
         return (isinstance(other, KClass)
                 and self.group_tag == other.group_tag
+                and self.algebra == other.algebra
                 and self.normal_form == other.normal_form)
 
     def __hash__(self):
-        return hash((self.group_tag, self.normal_form))
+        return hash((self.group_tag, self.algebra, self.normal_form))
 
     def __add__(self, other: "KClass") -> "KClass":
         if self.group_tag != other.group_tag:
             raise PreconditionFailure("cannot add classes of different groups")
-        return KClass(self.group_tag,
+        if self.algebra != other.algebra:
+            raise AlgebraMismatch("cannot add classes over different algebras")
+        return KClass(self.group_tag, self.algebra,
                       tuple(a + b for a, b in zip(self.plus_part, other.plus_part)),
                       tuple(a + b for a, b in zip(self.minus_part, other.minus_part)))
 
     def __neg__(self) -> "KClass":
-        return KClass(self.group_tag, self.minus_part, self.plus_part)
+        return KClass(self.group_tag, self.algebra, self.minus_part,
+                      self.plus_part)
 
     def __sub__(self, other: "KClass") -> "KClass":
         return self + (-other)
@@ -76,19 +85,23 @@ class KClass:
     def scale(self, n: int) -> "KClass":
         step = self if n >= 0 else -self
         k = abs(n)
-        return KClass(self.group_tag, tuple(k * a for a in step.plus_part),
+        return KClass(self.group_tag, self.algebra,
+                      tuple(k * a for a in step.plus_part),
                       tuple(k * b for b in step.minus_part))
 
 
 @dataclass(frozen=True)
 class OrderedGroupView:
-    group_tag: str
-    algebra: AlgebraSpec
-    rank: int
+    """A K-group with its positive cone; the order unit's class gives
+    the group tag, the algebra and the rank (one per invariant entry)."""
     order_unit: KClass
     cone: str                       # "nonneg-orthant" | "full" | "support"
     flags: tuple = ()               # (name, bool) pairs of verified hypotheses
     generators: tuple = ()          # witness Elements
+
+    @property
+    def rank(self) -> int:
+        return len(self.order_unit.normal_form)
 
     def cone_contains(self, x: KClass) -> bool:
         nf = x.normal_form
@@ -99,7 +112,7 @@ class OrderedGroupView:
         if self.cone == "support":
             # image of single-witness classes: positive support rank with
             # arbitrary winding, or zero
-            return nf == (0, 0) or nf[0] > 0
+            return not any(nf) or nf[0] > 0
         raise ValueError(f"unknown cone {self.cone!r}")
 
     def leq(self, x: KClass, y: KClass) -> bool:
@@ -111,7 +124,7 @@ class OrderedGroupView:
 def k0_class(p: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(p, 0)] from an order projection."""
     inv = eqv.proj_invariant(p, tol)
-    return KClass(K0, inv, (0,) * len(inv))
+    return KClass(K0, p.algebra, inv, (0,) * len(inv))
 
 
 def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
@@ -119,7 +132,7 @@ def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
     if not model.is_unitary(u, tol):
         raise PreconditionFailure("operand fails the unitary predicate")
     inv = eqv.k1_invariant(u)
-    return KClass(K1, inv, (0,) * len(inv))
+    return KClass(K1, u.algebra, inv, (0,) * len(inv))
 
 
 def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
@@ -132,7 +145,7 @@ def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
         raise Unsupported("circle-model K classes exist for the "
                           "full-support/zero fragment only")
     nf = inv + eqv.k1_invariant(mu)
-    return KClass(K, nf, (0,) * len(nf))
+    return KClass(K, v.algebra, nf, (0,) * len(nf))
 
 
 def k_pair_class(u: Element, v: Element, tol: float = model.TOL_PRED) -> KClass:
@@ -209,11 +222,10 @@ def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
     """Projection classes under stabilized equivalence, completed: one
     rank per summand, with the order unit at the summand dims."""
     dims = tuple(d for _, d in algebra.summands)
-    unit = KClass(K0, dims, (0,) * len(dims))
+    unit = KClass(K0, algebra, dims, (0,) * len(dims))
     gens = tuple(_diagonal_projection(algebra, 1, row)
                  for row in np.eye(len(dims), dtype=int))
-    return OrderedGroupView(K0, algebra, len(dims), unit, "nonneg-orthant",
-                            generators=gens)
+    return OrderedGroupView(unit, "nonneg-orthant", generators=gens)
 
 
 def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
@@ -247,8 +259,8 @@ def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
         ones = [1] * (algebra.dim - 1)
         gens = (circle_function(algebra, 1, 1,
                                 lambda z: np.diag([z] + ones)),)
-    return OrderedGroupView(K1, algebra, len(gens), unit, "full",
-                            flags=(("whitehead", wh),), generators=gens)
+    return OrderedGroupView(unit, "full", flags=(("whitehead", wh),),
+                            generators=gens)
 
 
 def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
@@ -289,13 +301,11 @@ def k_group(algebra: AlgebraSpec) -> OrderedGroupView:
     the class of e as the order unit."""
     flags = _k_properness_flags(algebra)
     unit = k_class(order_unit(algebra, 1))
-    rank = len(unit.normal_form)
     if algebra.variant == CIRCLE:
         # only the full-support/zero fragment is classified
-        return OrderedGroupView(K, algebra, rank, unit, "support",
+        return OrderedGroupView(unit, "support",
                                 flags=flags + (("fragment", True),))
-    return OrderedGroupView(K, algebra, rank, unit, "nonneg-orthant",
-                            flags=flags,
+    return OrderedGroupView(unit, "nonneg-orthant", flags=flags,
                             generators=k0_group(algebra).generators)
 
 
@@ -323,30 +333,29 @@ def induced_map(phi: MorphismSpec, which: str) -> np.ndarray:
 
 
 def induced_class(phi: MorphismSpec, x: KClass) -> KClass:
-    """Image of a class over phi's source: one invariant entry per source
-    block (none in the trivial fd K1)."""
+    """Image over phi's target of a class over phi's source."""
     m = induced_map(phi, x.group_tag)
-    if len(x.plus_part) != m.shape[1]:
+    if x.algebra != phi.source:
         raise AlgebraMismatch("class does not live over the morphism's source")
     plus = tuple(int(v) for v in m @ np.array(x.plus_part, dtype=np.int64))
     minus = tuple(int(v) for v in m @ np.array(x.minus_part, dtype=np.int64))
-    return KClass(x.group_tag, plus, minus)
+    return KClass(x.group_tag, phi.target, plus, minus)
 
 
 # -- the theta splitting ---------------------------------------------------
 
-def theta_map(algebra: AlgebraSpec, x: KClass):
+def theta_map(x: KClass):
     """theta([(u,v)]) = (eta part in K0, mu part in K1).
 
     A K class lists the support ranks (eta), then the K1 invariant of the
     unitary completion mu, so theta splits it after the rank on each
-    summand; injectivity (ker theta = 0) is then immediate.
+    summand of its algebra; injectivity (ker theta = 0) is then immediate.
     """
     if x.group_tag != K:
         raise PreconditionFailure("theta consumes K classes")
-    k = len(algebra.summands)
-    return (KClass(K0, x.plus_part[:k], x.minus_part[:k]),
-            KClass(K1, x.plus_part[k:], x.minus_part[k:]))
+    k = len(x.algebra.summands)
+    return (KClass(K0, x.algebra, x.plus_part[:k], x.minus_part[:k]),
+            KClass(K1, x.algebra, x.plus_part[k:], x.minus_part[k:]))
 
 
 def theta_witnesses(u: Element, tol: float = model.TOL_PRED):
@@ -361,10 +370,11 @@ def theta_witnesses(u: Element, tol: float = model.TOL_PRED):
     return a, mu
 
 
-def theta_surjectivity_witness(algebra: AlgebraSpec, k0_target: KClass):
-    """Partial unitaries (v, p') with theta([(v,0)] - [(p',0)]) hitting
-    the target: v carries the positive part, p' = complement carries the
-    negative part."""
+def theta_surjectivity_witness(k0_target: KClass):
+    """Partial unitaries (v, p') over the target's algebra with
+    theta([(v,0)] - [(p',0)]) hitting the target: v carries the positive
+    part, p' = complement carries the negative part."""
+    algebra = k0_target.algebra
     nf = k0_target.normal_form
     level = max([1] + [-(-abs(c) // d)
                        for c, (_, d) in zip(nf, algebra.summands)])
@@ -376,16 +386,12 @@ def theta_surjectivity_witness(algebra: AlgebraSpec, k0_target: KClass):
 # -- section-5 constructions -----------------------------------------------
 
 def partial_unitary_decompose(v: Element, tol: float = model.TOL_PRED):
-    """v as the mean of two unitaries: v1 = v - e + |v|, v2 = v + e - |v|."""
-    if not model.is_partial_unitary(v, tol):
-        raise NotPartialUnitary("operand fails the partial-unitary predicate")
-    e = order_unit(v.algebra, v.row_level)
-    a = model.abs_value(v)
-    v1 = v - e + a
-    v2 = v + e - a
-    for cand in (v1, v2):
-        if not model.is_unitary(cand, tol):
-            raise PreconditionFailure("decomposition summand is not unitary")
+    """v as the mean of two unitaries: v1 = v - e + |v|, and v2 = v + e - |v|
+    the unitary completion that ``theta_witnesses`` builds and validates."""
+    a, v2 = theta_witnesses(v, tol)
+    v1 = v - order_unit(v.algebra, v.row_level) + a
+    if not model.is_unitary(v1, tol):
+        raise PreconditionFailure("decomposition summand is not unitary")
     if model.distance((v1 + v2).scale(0.5), v) > tol:
         raise PreconditionFailure("mean of summands does not reproduce input")
     return v1, v2

@@ -13,6 +13,7 @@ on the stack layout: one amplification per target block, and in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,11 @@ class MorphismSpec:
     def __post_init__(self):
         if self.source.variant != FD or self.target.variant != FD:
             raise AlgebraMismatch("morphisms are defined between fd algebras")
-        mult = tuple(tuple(int(x) for x in row) for row in self.multiplicity)
+        # integer entries (NumPy's too) become ints; validate() rejects
+        # any other entry, bools included
+        mult = tuple(tuple(int(x) if isinstance(x, numbers.Integral)
+                           and not isinstance(x, bool) else x for x in row)
+                     for row in self.multiplicity)
         object.__setattr__(self, "multiplicity", mult)
         conj = tuple(np.asarray(c, dtype=complex) for c in self.conjugators)
         object.__setattr__(self, "conjugators", conj)
@@ -40,10 +45,19 @@ class MorphismSpec:
     def validate(self, tol: float = 1e-9) -> None:
         """Check unitality and conjugator unitarity; raise NotUnital."""
         k = len(self.source.block_dims)
-        if len(self.multiplicity) != len(self.target.block_dims):
+        blocks = len(self.target.block_dims)
+        if len(self.multiplicity) != blocks:
             raise NotUnital("multiplicity matrix has wrong row count")
-        for i, (row, dp) in enumerate(zip(self.multiplicity,
-                                          self.target.block_dims)):
+        if len(self.conjugators) != blocks:
+            raise NotUnital(f"{len(self.conjugators)} conjugators for "
+                            f"{blocks} target blocks")
+        for i, (row, dp, c) in enumerate(zip(self.multiplicity,
+                                             self.target.block_dims,
+                                             self.conjugators)):
+            for m in row:
+                if type(m) is not int:
+                    raise NotUnital(f"row {i} of the multiplicity matrix has "
+                                    f"a non-integer entry {m!r}")
             if len(row) != k or any(m < 0 for m in row):
                 raise NotUnital(f"row {i} of the multiplicity matrix is invalid")
             total = sum(m * d for m, d in zip(row, self.source.block_dims))
@@ -53,7 +67,6 @@ class MorphismSpec:
             if not self.unital and total > dp:
                 raise NotUnital(
                     f"target block {i}: multiplicities overfill {dp}")
-            c = self.conjugators[i]
             if c.shape != (dp, dp):
                 raise NotUnital(f"conjugator {i} has shape {c.shape}")
             if float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > tol:

@@ -187,7 +187,7 @@ def certificate_to_json(cert) -> dict:
 
 
 def group_view_to_json(view) -> dict:
-    return {"group": view.group_tag,
+    return {"group": view.order_unit.group_tag,
             "rank": view.rank,
             "cone": view.cone,
             "order_unit": list(view.order_unit.normal_form),

@@ -95,7 +95,7 @@ def test_criterion_3_k0_structure():
             assert kgroups.grothendieck_complete(gens)["rank"] == k
             # cone properness on a small window
             for nf in itertools.product(range(-2, 3), repeat=k):
-                g = kgroups.KClass(kgroups.K0, nf, (0,) * k)
+                g = kgroups.KClass(kgroups.K0, alg, nf, (0,) * k)
                 if view.cone_contains(g) and view.cone_contains(-g):
                     assert g.normal_form == (0,) * k
     print("criterion 3 (K0 rank/unit for k<=3, d<=3, rank enumeration): PASS")
@@ -141,24 +141,24 @@ def test_criterion_5_k_splitting():
                                  rand.partial_unitary(srng, FD23, 1))
         y = kgroups.k_pair_class(rand.partial_unitary(srng, FD23, 1),
                                  rand.partial_unitary(srng, FD23, 1))
-        x0, x1 = kgroups.theta_map(FD23, x)
-        y0, y1 = kgroups.theta_map(FD23, y)
-        s0, s1 = kgroups.theta_map(FD23, x + y)
+        x0, x1 = kgroups.theta_map(x)
+        y0, y1 = kgroups.theta_map(y)
+        s0, s1 = kgroups.theta_map(x + y)
         assert s0 == x0 + y0 and s1 == x1 + y1
     # surjectivity: constructed witnesses hit 25 random targets exactly
     rng = rand.stream(5, 10_000)
     for _ in range(25):
         target = kgroups.KClass(
-            kgroups.K0,
+            kgroups.K0, FD23,
             (int(rng.integers(-5, 6)), int(rng.integers(-5, 6))), (0, 0))
-        v, p = kgroups.theta_surjectivity_witness(FD23, target)
-        got, _ = kgroups.theta_map(FD23, kgroups.k_pair_class(v, p))
+        v, p = kgroups.theta_surjectivity_witness(target)
+        got, _ = kgroups.theta_map(kgroups.k_pair_class(v, p))
         assert got == target
     # ker(theta) = 0, so K/ker(theta) = K maps isomorphically onto K0 + K1
     seen = set()
     for nf in itertools.product(range(-3, 4), repeat=2):
-        x = kgroups.KClass(kgroups.K, nf, (0, 0))
-        k0_part, k1_part = kgroups.theta_map(FD23, x)
+        x = kgroups.KClass(kgroups.K, FD23, nf, (0, 0))
+        k0_part, k1_part = kgroups.theta_map(x)
         if k0_part.normal_form == (0, 0) and k1_part.normal_form == ():
             assert x.normal_form == (0, 0)
         seen.add((k0_part.normal_form, k1_part.normal_form))

@@ -113,7 +113,7 @@ OPERAND_TABLE = {
     "k_pair_class": (
         (AlgebraMismatch, "pair members live over different algebras"),
         (LevelMismatch, "partial unitarity is defined at square levels only"),
-        _NOT_PART, kgroups.KClass(kgroups.K, (1, 2), (2, 4))),
+        _NOT_PART, kgroups.KClass(kgroups.K, FD12, (1, 2), (2, 4))),
 }
 
 

@@ -1,5 +1,7 @@
 """Tests for the K-groups, morphism functoriality, and the splitting map."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,12 +58,12 @@ vectors2 = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 @given(vectors2, vectors2, vectors2)
 def test_kclass_group_laws(a, b, c):
     zero2 = (0, 0)
-    xa = kgroups.KClass(kgroups.K0, a, zero2)
-    xb = kgroups.KClass(kgroups.K0, b, zero2)
-    xc = kgroups.KClass(kgroups.K0, c, zero2)
+    xa = kgroups.KClass(kgroups.K0, FD23, a, zero2)
+    xb = kgroups.KClass(kgroups.K0, FD23, b, zero2)
+    xc = kgroups.KClass(kgroups.K0, FD23, c, zero2)
     assert (xa + xb) + xc == xa + (xb + xc)
     assert xa + xb == xb + xa
-    ident = kgroups.KClass(kgroups.K0, zero2, zero2)
+    ident = kgroups.KClass(kgroups.K0, FD23, zero2, zero2)
     assert xa + ident == xa
     assert xa + (-xa) == ident
     assert (xa - xb) + xb == xa
@@ -71,8 +73,8 @@ def test_kclass_group_laws(a, b, c):
 @given(vectors2, vectors2)
 def test_kclass_equality_is_normal_form(a, b):
     shift = (7, -3)
-    x = kgroups.KClass(kgroups.K0, a, b)
-    y = kgroups.KClass(kgroups.K0,
+    x = kgroups.KClass(kgroups.K0, FD23, a, b)
+    y = kgroups.KClass(kgroups.K0, FD23,
                        tuple(p + s for p, s in zip(a, shift)),
                        tuple(m + s for m, s in zip(b, shift)))
     assert x == y
@@ -80,22 +82,35 @@ def test_kclass_equality_is_normal_form(a, b):
 
 
 def test_kclass_inverse_swaps_parts():
-    x = kgroups.KClass(kgroups.K, (3, 1), (0, 2))
+    x = kgroups.KClass(kgroups.K, FD23, (3, 1), (0, 2))
     assert (-x).plus_part == (0, 2)
     assert (-x).minus_part == (3, 1)
-    assert x + (-x) == kgroups.KClass(kgroups.K, (0, 0), (0, 0))
+    assert x + (-x) == kgroups.KClass(kgroups.K, FD23, (0, 0), (0, 0))
 
 
 def test_kclass_scale_matches_repeated_addition():
-    x = kgroups.KClass(kgroups.K, (3, 1), (0, 2))
+    x = kgroups.KClass(kgroups.K, FD23, (3, 1), (0, 2))
     for n in range(-4, 5):
         step = x if n >= 0 else -x
-        total = kgroups.KClass(kgroups.K, (0, 0), (0, 0))
+        total = kgroups.KClass(kgroups.K, FD23, (0, 0), (0, 0))
         for _ in range(abs(n)):
             total = total + step
         got = x.scale(n)
         assert (got.plus_part, got.minus_part) == (total.plus_part,
                                                    total.minus_part), n
+
+
+def test_kclasses_over_different_algebras_do_not_combine():
+    x = kgroups.KClass(kgroups.K0, algebra.AlgebraSpec.fd([1, 2]),
+                       (1, 2), (0, 0))
+    y = kgroups.KClass(kgroups.K0, algebra.AlgebraSpec.fd([3]), (1,), (0,))
+    with pytest.raises(AlgebraMismatch):
+        x + y
+    with pytest.raises(AlgebraMismatch):
+        x - y
+    # the trivial fd K1 classes of two algebras are different classes
+    assert (kgroups.KClass(kgroups.K1, M2, (), ())
+            != kgroups.KClass(kgroups.K1, FD23, (), ()))
 
 
 def test_well_definedness_under_padding():
@@ -199,7 +214,7 @@ def test_k0_cone_proper():
     view = kgroups.k0_group(FD23)
     for a in range(-2, 3):
         for b in range(-2, 3):
-            g = kgroups.KClass(kgroups.K0, (a, b), (0, 0))
+            g = kgroups.KClass(kgroups.K0, FD23, (a, b), (0, 0))
             if view.cone_contains(g) and view.cone_contains(-g):
                 assert g.normal_form == (0, 0)
 
@@ -210,7 +225,7 @@ def test_k1_fd_trivial_with_whitehead():
     assert dict(view.flags)["whitehead"]
     rng = rand.stream(303, 0)
     u = rand.unitary(rng, M2, 2)
-    assert kgroups.k1_class(u) == kgroups.KClass(kgroups.K1, (), ())
+    assert kgroups.k1_class(u) == kgroups.KClass(kgroups.K1, M2, (), ())
 
 
 def test_k1_circle_is_winding_group():
@@ -228,7 +243,7 @@ def test_k1_whitehead_relation_on_classes():
     for w in (-2, 0, 3):
         u = rand.unitary(rng, CIRCLE1, 2, winding=w)
         total = kgroups.k1_class(u) + kgroups.k1_class(u.adjoint())
-        assert total == kgroups.KClass(kgroups.K1, (0,), (0,))
+        assert total == kgroups.KClass(kgroups.K1, CIRCLE1, (0,), (0,))
 
 
 def test_k_group_fd():
@@ -245,7 +260,7 @@ def test_k_cone_proper():
     view = kgroups.k_group(FD23)
     for a in range(-2, 3):
         for b in range(-2, 3):
-            g = kgroups.KClass(kgroups.K, (a, b), (0, 0))
+            g = kgroups.KClass(kgroups.K, FD23, (a, b), (0, 0))
             if view.cone_contains(g) and view.cone_contains(-g):
                 assert g.normal_form == (0, 0)
 
@@ -258,6 +273,16 @@ def test_k_group_fd_takes_the_k0_unit_and_generators():
     for g, h in zip(view.generators, k0.generators):
         for a, b in zip(g.stacks, h.stacks):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("alg", [FD23, CIRCLE1], ids=["fd23", "circle1"])
+@pytest.mark.parametrize("tag", [kgroups.K0, kgroups.K1, kgroups.K])
+def test_group_view_reads_tag_and_algebra_from_its_order_unit(alg, tag):
+    view = kgroups.group_view(alg, tag)
+    assert [f.name for f in dataclasses.fields(view)] == [
+        "order_unit", "cone", "flags", "generators"]
+    assert view.order_unit.group_tag == tag
+    assert view.order_unit.algebra == alg
 
 
 def test_k_circle_exposes_fragment():
@@ -294,9 +319,21 @@ def test_induced_class_needs_a_class_over_the_source():
             morphisms.identity_morphism(algebra.AlgebraSpec.fd([3])), y)
     # over the source itself the identity fixes the class
     assert kgroups.induced_class(morphisms.identity_morphism(fd12), y) == y
-    trivial = kgroups.KClass(kgroups.K1, (), ())
+    trivial = kgroups.KClass(kgroups.K1, fd1, (), ())
     assert kgroups.induced_class(morphisms.identity_morphism(fd1),
                                  trivial) == trivial
+
+
+def test_induced_class_compares_algebras_not_lengths():
+    # a circle K class (support rank 1, winding 1) has as many entries as
+    # a class over fd [1, 1], but does not live over it
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    u = rand.unitary(rand.stream(309, 2), circle, 1, winding=1)
+    x = kgroups.k_class(u)
+    assert x.normal_form == (1, 1)
+    with pytest.raises(AlgebraMismatch):
+        kgroups.induced_class(
+            morphisms.identity_morphism(algebra.AlgebraSpec.fd([1, 1])), x)
 
 
 def test_morphism_preserves_unit_and_abs():
@@ -404,6 +441,28 @@ def test_morphism_validation_rejects_non_unital():
                                ((1,),), (np.eye(3),)).validate()
 
 
+FD12 = algebra.AlgebraSpec.fd([1, 2])
+
+
+@pytest.mark.parametrize("conjugators, message", [
+    ((np.eye(1),), "1 conjugators for 2 target blocks"),
+    ((np.eye(1), np.eye(2), np.eye(3)), "3 conjugators for 2 target blocks"),
+], ids=["fewer", "more"])
+def test_morphism_validation_counts_conjugators(conjugators, message):
+    spec = morphisms.MorphismSpec(FD12, FD12, ((1, 0), (0, 1)), conjugators)
+    with pytest.raises(NotUnital, match=message):
+        spec.validate()
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, True],
+                         ids=["fraction", "float", "bool"])
+def test_morphism_validation_rejects_non_integer_multiplicities(entry):
+    spec = morphisms.MorphismSpec(FD12, FD12, ((entry, 0), (0, 1)),
+                                  (np.eye(1), np.eye(2)))
+    with pytest.raises(NotUnital, match="non-integer entry"):
+        spec.validate()
+
+
 def test_apply_and_compose_reject_an_overfilling_spec():
     # two copies of a 2x2 block do not fit in a 3x3 block, unital or not
     fd3 = algebra.AlgebraSpec.fd([3])
@@ -422,18 +481,18 @@ def test_apply_and_compose_reject_an_overfilling_spec():
 def test_theta_of_zero():
     z = algebra.zero(FD23, 1)
     x = kgroups.k_pair_class(z, z)
-    k0_part, k1_part = kgroups.theta_map(FD23, x)
+    k0_part, k1_part = kgroups.theta_map(x)
     assert k0_part.normal_form == (0, 0)
-    assert k1_part == kgroups.KClass(kgroups.K1, (), ())
+    assert k1_part == kgroups.KClass(kgroups.K1, FD23, (), ())
 
 
 def test_theta_of_unit():
     e = algebra.order_unit(FD23, 1)
     z = algebra.zero(FD23, 1)
     x = kgroups.k_pair_class(e, z)
-    k0_part, k1_part = kgroups.theta_map(FD23, x)
+    k0_part, k1_part = kgroups.theta_map(x)
     assert k0_part.normal_form == (2, 3)
-    assert k1_part == kgroups.KClass(kgroups.K1, (), ())
+    assert k1_part == kgroups.KClass(kgroups.K1, FD23, (), ())
 
 
 def test_theta_is_homomorphism():
@@ -445,9 +504,9 @@ def test_theta_is_homomorphism():
         v2 = rand.partial_unitary(rng, FD23, 1)
         x = kgroups.k_pair_class(u1, v1)
         y = kgroups.k_pair_class(u2, v2)
-        sx0, sx1 = kgroups.theta_map(FD23, x)
-        sy0, sy1 = kgroups.theta_map(FD23, y)
-        ts0, ts1 = kgroups.theta_map(FD23, x + y)
+        sx0, sx1 = kgroups.theta_map(x)
+        sy0, sy1 = kgroups.theta_map(y)
+        ts0, ts1 = kgroups.theta_map(x + y)
         assert ts0 == sx0 + sy0
         assert ts1 == sx1 + sy1
 
@@ -465,12 +524,12 @@ def test_theta_witnesses_validate():
 def test_theta_surjectivity_recipe():
     rng = rand.stream(314, 0)
     for _ in range(10):
-        target = kgroups.KClass(kgroups.K0,
+        target = kgroups.KClass(kgroups.K0, FD23,
                                 (int(rng.integers(-4, 5)), int(rng.integers(-4, 5))),
                                 (0, 0))
-        v, p = kgroups.theta_surjectivity_witness(FD23, target)
+        v, p = kgroups.theta_surjectivity_witness(target)
         x = kgroups.k_pair_class(v, p)
-        k0_part, _ = kgroups.theta_map(FD23, x)
+        k0_part, _ = kgroups.theta_map(x)
         assert k0_part == target
 
 
@@ -479,8 +538,8 @@ def test_theta_kernel_trivial_fd():
     # the support-rank vector of x to vanish
     for a in range(-3, 4):
         for b in range(-3, 4):
-            x = kgroups.KClass(kgroups.K, (a, b), (0, 0))
-            k0_part, k1_part = kgroups.theta_map(FD23, x)
+            x = kgroups.KClass(kgroups.K, FD23, (a, b), (0, 0))
+            k0_part, k1_part = kgroups.theta_map(x)
             if k0_part.normal_form == (0, 0) and k1_part.normal_form == ():
                 assert x.normal_form == (0, 0)
 
@@ -509,9 +568,9 @@ def test_theta_is_additive_on_the_circle_fragment(alg):
                           for _ in range(4)]
         x = kgroups.k_pair_class(u1, v1)
         y = kgroups.k_pair_class(u2, v2)
-        sx0, sx1 = kgroups.theta_map(alg, x)
-        sy0, sy1 = kgroups.theta_map(alg, y)
-        ts0, ts1 = kgroups.theta_map(alg, x + y)
+        sx0, sx1 = kgroups.theta_map(x)
+        sy0, sy1 = kgroups.theta_map(y)
+        ts0, ts1 = kgroups.theta_map(x + y)
         assert ts0 == sx0 + sy0
         assert ts1 == sx1 + sy1
         # a direct sum of two full-support operands is of full support
@@ -527,7 +586,7 @@ def test_theta_k1_part_is_the_winding_on_the_circle_fragment(alg):
     for _ in range(8):
         u, w = fragment_partial_unitary(rng, alg)
         z = algebra.zero(alg, u.row_level)
-        k0_part, k1_part = kgroups.theta_map(alg, kgroups.k_pair_class(u, z))
+        k0_part, k1_part = kgroups.theta_map(kgroups.k_pair_class(u, z))
         assert k0_part.normal_form == eqv.support_invariant(u)
         assert k1_part.normal_form == (w,)
 
@@ -535,11 +594,23 @@ def test_theta_k1_part_is_the_winding_on_the_circle_fragment(alg):
 def test_theta_surjectivity_recipe_circle():
     alg = CIRCLE_FRAGMENT[0]
     for c in range(-4, 5):
-        target = kgroups.KClass(kgroups.K0, (c,), (0,))
-        v, p = kgroups.theta_surjectivity_witness(alg, target)
-        k0_part, k1_part = kgroups.theta_map(alg, kgroups.k_pair_class(v, p))
+        target = kgroups.KClass(kgroups.K0, alg, (c,), (0,))
+        v, p = kgroups.theta_surjectivity_witness(target)
+        k0_part, k1_part = kgroups.theta_map(kgroups.k_pair_class(v, p))
         assert k0_part == target
         assert k1_part.normal_form == (0,)
+
+
+def test_theta_splits_by_the_class_algebra():
+    # circle dim 2 grid 64: one summand, so the K0 part is the class's
+    # first entry (support rank 2 at level 1) and the rest is the winding
+    alg = CIRCLE_FRAGMENT[1]
+    v = rand.partial_unitary(rand.stream(317, 0), alg, 1, [2], winding=-1)
+    x = kgroups.k_class(v)
+    assert x.normal_form == (2, -1)
+    assert kgroups.theta_map(x) == (
+        kgroups.KClass(kgroups.K0, alg, (2,), (0,)),
+        kgroups.KClass(kgroups.K1, alg, (-1,), (0,)))
 
 
 # -- decomposition constructions -------------------------------------------

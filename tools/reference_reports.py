@@ -10,7 +10,8 @@ Builds every input from seeded ``amok.rand`` draws and writes it under
 
 * ``check-axioms --trials 8 --seed 3`` on fd [1,2], [2,2], [3],
   circle dim 1 grid 16 and circle dim 2 grid 64;
-* ``kgroup --which k0|k1|k`` on the same four algebras;
+* ``kgroup --which k0|k1|k`` on fd [1,2], [2,2], [3] and circle dim 1
+  grid 16;
 * ``equiv`` in every relation on fd [1,2], circle dim 1 grid 16 and
   circle dim 2 grid 64 pairs, equivalent and not;
 * ``equiv --relation mvn`` on an fd [1,2] projection at level 1 against

@@ -218,8 +218,11 @@ def cmd_equiv(args) -> int:
             witness = serialize.certificate_to_json(cert)
     else:
         if args.relation == "h":
+            # the unitary decider only for a pair of unitaries, so the
+            # answer does not depend on the operand order
             decide = (eqv.homotopic_unitaries
                       if model.is_unitary(u, cfg.tol_pred)
+                      and model.is_unitary(v, cfg.tol_pred)
                       else eqv.homotopic_partial_unitaries)
         else:
             decide = _PATH_DECIDERS[args.relation]

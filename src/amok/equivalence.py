@@ -130,7 +130,8 @@ class HomotopyPath:
     algebra: entry t of stack j is stack j of sample t.  ``samples`` is
     either a sequence of Elements of one shape, stacked here once, or,
     with ``like`` given, one such (T, B, r, c) stack per summand at the
-    algebra and levels of the element ``like``.
+    algebra and levels of the element ``like``.  ``relation_domain`` is
+    one of ``UNITARY_SET``, ``PARTIAL_UNITARY_SET`` and ``PROJECTION_SET``.
     """
     algebra: AlgebraSpec
     row_level: int
@@ -141,6 +142,10 @@ class HomotopyPath:
 
     def __init__(self, samples, relation_domain: str,
                  step_bound: float = STEP_BOUND, *, like: Element = None):
+        if relation_domain not in (UNITARY_SET, PARTIAL_UNITARY_SET,
+                                   PROJECTION_SET):
+            raise PreconditionFailure(
+                f"unknown relation domain {relation_domain!r}")
         if like is None:
             samples = tuple(samples)
             if not samples:
@@ -227,10 +232,8 @@ class HomotopyPath:
             p1 = sh @ flat
             p2 = flat @ sh
             res = np.maximum(np.abs(p1 - p2), np.abs(p1 @ p1 - p1))
-        elif self.relation_domain == PROJECTION_SET:
+        else:  # PROJECTION_SET
             res = np.maximum(np.abs(flat - sh), np.abs(flat @ flat - flat))
-        else:
-            raise ValueError(f"unknown relation domain {self.relation_domain!r}")
         diffs = (S[1:] - S[:-1]).reshape((T - 1) * B, n, n)
         norms = np.linalg.norm(diffs, axis=(1, 2))
         loose = ~(norms <= limit * (1.0 - 1e-12))

@@ -218,6 +218,21 @@ def _levels(rng):
     return int(rng.integers(1, 4)), int(rng.integers(1, 4))
 
 
+def abs_hoelder_excess(rng, algebra: AlgebraSpec, n: int) -> float:
+    """Spot check that |.| is Hoelder-1/2 continuous: the largest gap
+    ||v + d| - |v|| above 40 sqrt(delta) for one drawn v at level n and
+    a drawn d of each scale delta in 1e-2, 1e-4, 1e-6; 0 if none is."""
+    v = rand.element(rng, algebra, n, n)
+    res = 0.0
+    for delta in (1e-2, 1e-4, 1e-6):
+        d = rand.element(rng, algebra, n, n, scale=delta)
+        gap = model.distance(model.abs_value(v + d), model.abs_value(v))
+        # square-root Hoelder bound with a generous stable constant
+        if gap > 40.0 * np.sqrt(delta):
+            res = max(res, gap)
+    return res
+
+
 # -- element-calculus properties -------------------------------------------
 
 def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
@@ -394,16 +409,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                                classify_lattice))
 
     def abs_continuity(rng, t):
-        n = int(rng.integers(1, 4))
-        v = rand.element(rng, algebra, n, n)
-        res = 0.0
-        for delta in (1e-2, 1e-4, 1e-6):
-            d = rand.element(rng, algebra, n, n, scale=delta)
-            gap = model.distance(model.abs_value(v + d), model.abs_value(v))
-            # square-root Hoelder bound with a generous stable constant
-            if gap > 40.0 * np.sqrt(delta):
-                res = max(res, gap)
-        return res
+        return abs_hoelder_excess(rng, algebra, int(rng.integers(1, 4)))
 
     properties.append(Property("abs-continuity", t_slow, abs_continuity))
 

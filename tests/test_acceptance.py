@@ -95,7 +95,7 @@ def test_criterion_3_k0_structure():
             assert kgroups.grothendieck_complete(gens)["rank"] == k
             # cone properness on a small window
             for nf in itertools.product(range(-2, 3), repeat=k):
-                g = kgroups.KClass(kgroups.K0, alg, nf, (0,) * k)
+                g = kgroups.KClass(kgroups.K0, alg, nf)
                 if view.cone_contains(g) and view.cone_contains(-g):
                     assert g.normal_form == (0,) * k
     print("criterion 3 (K0 rank/unit for k<=3, d<=3, rank enumeration): PASS")
@@ -150,14 +150,14 @@ def test_criterion_5_k_splitting():
     for _ in range(25):
         target = kgroups.KClass(
             kgroups.K0, FD23,
-            (int(rng.integers(-5, 6)), int(rng.integers(-5, 6))), (0, 0))
+            (int(rng.integers(-5, 6)), int(rng.integers(-5, 6))))
         v, p = kgroups.theta_surjectivity_witness(target)
         got, _ = kgroups.theta_map(kgroups.k_pair_class(v, p))
         assert got == target
     # ker(theta) = 0, so K/ker(theta) = K maps isomorphically onto K0 + K1
     seen = set()
     for nf in itertools.product(range(-3, 4), repeat=2):
-        x = kgroups.KClass(kgroups.K, FD23, nf, (0, 0))
+        x = kgroups.KClass(kgroups.K, FD23, nf)
         k0_part, k1_part = kgroups.theta_map(x)
         if k0_part.normal_form == (0, 0) and k1_part.normal_form == ():
             assert x.normal_form == (0, 0)

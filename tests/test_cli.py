@@ -301,6 +301,19 @@ def test_equiv_circle_windings_reported(tmp_path, capsys):
     assert report["windings"] == [1, 0]
 
 
+def test_equiv_h_answers_in_either_operand_order(tmp_path, capsys):
+    # a unitary against a rank-1 partial unitary: neither order may stop
+    # at the unitary predicate of the second operand
+    rng = rand.stream(403, 0)
+    uf = write_element(tmp_path / "u.json", rand.unitary(rng, M2, 1))
+    vf = write_element(tmp_path / "v.json",
+                       rand.partial_unitary(rng, M2, 1, ranks=[1]))
+    for a, b in ((uf, vf), (vf, uf)):
+        assert cli.main(["equiv", a, b, "--relation", "h",
+                         "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is False
+
+
 def test_canonical_dump_is_the_stdlib_dump(tmp_path, capsys):
     circle2 = algebra.AlgebraSpec.circle(2, 64)
     rng = rand.stream(402, 0)

@@ -113,7 +113,7 @@ OPERAND_TABLE = {
     "k_pair_class": (
         (AlgebraMismatch, "pair members live over different algebras"),
         (LevelMismatch, "partial unitarity is defined at square levels only"),
-        _NOT_PART, kgroups.KClass(kgroups.K, FD12, (1, 2), (2, 4))),
+        _NOT_PART, kgroups.KClass(kgroups.K, FD12, (-1, -2))),
 }
 
 
@@ -129,9 +129,7 @@ def test_decider_operand_errors(decider, row):
         assert type(info.value) is error
         assert str(info.value) == message
     elif decider == "k_pair_class":
-        got = decide(*OPERAND_ROWS[row])
-        assert (got.plus_part, got.minus_part) == (want.plus_part,
-                                                   want.minus_part)
+        assert decide(*OPERAND_ROWS[row]) == want
     else:
         assert decide(*OPERAND_ROWS[row])[0] is want
 
@@ -744,3 +742,11 @@ def test_path_rejects_samples_of_different_shapes():
         eqv.HomotopyPath((), eqv.UNITARY_SET)
     with pytest.raises(ShapeMismatch):
         eqv.HomotopyPath(E2.stacks, eqv.UNITARY_SET, like=E2)
+
+
+def test_path_rejects_an_unknown_relation_domain():
+    with pytest.raises(PreconditionFailure, match="unknown relation domain"):
+        eqv.HomotopyPath((E, E), "unitaries")
+    with pytest.raises(PreconditionFailure, match="unknown relation domain"):
+        eqv.HomotopyPath(tuple(s[None] for s in E.stacks), "unitaries",
+                         like=E)

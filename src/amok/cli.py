@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Commands: check-axioms, classify, kgroup, equiv, theta.  All randomness
-derives from (--seed, trial index); JSON reports are canonical
-(sorted keys, compact) so identical configurations produce
-byte-identical output.  Exit codes: 0 all pass, 1 property failure,
-2 input error, 3 numerical failure.
+Commands: check-axioms, classify, kgroup, equiv, theta.  Each command
+``cmd_x(args, cfg)`` loads its inputs, computes, and returns its own
+report fields, its text lines and its exit code; ``main`` runs the
+envelope around it: the RunConfig, the memo scope, the timer, the
+``command`` and ``config`` fields, the write to stdout or --out, and
+the exit codes of errors.  All randomness derives from (--seed, trial
+index); JSON reports are canonical (sorted keys, compact) so identical
+configurations produce byte-identical output.  Exit codes: 0 all pass,
+1 property failure, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -114,35 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> suites.RunConfig:
-    return suites.RunConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(suites.RunConfig)})
-
-
-def _emit(args, report: dict, text_lines, elapsed: float) -> None:
-    if args.format == "json":
-        out = serialize.dumps_canonical(report)
-    else:
-        out = "\n".join(text_lines + [f"elapsed: {elapsed:.2f}s"])
-    # two writes: a witness report is too large to copy for one newline
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-            fh.write("\n")
-    else:
-        sys.stdout.write(out)
-        sys.stdout.write("\n")
-
-
-def cmd_check_axioms(args) -> int:
-    cfg = _config(args)
+def cmd_check_axioms(args, cfg):
     algebra = serialize.load_algebra(args.algebra)
-    t0 = time.time()
     results = suites.check_axioms(algebra, cfg)
-    elapsed = time.time() - t0
-    report = {"command": "check-axioms",
-              "algebra": serialize.algebra_to_json(algebra),
-              "config": dataclasses.asdict(cfg),
+    report = {"algebra": serialize.algebra_to_json(algebra),
               "properties": [r.to_json() for r in results]}
     lines = [f"check-axioms over {serialize.dumps_canonical(report['algebra'])}"]
     for r in results:
@@ -151,27 +130,17 @@ def cmd_check_axioms(args) -> int:
                      f"worst={r.worst_residual:.3e} failures={len(r.failures)}")
         for f in r.failures[:3]:
             lines.append(f"      {f}")
-    _emit(args, report, lines, elapsed)
-    return EXIT_PASS if all(r.passed for r in results) else EXIT_PROPERTY
+    return (report, lines,
+            EXIT_PASS if all(r.passed for r in results) else EXIT_PROPERTY)
 
 
-def cmd_classify(args) -> int:
-    cfg = _config(args)
+def cmd_classify(args, cfg):
     v = serialize.load_element(args.element)
-    t0 = time.time()
     flags = model.classify(v, cfg.tol_pred)
     a = model.abs_value(v)
     astar = model.abs_value(v.adjoint())
     norm = model.order_unit_norm(v, cfg.tol_bisect)
-    elapsed = time.time() - t0
-    report = {"command": "classify",
-              "config": dataclasses.asdict(cfg),
-              "flags": {"is_selfadjoint": flags.is_selfadjoint,
-                        "is_positive": flags.is_positive,
-                        "is_order_projection": flags.is_order_projection,
-                        "is_partial_isometry": flags.is_partial_isometry,
-                        "is_unitary": flags.is_unitary,
-                        "is_partial_unitary": flags.is_partial_unitary},
+    report = {"flags": dataclasses.asdict(flags),
               "norm": norm,
               "abs": serialize.element_to_json(a),
               "abs_adjoint": serialize.element_to_json(astar)}
@@ -179,20 +148,14 @@ def cmd_classify(args) -> int:
     for k, val in report["flags"].items():
         lines.append(f"  {k}: {val}")
     lines.append(f"  norm: {norm:.12g}")
-    _emit(args, report, lines, elapsed)
-    return EXIT_PASS
+    return report, lines, EXIT_PASS
 
 
-def cmd_kgroup(args) -> int:
-    cfg = _config(args)
+def cmd_kgroup(args, cfg):
     algebra = serialize.load_algebra(args.algebra)
     tag = {"k0": kgroups.K0, "k1": kgroups.K1, "k": kgroups.K}[args.which]
-    t0 = time.time()
     view = kgroups.group_view(algebra, tag)
-    elapsed = time.time() - t0
-    report = {"command": "kgroup",
-              "algebra": serialize.algebra_to_json(algebra),
-              "config": dataclasses.asdict(cfg),
+    report = {"algebra": serialize.algebra_to_json(algebra),
               "view": serialize.group_view_to_json(view)}
     lines = [f"{tag} of {serialize.dumps_canonical(report['algebra'])}",
              f"  rank: {view.rank}",
@@ -200,15 +163,12 @@ def cmd_kgroup(args) -> int:
              f"  cone: {view.cone}"]
     for name, val in view.flags:
         lines.append(f"  {name}: {val}")
-    _emit(args, report, lines, elapsed)
-    return EXIT_PASS
+    return report, lines, EXIT_PASS
 
 
-def cmd_equiv(args) -> int:
-    cfg = _config(args)
+def cmd_equiv(args, cfg):
     u = serialize.load_element(args.u)
     v = serialize.load_element(args.v)
-    t0 = time.time()
     witness = None
     if args.relation == "mvn":
         # the decider validates its certificate at tol_pred before
@@ -230,9 +190,7 @@ def cmd_equiv(args) -> int:
         ok, path = decide(u, v, cfg.tol_pred, tol_path=cfg.tol_path)
         if path is not None:
             witness = serialize.path_to_json(path)
-    elapsed = time.time() - t0
-    report = {"command": "equiv", "relation": args.relation,
-              "config": dataclasses.asdict(cfg), "equivalent": bool(ok),
+    report = {"relation": args.relation, "equivalent": bool(ok),
               "witness": witness}
     lines = [f"equiv --relation {args.relation}: {bool(ok)}"]
     with contextlib.suppress(AmokError):
@@ -242,23 +200,18 @@ def cmd_equiv(args) -> int:
             lines.append(f"  windings: {windings}")
     if witness is not None:
         lines.append(f"  witness kind: {witness['kind']} (validated)")
-    _emit(args, report, lines, elapsed)
-    return EXIT_PASS
+    return report, lines, EXIT_PASS
 
 
-def cmd_theta(args) -> int:
-    cfg = _config(args)
+def cmd_theta(args, cfg):
     obj = serialize._read_json(args.x)
     serialize._require_fields(obj, ("u", "v"), ("u", "v"), "theta input")
     u = serialize.parse_element(obj["u"])
     v = serialize.parse_element(obj["v"])
-    t0 = time.time()
     x = kgroups.k_pair_class(u, v, cfg.tol_pred)
     k0_part, k1_part = kgroups.theta_map(x)
     au, mu_u = kgroups.theta_witnesses(u, cfg.tol_pred)
-    elapsed = time.time() - t0
-    report = {"command": "theta", "config": dataclasses.asdict(cfg),
-              "k_class": list(x.normal_form),
+    report = {"k_class": list(x.normal_form),
               "k0_part": list(k0_part.normal_form),
               "k1_part": list(k1_part.normal_form),
               "eta_witness": serialize.element_to_json(au),
@@ -268,18 +221,34 @@ def cmd_theta(args) -> int:
              f"  K1 part: {list(k1_part.normal_form)}"
              + ("" if k1_part.normal_form else " (trivial group)"),
              "  mu witness validated unitary"]
-    _emit(args, report, lines, elapsed)
-    return EXIT_PASS
+    return report, lines, EXIT_PASS
+
+
+_COMMANDS = {"check-axioms": cmd_check_axioms, "classify": cmd_classify,
+             "kgroup": cmd_kgroup, "equiv": cmd_equiv, "theta": cmd_theta}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
-    handlers = {"check-axioms": cmd_check_axioms, "classify": cmd_classify,
-                "kgroup": cmd_kgroup, "equiv": cmd_equiv, "theta": cmd_theta}
+    cfg = suites.RunConfig(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(suites.RunConfig)})
     try:
         with model.memo_scope():
-            return handlers[args.command](args)
+            t0 = time.time()
+            report, lines, code = _COMMANDS[args.command](args, cfg)
+            elapsed = time.time() - t0
+        report.update(command=args.command, config=dataclasses.asdict(cfg))
+        if args.format == "json":
+            out = serialize.dumps_canonical(report)
+        else:
+            out = "\n".join(lines + [f"elapsed: {elapsed:.2f}s"])
+        # two writes: a witness report is too large to copy for one newline
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(out)
+            fh.write("\n")
+        return code
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
         return EXIT_INPUT

@@ -248,7 +248,9 @@ class HomotopyPath:
 
 # per domain: the model predicate an operand must pass (by name, looked up
 # per call), its error and message, and for the homotopy domains the message
-# for operands not at one square level (MvN links projections at any levels)
+# for operands not at one square level (MvN links projections at any levels).
+# Every operand-predicate error of the library, here and in kgroups, comes
+# from this table.
 _OPERANDS = {
     PROJECTION_SET: ("is_order_projection", NotProjection,
                      "operand is not an order projection", None),
@@ -261,17 +263,23 @@ _OPERANDS = {
 }
 
 
+def require_operand(x: Element, tol: float, domain: str) -> None:
+    """Raise the domain's error unless x passes its predicate at tol."""
+    holds, error, message, _ = _OPERANDS[domain]
+    if not getattr(model, holds)(x, tol):
+        raise error(message)
+
+
 def _check_operands(u: Element, v: Element, tol: float, domain: str) -> None:
     """The operand check of a public decider: one algebra, then for the
     homotopy domains one square level, then the domain predicate."""
-    holds, error, message, level_message = _OPERANDS[domain]
     if u.algebra != v.algebra:
         raise AlgebraMismatch("operands live over different algebras")
+    level_message = _OPERANDS[domain][3]
     if level_message and not (u.same_shape(v) and u.is_square_level):
         raise LevelMismatch(level_message)
     for x in (u, v):
-        if not getattr(model, holds)(x, tol):
-            raise error(message)
+        require_operand(x, tol, domain)
 
 
 def _padded(u: Element, v: Element, level: int, filler, domain: str) -> list:
@@ -410,8 +418,7 @@ def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
 def support_invariant(u: Element, tol: float = model.TOL_PRED) -> tuple:
     """Rank per summand of the support projection |u| of a partial
     unitary."""
-    if not model.is_partial_unitary(u, tol):
-        raise NotPartialUnitary("operand fails the partial-unitary predicate")
+    require_operand(u, tol, PARTIAL_UNITARY_SET)
     return proj_invariant(model.abs_value(u), tol)
 
 

@@ -23,8 +23,8 @@ from . import equivalence as eqv
 from . import model, rand, suites
 from .algebra import (CIRCLE, AlgebraSpec, Element, circle_function,
                       direct_sum, order_unit)
-from .errors import (AlgebraMismatch, NotCancellative, NotPartialUnitary,
-                     NotProjection, PreconditionFailure, Unsupported)
+from .errors import (AlgebraMismatch, NotCancellative, NotProjection,
+                     PreconditionFailure, Unsupported)
 from .morphisms import MorphismSpec
 
 K0 = "K0"
@@ -111,13 +111,13 @@ class OrderedGroupView:
 
 def k0_class(p: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(p, 0)] from an order projection."""
+    eqv.require_operand(p, tol, eqv.PROJECTION_SET)
     return KClass(K0, p.algebra, eqv.proj_invariant(p, tol))
 
 
 def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(u, e)] from a unitary."""
-    if not model.is_unitary(u, tol):
-        raise PreconditionFailure("operand fails the unitary predicate")
+    eqv.require_operand(u, tol, eqv.UNITARY_SET)
     return KClass(K1, u.algebra, eqv.k1_invariant(u))
 
 
@@ -339,8 +339,7 @@ def theta_map(x: KClass):
 def theta_witnesses(u: Element, tol: float = model.TOL_PRED):
     """Element-level (eta, mu) data for [(u, 0)]: the support projection
     and the unitary completion u + e - |u| (validated)."""
-    if not model.is_partial_unitary(u, tol):
-        raise NotPartialUnitary("operand fails the partial-unitary predicate")
+    eqv.require_operand(u, tol, eqv.PARTIAL_UNITARY_SET)
     a = model.abs_value(u)
     mu = u + (order_unit(u.algebra, u.row_level) - a)
     if not model.is_unitary(mu, tol):

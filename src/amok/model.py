@@ -93,15 +93,13 @@ def distance(u: Element, v: Element) -> float:
 def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
     """Order-unit norm by bisection over PSD feasibility.
 
-    ||v|| = inf { k : [[k e^n, v], [v*, k e^n]] >= 0 }; rectangular
-    elements are handled through the self-adjoint dilation, which has
-    the same norm.
+    ||v|| = inf { k : [[k e^m, v], [v*, k e^n]] >= 0 } for v at level
+    m x n, square or rectangular: k plus the self-adjoint dilation.
     """
-    if not v.is_square_level:
-        v = dilate(v)
     # writable copies of the dilation [[0, v], [v*, 0]], built once;
     # each step writes k on the diagonal through a strided view
-    bigs = [s.copy() for s in dilate(v).stacks]
+    d = dilate(v)
+    bigs = [s.copy() for s in d.stacks]
     diags = [big.reshape(len(big), -1)[:, ::big.shape[-1] + 1]
              for big in bigs]
 
@@ -112,9 +110,10 @@ def order_unit_norm(v: Element, tol_bisect: float = TOL_BISECT) -> float:
                 return False
         return True
 
-    # 1 + the largest Frobenius norm of a block / grid sample
+    # 1 + the largest Frobenius norm of a block / grid sample, of the
+    # dilation for a rectangular v
     hi = 1.0 + max(float(np.sqrt(np.max(np.sum(np.abs(a) ** 2, axis=(1, 2)))))
-                   for a in v.stacks)
+                   for a in (v if v.is_square_level else d).stacks)
     lo = 0.0
     while hi - lo > tol_bisect:
         mid = (hi + lo) / 2.0

@@ -169,10 +169,12 @@ def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Eleme
 
 
 def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
-    """Two nonzero positives with pointwise-disjoint supports.
+    """Two positives with pointwise-disjoint supports.
 
     fd blocks split a common eigenbasis; one-dimensional circle fibers
-    are split along the circle itself instead.
+    are split along the circle itself instead.  Both are nonzero except
+    where there is a single one-dimensional component: on fd [1] at
+    level 1 the second element is exactly zero.
     """
     w = unitary(rng, algebra, level)
     half = algebra.components // 2

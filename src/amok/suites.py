@@ -56,8 +56,9 @@ class PropertyResult:
 
 
 class Property(NamedTuple):
-    """A law checked on ``trials`` seeded trials: ``fn(rng, t)`` returns
-    a residual, and a trial fails above ``tol``."""
+    """A law checked on ``trials`` seeded trials: ``fn(rng)`` returns a
+    residual from the trial's stream ``rand.stream(seed, t)``, and a
+    trial fails above ``tol``."""
     name: str
     trials: int
     fn: Callable
@@ -71,7 +72,7 @@ def _run(cfg: RunConfig, prop: Property) -> PropertyResult:
         rng = rand.stream(cfg.seed, t)
         try:
             with model.memo_scope():
-                res = float(prop.fn(rng, t))
+                res = float(prop.fn(rng))
         except AmokError as exc:
             failures.append({"trial": t, "seed": cfg.seed,
                              "error": f"{type(exc).__name__}: {exc}"})
@@ -240,7 +241,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     t_all = cfg.trials
     t_slow = max(10, cfg.trials // 4)
 
-    def abs_scalar_contraction(rng, t):
+    def abs_scalar_contraction(rng):
         m, n = _levels(rng)
         r, s = _levels(rng)
         v = rand.element(rng, algebra, m, n)
@@ -254,7 +255,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("abs-scalar-contraction", t_all,
                                abs_scalar_contraction))
 
-    def abs_direct_sum(rng, t):
+    def abs_direct_sum(rng):
         m, n = _levels(rng)
         u = rand.element(rng, algebra, m, n)
         w = rand.element(rng, algebra, n, m)
@@ -264,7 +265,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("abs-direct-sum", t_all, abs_direct_sum))
 
-    def abs_dilation(rng, t):
+    def abs_dilation(rng):
         m, n = _levels(rng)
         v = rand.element(rng, algebra, m, n)
         lhs = model.abs_value(dilate(v))
@@ -273,7 +274,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("abs-dilation", t_all, abs_dilation))
 
-    def abs_corner_positive(rng, t):
+    def abs_corner_positive(rng):
         m, n = _levels(rng)
         v = rand.element(rng, algebra, m, n)
         top = model.abs_value(v.adjoint())
@@ -286,7 +287,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("abs-corner-positive", t_all,
                                abs_corner_positive))
 
-    def abs_idempotent(rng, t):
+    def abs_idempotent(rng):
         m, n = _levels(rng)
         a = model.abs_value(rand.element(rng, algebra, m, n))
         return model.distance(model.abs_value(a), a)
@@ -294,7 +295,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("abs-idempotent-on-positives", t_all,
                                abs_idempotent))
 
-    def orth_sum_iff(rng, t):
+    def orth_sum_iff(rng):
         n = int(rng.integers(1, 4))
         u, v = rand.orthogonal_pair(rng, algebra, n)
         res = 0.0
@@ -319,7 +320,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("orthogonality-sum-iff", t_all, orth_sum_iff))
 
-    def orth_scalar_invariance(rng, t):
+    def orth_scalar_invariance(rng):
         n = int(rng.integers(1, 4))
         u, v = rand.orthogonal_pair(rng, algebra, n)
         alpha, beta = rand._cnormal(rng, (2,))
@@ -329,7 +330,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("orthogonality-scalar-invariance", t_all,
                                orth_scalar_invariance))
 
-    def orth_equals_algebraic(rng, t):
+    def orth_equals_algebraic(rng):
         n = int(rng.integers(1, 4))
         u, v = rand.positive_orthogonal_pair(rng, algebra, n)
         tol = cfg.tol_pred
@@ -346,7 +347,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("orthogonal-equals-algebraic", t_all,
                                orth_equals_algebraic))
 
-    def norm_bisect_agreement(rng, t):
+    def norm_bisect_agreement(rng):
         m, n = _levels(rng)
         v = rand.element(rng, algebra, m, n)
         return abs(model.order_unit_norm(v, cfg.tol_bisect) - model.op_norm(v))
@@ -354,7 +355,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("norm-bisection-agreement", t_slow,
                                norm_bisect_agreement, tol=10 * cfg.tol_bisect))
 
-    def norm_direct_sum_max(rng, t):
+    def norm_direct_sum_max(rng):
         m, n = _levels(rng)
         u = rand.element(rng, algebra, m, m)
         w = rand.element(rng, algebra, n, n)
@@ -364,7 +365,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("norm-direct-sum-max", t_slow,
                                norm_direct_sum_max, tol=10 * cfg.tol_bisect))
 
-    def isometry_abs(rng, t):
+    def isometry_abs(rng):
         m, n = _levels(rng)
         r = m + int(rng.integers(0, 3))
         v = rand.element(rng, algebra, m, n)
@@ -376,7 +377,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("isometry-preserves-abs", t_all, isometry_abs))
 
-    def unitary_conj_abs(rng, t):
+    def unitary_conj_abs(rng):
         n = int(rng.integers(1, 4))
         v = rand.element(rng, algebra, n, n)
         g = rand._cnormal(rng, (n, n))
@@ -388,7 +389,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("unitary-scalar-conjugation-abs", t_all,
                                unitary_conj_abs))
 
-    def classify_lattice(rng, t):
+    def classify_lattice(rng):
         n = int(rng.integers(1, 3))
         ok = True
         for maker in (rand.projection, rand.partial_unitary):
@@ -408,7 +409,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("classify-implication-lattice", t_slow,
                                classify_lattice))
 
-    def abs_continuity(rng, t):
+    def abs_continuity(rng):
         return abs_hoelder_excess(rng, algebra, int(rng.integers(1, 4)))
 
     properties.append(Property("abs-continuity", t_slow, abs_continuity))
@@ -430,7 +431,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         return (rand.projection(rng, algebra, level, ranks),
                 rand.projection(rng, algebra, level, ranks))
 
-    def proj_pad(rng, t):
+    def proj_pad(rng):
         p = rand.projection(rng, algebra, 1)
         left = direct_sum(zero(algebra, 1), p)
         right = direct_sum(p, zero(algebra, 1))
@@ -439,7 +440,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("projection-zero-padding", t_fast, proj_pad))
 
-    def proj_sum_compat(rng, t):
+    def proj_sum_compat(rng):
         p, p2 = _rand_proj_pair_same_rank(rng, 1)
         q, q2 = _rand_proj_pair_same_rank(rng, 1)
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
@@ -448,7 +449,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("projection-sum-compatible", t_fast,
                                proj_sum_compat))
 
-    def proj_swap(rng, t):
+    def proj_swap(rng):
         p = rand.projection(rng, algebra, 1)
         q = rand.projection(rng, algebra, 1)
         return _bool(eqv.mvn_equivalent(direct_sum(p, q),
@@ -456,7 +457,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("projection-swap", t_fast, proj_swap))
 
-    def proj_orth_add(rng, t):
+    def proj_orth_add(rng):
         u, v = rand.positive_orthogonal_pair(rng, algebra, 1)
         # snap the disjoint-support positives to projections
         p = _support_projection(u)
@@ -468,7 +469,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("orthogonal-sum-matches-direct-sum", t_fast,
                                proj_orth_add))
 
-    def condition_t(rng, t):
+    def condition_t(rng):
         p = rand.projection(rng, algebra, 2)
         u = rand.unitary(rng, algebra, 2).matmul(p)
         v = rand.unitary(rng, algebra, 2).matmul(p)
@@ -487,7 +488,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         """The decision of a path decider at the run's tolerances."""
         return decide(x, y, tol, tol_path=tol_path)[0]
 
-    def unitary_homotopy(rng, t):
+    def unitary_homotopy(rng):
         w = rand.draw_winding(rng, algebra, 2)
         u = rand.unitary(rng, algebra, 2, winding=w)
         v = rand.unitary(rng, algebra, 2, winding=w)
@@ -496,7 +497,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("unitary-homotopy-paths", t_path,
                                unitary_homotopy))
 
-    def sim1_laws(rng, t):
+    def sim1_laws(rng):
         ws = [rand.draw_winding(rng, algebra, 1) for _ in range(2)]
         u = rand.unitary(rng, algebra, 1, winding=ws[0])
         v = rand.unitary(rng, algebra, 1, winding=ws[0])
@@ -517,7 +518,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
             return rand.uniform_ranks(rng, algebra, 1)
         return [algebra.dim]
 
-    def simK_laws(rng, t):
+    def simK_laws(rng):
         ranks = decided_ranks(rng)
         w0 = rand.draw_winding(rng, algebra, 1)
         u = rand.partial_unitary(rng, algebra, 1, ranks, winding=w0)
@@ -530,7 +531,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 
     properties.append(Property("simK-equivalence-laws", t_path, simK_laws))
 
-    def approx_consistency(rng, t):
+    def approx_consistency(rng):
         w0 = rand.draw_winding(rng, algebra, 1)
         w1 = rand.draw_winding(rng, algebra, 1)
         u = rand.unitary(rng, algebra, 1, winding=w0)
@@ -543,7 +544,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("stabilization-consistency", t_path,
                                approx_consistency))
 
-    def cancellation(rng, t):
+    def cancellation(rng):
         r1, r2, rw = [decided_ranks(rng) for _ in range(3)]
         u = rand.partial_unitary(rng, algebra, 1, r1,
                                  winding=rand.draw_winding(rng, algebra, 1))

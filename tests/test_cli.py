@@ -4,6 +4,7 @@ import contextlib
 import json
 from collections import Counter
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -616,6 +617,104 @@ def test_json_reports_are_byte_identical(tmp_path):
                          "--format", "json", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+FD12 = algebra.AlgebraSpec.fd([1, 2])
+
+# (argv, exit code, every text line but the last, "elapsed: ...")
+TEXT_REPORTS = [
+    (["check-axioms", "fd12.json", "--trials", "2"], 0, [
+        'check-axioms over {"blocks":[1,2],"variant":"fd"}',
+        "  [pass] abs-scalar-contraction: trials=2 worst=2.825e-15 failures=0",
+        "  [pass] abs-direct-sum: trials=2 worst=4.459e-16 failures=0",
+        "  [pass] abs-dilation: trials=2 worst=1.114e-15 failures=0",
+        "  [pass] abs-corner-positive: trials=2 worst=1.353e-15 failures=0",
+        "  [pass] abs-idempotent-on-positives: trials=2 worst=1.567e-15 "
+        "failures=0",
+        "  [pass] orthogonality-sum-iff: trials=2 worst=5.424e-16 failures=0",
+        "  [pass] orthogonality-scalar-invariance: trials=2 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] orthogonal-equals-algebraic: trials=2 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] norm-bisection-agreement: trials=10 worst=2.561e-10 "
+        "failures=0",
+        "  [pass] norm-direct-sum-max: trials=10 worst=4.335e-10 failures=0",
+        "  [pass] isometry-preserves-abs: trials=2 worst=2.589e-15 failures=0",
+        "  [pass] unitary-scalar-conjugation-abs: trials=2 worst=3.595e-16 "
+        "failures=0",
+        "  [pass] classify-implication-lattice: trials=10 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] abs-continuity: trials=10 worst=0.000e+00 failures=0",
+        "  [pass] projection-zero-padding: trials=10 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] projection-sum-compatible: trials=10 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] projection-swap: trials=10 worst=0.000e+00 failures=0",
+        "  [pass] orthogonal-sum-matches-direct-sum: trials=10 "
+        "worst=0.000e+00 failures=0",
+        "  [pass] condition-T-transport: trials=10 worst=0.000e+00 failures=0",
+        "  [pass] unitary-homotopy-paths: trials=5 worst=0.000e+00 failures=0",
+        "  [pass] sim1-equivalence-laws: trials=5 worst=0.000e+00 failures=0",
+        "  [pass] simK-equivalence-laws: trials=5 worst=0.000e+00 failures=0",
+        "  [pass] stabilization-consistency: trials=5 worst=0.000e+00 "
+        "failures=0",
+        "  [pass] simK-cancellation: trials=5 worst=0.000e+00 failures=0"]),
+    (["kgroup", "circle.json", "--which", "k"], 0, [
+        'K of {"dim":1,"grid":16,"variant":"circle"}',
+        "  rank: 2",
+        "  order unit: [1, 0]",
+        "  cone: support",
+        "  homotopy-implies-equivalence: True",
+        "  order-unit-finite: True",
+        "  abs-continuous: True",
+        "  fragment: True"]),
+    (["equiv", "u.json", "v.json", "--relation", "h"], 0, [
+        "equiv --relation h: True",
+        "  windings: [1, 1]",
+        "  witness kind: path (validated)"]),
+    (["equiv", "p.json", "q.json", "--relation", "mvn"], 0, [
+        "equiv --relation mvn: True",
+        "  witness kind: certificate (validated)"]),
+    (["classify", "x.json"], 0, [
+        "classify x.json",
+        "  is_selfadjoint: False",
+        "  is_positive: False",
+        "  is_order_projection: False",
+        "  is_partial_isometry: False",
+        "  is_unitary: False",
+        "  is_partial_unitary: False",
+        "  norm: 2.42530685774"]),
+    (["theta", "pair.json"], 0, [
+        "theta of K class [1, 1]",
+        "  K0 part: [1, 1]",
+        "  K1 part: [] (trivial group)",
+        "  mu witness validated unitary"]),
+]
+
+
+def test_text_report_of_every_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    write_algebra(tmp_path / "fd12.json", FD12)
+    write_algebra(tmp_path / "circle.json", circle)
+    for name, x in (
+            ("u", rand.unitary(rand.stream(5, 0), circle, 1, winding=1)),
+            ("v", rand.unitary(rand.stream(5, 1), circle, 1, winding=1)),
+            ("p", rand.projection(rand.stream(5, 2), FD12, 1, [1, 1])),
+            ("q", rand.projection(rand.stream(5, 3), FD12, 1, [1, 1])),
+            ("x", rand.element(rand.stream(5, 4), FD12, 1, 2))):
+        write_element(tmp_path / f"{name}.json", x)
+    write_json(tmp_path / "pair.json", {
+        "u": serialize.element_to_json(
+            rand.partial_unitary(rand.stream(5, 5), FD12, 1, [1, 2])),
+        "v": serialize.element_to_json(
+            rand.partial_unitary(rand.stream(5, 6), FD12, 1, [0, 1]))})
+    for argv, code, lines in TEXT_REPORTS:
+        assert cli.main(argv) == code, argv
+        *got, last = capsys.readouterr().out.split("\n")
+        assert last == ""
+        assert got[:-1] == lines, argv
+        assert re.fullmatch(r"elapsed: \d+\.\d\ds", got[-1]), argv
 
 
 def test_global_flags_before_or_after_the_command_agree(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amok import algebra, equivalence as eqv, kgroups, model, morphisms, rand
-from amok.errors import (AlgebraMismatch, NoConvergence, NotUnital,
-                         PreconditionFailure, Unsupported)
+from amok.errors import (AlgebraMismatch, NoConvergence, NotProjection,
+                         NotUnital, PreconditionFailure, Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -313,6 +313,21 @@ def test_induced_class_compares_algebras_not_lengths():
     with pytest.raises(AlgebraMismatch):
         kgroups.induced_class(
             morphisms.identity_morphism(algebra.AlgebraSpec.fd([1, 1])), x)
+
+
+def test_k0_class_needs_an_order_projection():
+    # within the sqrt(tol) band of the spectral support, but off by 1e-5
+    # in the order-projection predicate, as mvn_equivalent sees it
+    p = fd_element(M2, np.diag([1 + 1e-5, 0.0]))
+    assert not model.is_order_projection(p)
+    with pytest.raises(NotProjection,
+                       match="^operand is not an order projection$"):
+        eqv.mvn_equivalent(p, p)
+    with pytest.raises(NotProjection,
+                       match="^operand is not an order projection$"):
+        kgroups.k0_class(p)
+    assert kgroups.k0_class(fd_element(M2, np.diag([1.0, 0.0]))) == \
+        kgroups.KClass(kgroups.K0, M2, (1,))
 
 
 def test_group_views_refuse_classes_of_other_groups_or_algebras():

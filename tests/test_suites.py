@@ -27,14 +27,14 @@ def run(properties, cfg=suites.RunConfig(trials=1)):
 
 
 def sleeping(seconds, result=0.0):
-    def fn(rng, t):
+    def fn(rng):
         time.sleep(seconds)
         return result
     return fn
 
 
 def raising(exc, after=0.0):
-    def fn(rng, t):
+    def fn(rng):
         time.sleep(after)
         raise exc
     return fn
@@ -76,7 +76,7 @@ def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     fake_cpus(monkeypatch, cpus)
     parent = os.getpid()
 
-    def only_in_a_worker(rng, t):
+    def only_in_a_worker(rng):
         time.sleep(0.05)
         if os.getpid() != parent:
             raise LookupError("raised in a worker")
@@ -115,7 +115,7 @@ def test_no_child_outlives_an_error_in_the_caller(monkeypatch, cpus):
     fake_cpus(monkeypatch, cpus)
     parent = os.getpid()
 
-    def stop_in_the_caller(rng, t):
+    def stop_in_the_caller(rng):
         if os.getpid() == parent:
             raise ParentStop()
         time.sleep(0.1)

@@ -7,9 +7,12 @@ constructed witness: a partial isometry linking two projections, or a
 sampled homotopy path.  Witnesses are re-validated before they are
 returned.
 
-Each public decider checks its operands once and eigendecomposes each
-projection once, for both its rank and its range basis; the stabilized
-relations only pad their operands and delegate to a public decider.
+Each public decider checks its operands once.  Inside a memo scope
+(``model.memo_scope``) it eigendecomposes each projection once, for its
+predicate, its rank and its range basis, all read from
+``model.spectrum``; outside one, the predicate and the decomposition
+each run one eigensolve.  The stabilized relations only pad their
+operands and delegate to a public decider.
 
 A ``HomotopyPath`` keeps its samples as one read-only (T, B, r, c) stack
 per summand, the element layout with a leading sample axis.  The path
@@ -45,23 +48,17 @@ PROJECTION_SET = "projection"
 
 # -- invariants ------------------------------------------------------------
 
-def _spectral_support(p: Element, tol: float):
-    """Rank of a projection on each summand (one fd block, or the whole
-    circle grid) and, per summand, its (range, kernel) eigenvector
-    columns, from one ``eig_stack`` per summand.
+def _spectral_support(p: Element):
+    """Rank of an order projection on each summand (one fd block, or the
+    whole circle grid) and, per summand, its (range, kernel) eigenvector
+    columns, read from ``model.spectrum(p)``.
 
-    Raises NotProjection when spectra are not within sqrt(tol) of 0/1,
-    or when the rank varies across a summand's batch (circle grid
-    samples); each summand is checked for both in this order."""
-    band = np.sqrt(tol)
+    p must have passed ``model.is_order_projection``, so every eigenvalue
+    is near 0 or 1 and the rank counts those above 1/2.  Raises
+    NotProjection only when the rank varies across a summand's batch
+    (circle grid samples)."""
     ranks, bases = [], []
-    for a in p.stacks:
-        w, V = kernel.eig_stack(a)
-        off = (np.abs(w) > band) & (np.abs(w - 1.0) > band)
-        if off.any():
-            i = int(np.nonzero(off.any(axis=1))[0][0])
-            raise NotProjection(f"eigenvalues {np.round(w[i], 6)} are not "
-                                "within tolerance of 0/1")
+    for w, V in model.spectrum(p):
         counts = np.count_nonzero(w > 0.5, axis=1)
         if np.any(counts != counts[0]):
             raise NotProjection("projection rank varies across grid samples")
@@ -74,9 +71,13 @@ def _spectral_support(p: Element, tol: float):
 
 def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> tuple:
     """Complete invariant of a projection: its rank on each summand, one
-    entry per ``algebra.summands`` entry.  Raises NotProjection when
-    spectra are not 0/1."""
-    return _spectral_support(p, tol)[0]
+    entry per ``algebra.summands`` entry.
+
+    Raises NotProjection("operand is not an order projection") when p
+    fails ``model.is_order_projection`` at tol, and NotProjection when
+    the rank of a circle projection varies across the grid."""
+    require_operand(p, tol, PROJECTION_SET)
+    return _spectral_support(p)[0]
 
 
 def k1_invariant(u: Element) -> tuple:
@@ -303,8 +304,8 @@ def mvn_equivalent(p: Element, q: Element, tol: float = model.TOL_PRED):
     |v| = p (source) and |v*| = q (target).
     """
     _check_operands(p, q, tol, PROJECTION_SET)
-    ip, bp = _spectral_support(p, tol)
-    iq, bq = _spectral_support(q, tol)
+    ip, bp = _spectral_support(p)
+    iq, bq = _spectral_support(q)
     if ip != iq:
         return False, None
     # v = (range basis of q) (range basis of p)^*: v*v = p, vv* = q
@@ -419,7 +420,7 @@ def support_invariant(u: Element, tol: float = model.TOL_PRED) -> tuple:
     """Rank per summand of the support projection |u| of a partial
     unitary."""
     require_operand(u, tol, PARTIAL_UNITARY_SET)
-    return proj_invariant(model.abs_value(u), tol)
+    return _spectral_support(model.abs_value(u))[0]
 
 
 def _conjugation_path(u: Element, W: list, samples: int,
@@ -468,8 +469,8 @@ def homotopic_partial_unitaries(u: Element, v: Element,
     case; mixed-rank functions are outside the decidable fragment.
     """
     _check_operands(u, v, tol, PARTIAL_UNITARY_SET)
-    iu, bu = _spectral_support(model.abs_value(u), tol)
-    iv, bv = _spectral_support(model.abs_value(v), tol)
+    iu, bu = _spectral_support(model.abs_value(u))
+    iv, bv = _spectral_support(model.abs_value(v))
     if iu != iv:
         return False, None
     if u.algebra.variant == FD:

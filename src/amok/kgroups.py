@@ -111,7 +111,6 @@ class OrderedGroupView:
 
 def k0_class(p: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(p, 0)] from an order projection."""
-    eqv.require_operand(p, tol, eqv.PROJECTION_SET)
     return KClass(K0, p.algebra, eqv.proj_invariant(p, tol))
 
 

@@ -6,11 +6,15 @@ distance at a predicate tolerance, with two exceptions that compare the
 largest entry instead: ``is_selfadjoint`` bounds the largest entry of
 v - v*, and ``orthogonal_infty_a`` the largest entry of uv.
 
-Inside ``memo_scope`` the two element functions that reach LAPACK most,
-``abs_value`` and ``op_norm``, are computed once per distinct input:
-a repeat call with a bit-identical argument returns the stored result.
-Outside a scope nothing is cached, except that ``classify`` opens one
-for its own predicates.
+Inside ``memo_scope`` the three element functions that reach LAPACK
+most, ``abs_value``, ``op_norm`` and ``spectrum``, are computed once per
+distinct input: a repeat call with a bit-identical argument returns the
+stored result.  Outside a scope nothing is cached, except that
+``classify`` opens one for its own predicates.
+
+``spectrum`` is the one place where a projection is decomposed: the
+order-projection predicate and the rank and range bases of
+``equivalence`` read the same eigenvalues and eigenvectors.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ _MEMO = contextvars.ContextVar("amok_model_memo")
 
 @contextlib.contextmanager
 def memo_scope():
-    """Cache ``abs_value`` and ``op_norm`` by input content until the
-    block exits; a nested scope starts empty and restores the outer one."""
+    """Cache ``abs_value``, ``op_norm`` and ``spectrum`` by input content
+    until the block exits; a nested scope starts empty and restores the
+    outer one."""
     token = _MEMO.set({})
     try:
         yield
@@ -82,6 +87,17 @@ def op_norm(v: Element) -> float:
     characterization.
     """
     return max(kernel.spectral_norm_stack(a) for a in v.stacks)
+
+
+@_memoized
+def spectrum(v: Element) -> tuple:
+    """One read-only ``(w, V)`` pair per summand stack of a square-level
+    v: ``kernel.eig_stack`` of the stack, eigenvalues ascending."""
+    out = tuple(kernel.eig_stack(a) for a in v.stacks)
+    for w, V in out:
+        w.setflags(write=False)
+        V.setflags(write=False)
+    return out
 
 
 def distance(u: Element, v: Element) -> float:
@@ -153,13 +169,17 @@ class ElementClass:
 
 
 def is_order_projection(v: Element, tol: float = TOL_PRED) -> bool:
-    """v* = v and |2v - e^n| = e^n."""
+    """v* = v and |2v - e^n| = e^n.
+
+    |2v - e^n| - e^n is the function ||2x - 1| - 1| of v, so its
+    operator norm is read off the spectrum of v: the test holds when
+    every eigenvalue is within tol/2 of 0 or 1."""
     if not v.is_square_level:
         return False
     if not is_selfadjoint(v, tol):
         return False
-    e = order_unit(v.algebra, v.row_level)
-    return distance(abs_value(v.scale(2.0) - e), e) <= tol
+    return all(np.all(np.abs(np.abs(2.0 * w - 1.0) - 1.0) <= tol)
+               for w, _ in spectrum(v))
 
 
 def is_partial_isometry(v: Element, tol: float = TOL_PRED) -> bool:

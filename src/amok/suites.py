@@ -563,8 +563,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 def _support_projection(u: Element) -> Element:
     """Spectral support projection of a positive element."""
     stacks = []
-    for a in u.stacks:
-        w, V = kernel.eig_stack(a)
+    for w, V in model.spectrum(u):
         m = (V * (w > 0.1)[:, None, :]) @ V.conj().transpose(0, 2, 1)
         stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
     return Element(u.algebra, u.row_level, u.col_level, tuple(stacks))

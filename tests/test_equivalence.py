@@ -664,25 +664,32 @@ def test_circle_witness_path_validates_without_svd(monkeypatch):
     assert seen == [2 * 64]
 
 
-@pytest.mark.parametrize("decider, draw, calls", [
+@pytest.mark.parametrize("decider, draw, eigs, norms", [
     (eqv.mvn_equivalent,
-     lambda rng: rand.projection(rng, FD12, 1, [1, 1]), 16),
-    (eqv.sim1_equivalent, lambda rng: rand.unitary(rng, FD12, 1), 11),
+     lambda rng: rand.projection(rng, FD12, 1, [1, 1]), 12, 4),
+    (eqv.sim1_equivalent, lambda rng: rand.unitary(rng, FD12, 1), 11, 8),
     (eqv.simK_equivalent,
-     lambda rng: rand.partial_unitary(rng, FD12, 1, [1, 1]), 20),
+     lambda rng: rand.partial_unitary(rng, FD12, 1, [1, 1]), 16, 4),
 ], ids=["mvn", "sim1", "simK"])
 def test_each_operand_is_checked_and_decomposed_once(monkeypatch, decider,
-                                                     draw, calls):
-    # fd [1,2], one eigensolve per summand for: each predicate check
-    # (padded operands only, for sim1), each spectral support and
-    # certificate check, and each log path (one more for the eigenvalue
-    # cluster of the order-unit padding)
+                                                     draw, eigs, norms):
+    # fd [1,2] has two summands, so each solve below is two kernel calls.
+    # mvn: one spectrum of each operand serves its predicate, rank and
+    # range basis; the certificate check takes |v| and |v*| (one square
+    # root each) and the spectrum of each, then two distances.
+    # sim1: |x| and |x*| of each padded operand (four square roots and
+    # four distances to e), one log path (one more eigensolve for the
+    # eigenvalue cluster of the order-unit padding).
+    # simK: |x| and |x*| of each operand, the spectrum of |x| for its
+    # predicate, rank and support basis, and the distance |x| to |x*|;
+    # then the two stages of the path, one log path each.
     rng = rand.stream(223, 0)
     u, v = draw(rng), draw(rng)
     seen = counting_kernel_calls(monkeypatch, "eig_stack")
+    seen_norms = counting_kernel_calls(monkeypatch, "spectral_norms_per_entry")
     with model.memo_scope():
         assert decider(u, v)[0]
-    assert len(seen) == calls
+    assert (len(seen), len(seen_norms)) == (eigs, norms)
 
 
 def library_paths():

@@ -316,16 +316,16 @@ def test_induced_class_compares_algebras_not_lengths():
 
 
 def test_k0_class_needs_an_order_projection():
-    # within the sqrt(tol) band of the spectral support, but off by 1e-5
-    # in the order-projection predicate, as mvn_equivalent sees it
+    # an eigenvalue 1e-5 off 1 fails the order-projection predicate, and
+    # every projection entry point refuses what the predicate refuses
     p = fd_element(M2, np.diag([1 + 1e-5, 0.0]))
     assert not model.is_order_projection(p)
-    with pytest.raises(NotProjection,
-                       match="^operand is not an order projection$"):
-        eqv.mvn_equivalent(p, p)
-    with pytest.raises(NotProjection,
-                       match="^operand is not an order projection$"):
-        kgroups.k0_class(p)
+    for call in (lambda: eqv.mvn_equivalent(p, p),
+                 lambda: kgroups.k0_class(p),
+                 lambda: eqv.proj_invariant(p)):
+        with pytest.raises(NotProjection,
+                           match="^operand is not an order projection$"):
+            call()
     assert kgroups.k0_class(fd_element(M2, np.diag([1.0, 0.0]))) == \
         kgroups.KClass(kgroups.K0, M2, (1,))
 

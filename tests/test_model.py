@@ -231,6 +231,42 @@ def test_generated_elements_pass_their_predicates():
         assert model.classify(rand.partial_isometry(rng, alg, 2)).is_partial_isometry
 
 
+@pytest.mark.parametrize("spec", [algebra.AlgebraSpec.fd([1, 2]),
+                                  algebra.AlgebraSpec.circle(2, 16)])
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 4e-10, 6e-10, 1e-8, 1e-4])
+def test_spectral_projection_test_matches_the_definition(spec, delta):
+    # Hermitian u diag(d) u* with each d_i moved off a random 0/1 by
+    # +-delta; tol = 1e-9 passes eigenvalues within 5e-10 of 0 or 1
+    rng = rand.stream(110, 0)
+    for level in (1, 2):
+        u = rand.unitary(rng, spec, level)
+        stacks = []
+        for a in u.stacks:
+            d = (rng.integers(0, 2, a.shape[:2])
+                 + delta * rng.choice([-1.0, 1.0], a.shape[:2]))
+            m = (a * d[:, None, :]) @ a.conj().transpose(0, 2, 1)
+            stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
+        v = algebra.Element(spec, level, level, tuple(stacks))
+        # the reference: || |2v - e| - e || from the definition, through
+        # a square root and an operator-norm distance
+        e = algebra.order_unit(spec, level)
+        defect = model.distance(model.abs_value(v.scale(2.0) - e), e)
+        spectral = max(float(np.max(np.abs(np.abs(2.0 * w - 1.0) - 1.0)))
+                       for w, _ in model.spectrum(v))
+        assert abs(defect - spectral) <= 1e-12
+        assert model.is_order_projection(v) == (defect <= model.TOL_PRED)
+        assert model.is_order_projection(v) == (delta < 5e-10)
+    # a non-self-adjoint element whose Hermitian part is a projection, and
+    # a rectangular zero
+    p = rand.projection(rng, spec, 1)
+    skew = algebra.Element(spec, 1, 1, tuple(1e-6j * np.ones_like(a)
+                                            for a in p.stacks))
+    assert model.is_order_projection(p)
+    assert not model.is_order_projection(p + skew)
+    assert not model.is_order_projection(
+        rand.element(rng, spec, 1, 2).scale(0.0))
+
+
 @pytest.mark.parametrize("draw", (rand.projection, rand.partial_isometry,
                                   rand.partial_unitary))
 @pytest.mark.parametrize("ranks", ([1, 1, 1], [1], [3, 0], [-1, 0], [1.5, 0],

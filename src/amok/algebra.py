@@ -1,19 +1,19 @@
 """Concrete algebra models and matrix-level elements.
 
-Two models are provided.  ``fd`` is a finite direct sum of complex matrix
-algebras, one dense block per summand.  ``circle`` is the algebra of
-d x d matrix functions on the unit circle, represented by its values on
-a uniform grid of sample points; every predicate is evaluated pointwise
-at grid resolution, so inputs should be trigonometric polynomials of
-degree at most grid/4.
+An algebra is its tuple of summands, one ``(batch, dim)`` pair each.
+``AlgebraSpec.fd`` is a finite direct sum of complex matrix algebras,
+one summand ``(1, d)`` per block of size d.  ``AlgebraSpec.circle`` is
+the algebra of d x d matrix functions on the unit circle, represented by
+its values on a uniform grid of N points: one summand ``(N, d)``, N a
+power of two and at least 4d, so a batch above 1 always means a grid.
+Every predicate is evaluated pointwise at grid resolution, so circle
+inputs should be trigonometric polynomials of degree at most N/4.
 
 An Element at levels (m, n) stores one read-only complex stack of shape
-(B, m*d, n*d) per summand of the model: a (1, m*d_i, n*d_i) stack for
-each fd block of size d_i, and a single (N, m*d, n*d) stack holding the
-values at the N circle grid points.  Every calculus routine maps over
-these stacks on one code path, batched across the circle grid and one
-block at a time over fd.  ``Element.data`` lists the same matrices per
-component (block or grid point).  Elements are immutable.
+(batch, m*dim, n*dim) per summand.  Every calculus routine maps over
+these stacks on one code path, batched across a grid and one block at a
+time over fd.  ``Element.data`` lists the same matrices per component
+(fd block or grid point).  Elements are immutable.
 """
 
 from __future__ import annotations
@@ -25,58 +25,41 @@ import numpy as np
 
 from .errors import AlgebraMismatch, ShapeMismatch
 
-FD = "fd"
-CIRCLE = "circle"
-
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    variant: str
-    block_dims: tuple = ()
-    dim: int = 0
-    grid_points: int = 0
+    """An algebra as its (batch, dim) summands, one per stored stack."""
+    summands: tuple
 
     @staticmethod
-    def fd(block_dims) -> "AlgebraSpec":
-        dims = tuple(int(d) for d in block_dims)
+    def fd(blocks) -> "AlgebraSpec":
+        dims = tuple(int(d) for d in blocks)
         if len(dims) < 1 or any(d < 1 for d in dims):
             raise ValueError("fd model needs at least one block of dim >= 1")
-        return AlgebraSpec(variant=FD, block_dims=dims)
+        return AlgebraSpec(tuple((1, d) for d in dims))
 
     @staticmethod
-    def circle(dim: int, grid_points: int) -> "AlgebraSpec":
-        dim = int(dim)
-        grid_points = int(grid_points)
-        if dim < 1:
+    def circle(dim: int, grid: int) -> "AlgebraSpec":
+        d = int(dim)
+        n = int(grid)
+        if d < 1:
             raise ValueError("circle model needs dim >= 1")
-        if grid_points < 4 * dim:
+        if n < 4 * d:
             raise ValueError("grid_points must be at least 4*dim")
-        if grid_points & (grid_points - 1):
+        if n & (n - 1):
             raise ValueError("grid_points must be a power of two")
-        return AlgebraSpec(variant=CIRCLE, dim=dim, grid_points=grid_points)
-
-    @property
-    def components(self) -> int:
-        """Number of stored matrices per element: blocks or grid points."""
-        return len(self.block_dims) if self.variant == FD else self.grid_points
-
-    def component_dim(self, i: int) -> int:
-        return self.block_dims[i] if self.variant == FD else self.dim
-
-    @functools.cached_property
-    def summands(self) -> tuple:
-        """(batch, dim) of each stored stack: one stack of batch 1 per fd
-        block, one stack of batch N for the whole circle grid."""
-        if self.variant == FD:
-            return tuple((1, d) for d in self.block_dims)
-        return ((self.grid_points, self.dim),)
+        return AlgebraSpec(((n, d),))
 
     def sample_points(self) -> np.ndarray:
         """Grid points z_j = exp(2*pi*i*j/N) of the circle model."""
-        if self.variant != CIRCLE:
+        if len(self.summands) != 1 or self.summands[0][0] == 1:
             raise AlgebraMismatch("sample points exist only for the circle model")
-        j = np.arange(self.grid_points)
-        return np.exp(2j * np.pi * j / self.grid_points)
+        return roots_of_unity(self.summands[0][0])
+
+
+def roots_of_unity(n: int) -> np.ndarray:
+    """The n grid points z_j = exp(2*pi*i*j/n) of a circle summand."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _freeze(a) -> np.ndarray:
@@ -87,11 +70,11 @@ def _freeze(a) -> np.ndarray:
 
 def _stack_components(algebra: AlgebraSpec, m: int, n: int, mats) -> list:
     """Group one matrix per component into one stack per summand."""
-    if len(mats) != algebra.components:
-        raise ShapeMismatch(f"expected {algebra.components} component "
+    dims = [d for b, d in algebra.summands for _ in range(b)]
+    if len(mats) != len(dims):
+        raise ShapeMismatch(f"expected {len(dims)} component "
                             f"matrices, got {len(mats)}")
-    for i, a in enumerate(mats):
-        d = algebra.component_dim(i)
+    for i, (a, d) in enumerate(zip(mats, dims)):
         want = (m * d, n * d)
         if np.shape(a) != want:
             raise ShapeMismatch(
@@ -106,7 +89,7 @@ def _stack_components(algebra: AlgebraSpec, m: int, n: int, mats) -> list:
 @dataclass(frozen=True, eq=False, init=False)
 class Element:
     """An m x n matrix over the model: one read-only complex stack of
-    shape (B, m*d, n*d) per summand (see ``AlgebraSpec.summands``).
+    shape (batch, m*dim, n*dim) per summand (see ``AlgebraSpec``).
 
     ``data`` lists either one 2-D matrix per component (fd block or grid
     point, in order) or one 3-D stack per summand; both are checked

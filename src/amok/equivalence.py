@@ -1,8 +1,8 @@
 """Equivalence relations with machine-checkable certificates.
 
 Decisions run on complete invariants (the rank on each summand of
-projections and supports; winding of the determinant loop in the circle
-model), and every positive decision is backed by an explicitly
+projections and supports; the degree of the loop on each grid summand
+of unitaries), and every positive decision is backed by an explicitly
 constructed witness: a partial isometry linking two projections, or a
 sampled homotopy path.  Witnesses are re-validated before they are
 returned.
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, model
-from .algebra import (CIRCLE, FD, AlgebraSpec, Element, _freeze,
-                      direct_sum, order_unit, zero)
+from .algebra import (AlgebraSpec, Element, _freeze, direct_sum,
+                      order_unit, zero)
 from .errors import (AlgebraMismatch, LevelMismatch, NotPartialUnitary,
                      NotProjection, PredicateFailure, PreconditionFailure,
                      ShapeMismatch, SourceMismatch, Unsupported)
@@ -81,27 +81,52 @@ def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> tuple:
 
 
 def k1_invariant(u: Element) -> tuple:
-    """Complete K1 invariant of a unitary: ``()`` over fd blocks, whose
-    unitary groups are connected; ``(w,)`` on the circle grid, w the
-    degree of the determinant loop: the summed phase increments of
-    det(u(z_j)) around the grid, within TOL_WIND of a multiple of 2*pi.
+    """Complete K1 invariant of a unitary: the degree of its loop on each
+    grid summand, in order.  fd blocks add no entry, since their unitary
+    groups are connected, so the invariant is ``()`` over fd blocks and
+    ``(w,)`` on the circle."""
+    return tuple(_degree(a) for a, (b, _) in zip(u.stacks, u.algebra.summands)
+                 if b > 1)
+
+
+def _degree(U: np.ndarray) -> int:
+    """Degree of the loop through the samples U_j of one grid summand.
+
+    The loop is the piecewise geodesic from each sample to the next, so
+    its degree is the sum over j of the principal eigen-angles of
+    U_j* U_{j+1}, within TOL_WIND of a multiple of 2*pi.  A step with
+    ||U_{j+1} - U_j||_F < 2/sqrt(n) has eigen-angles summing to less than
+    pi in modulus (|theta| <= pi |sin(theta/2)| and Cauchy-Schwarz), so
+    there the phase increment of det U_j is exact; only the other steps
+    are diagonalized.  The screen keeps a relative margin of 1e-12, so
+    rounding cannot clear a step with an eigen-angle within TOL_WIND of
+    pi.  Raises Unsupported where a step has an eigenvalue at -1 (within
+    TOL_WIND in angle), since no shortest geodesic joins its ends: by
+    Bernstein's inequality, input of degree <= grid/4 has none.
     """
-    if u.algebra.variant != CIRCLE:
-        return ()
-    dets = np.linalg.det(u.stacks[0])
+    dets = np.linalg.det(U)
     if np.any(np.abs(dets) < 1e-6):
         raise Unsupported("determinant loop passes too close to zero")
     inc = np.angle(np.roll(dets, -1) / dets)
+    nxt = np.roll(U, -1, axis=0)
+    steps = np.linalg.norm(nxt - U, axis=(1, 2)) * np.sqrt(U.shape[-1])
+    far = ~(steps < 2.0 * (1.0 - 1e-12))
+    if far.any():
+        angles, _ = kernel.unitary_eig(
+            U[far].conj().transpose(0, 2, 1) @ nxt[far])
+        if np.any(np.pi - np.abs(angles) <= TOL_WIND):
+            raise Unsupported("a grid step has an eigenvalue at -1")
+        inc[far] = np.sum(angles, axis=1)
     total = float(np.sum(inc)) / (2.0 * np.pi)
     w = int(np.rint(total))
     if abs(total - w) > TOL_WIND:
         raise Unsupported(f"non-integer winding estimate {total}")
-    return (w,)
+    return w
 
 
 def winding(u: Element) -> int:
     """The winding w of a circle-model unitary: k1_invariant(u) = (w,)."""
-    if not (inv := k1_invariant(u)):
+    if len(inv := k1_invariant(u)) != 1:
         raise Unsupported("winding is a circle-model invariant")
     return inv[0]
 
@@ -370,33 +395,29 @@ def _pinned_path(stacks: list, u: Element, v: Element,
     return HomotopyPath(stacks, domain, like=u)
 
 
-def _log_path_stacks(u: Element, w: Element, tol_path: float) -> list:
-    """Stacks of t -> u exp(t log(u* w)), one per summand."""
-    return [a @ kernel.unitary_log_path(a.conj().transpose(0, 2, 1) @ b,
-                                        PATH_SAMPLES, tol_path)
-            for a, b in zip(u.stacks, w.stacks)]
-
-
-def _unitary_homotopy(u: Element, v: Element, tol_path: float, domain: str):
-    """Decide u ~h v for checked unitaries; a positive answer carries the
-    log path, validated once at tol_path in the given domain."""
-    if k1_invariant(u) != k1_invariant(v):
-        return False, None
-    path = _pinned_path(_log_path_stacks(u, v, tol_path), u, v, domain)
-    path.validate_strict(tol_path)
-    return True, path
+def _log_path(a: np.ndarray, b: np.ndarray, tol_path: float) -> np.ndarray:
+    """Samples of t -> a exp(t log(a* b)) for one summand's stacks of
+    unitaries a and b."""
+    return a @ kernel.unitary_log_path(a.conj().transpose(0, 2, 1) @ b,
+                                       PATH_SAMPLES, tol_path)
 
 
 def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
                         *, tol_path: float = TOL_PATH):
     """u ~h v inside the unitary set at a fixed level.
 
-    fd model: always true (the unitary group is connected); circle
-    model: true iff the determinant windings agree.  Positive answers
+    True iff the K1 invariants, the degrees on the grid summands, agree
+    (fd unitary groups are connected).  Positive answers
     return a log path validated at tol_path.
     """
     _check_operands(u, v, tol, UNITARY_SET)
-    return _unitary_homotopy(u, v, tol_path, UNITARY_SET)
+    if k1_invariant(u) != k1_invariant(v):
+        return False, None
+    path = _pinned_path([_log_path(a, b, tol_path)
+                         for a, b in zip(u.stacks, v.stacks)],
+                        u, v, UNITARY_SET)
+    path.validate_strict(tol_path)
+    return True, path
 
 
 def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
@@ -423,39 +444,40 @@ def support_invariant(u: Element, tol: float = model.TOL_PRED) -> tuple:
     return _spectral_support(model.abs_value(u))[0]
 
 
-def _conjugation_path(u: Element, W: list, samples: int,
-                      tol_path: float) -> list:
-    """Stacks of t -> W_t u W_t* for one stack of unitaries W per summand."""
-    paths = []
-    for a, w in zip(u.stacks, W):
-        ws = kernel.unitary_log_path(w, samples, tol_path)
-        paths.append(ws @ a @ ws.conj().transpose(0, 1, 3, 2))
-    return paths
+def decides_mixed_ranks(summand) -> bool:
+    """The fragment rule: partial-unitary homotopy is decided at every
+    support rank on an fd block (batch 1), but on a grid (batch above 1)
+    only at rank 0 and full rank, not at mixed ranks between them."""
+    return summand[0] == 1
 
 
-def _fd_partial_unitary_path(u: Element, v: Element, bu: list, bv: list,
-                             tol_path: float) -> HomotopyPath:
-    """Two-stage path: rotate the support of u onto that of v (their
-    per-summand support bases bu, bv), then deform the corner unitary
+def require_decided(x: Element, ranks, message: str) -> None:
+    """Raise Unsupported(message) unless the support ranks of x, one per
+    summand, are mixed only where ``decides_mixed_ranks``."""
+    for s, r in zip(x.algebra.summands, ranks):
+        if not (decides_mixed_ranks(s) or r in (0, x.row_level * s[1])):
+            raise Unsupported(message)
+
+
+def _two_stage_path(a: np.ndarray, b: np.ndarray, ba, bb,
+                    tol_path: float) -> np.ndarray:
+    """Two-stage path on one summand: rotate the support of a onto that of
+    b (their (range, kernel) bases ba, bb), then deform the corner unitary
     inside the common support."""
     half = PATH_SAMPLES // 2 + 1
+    (rp, kp), (rq, kq) = ba, bb
     # stage 1: conjugate so supports match
-    W = [np.concatenate([rq, kq], axis=2)
-         @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1)
-         for (rp, kp), (rq, kq) in zip(bu, bv)]
-    stage1 = _conjugation_path(u, W, half, tol_path)
+    w = (np.concatenate([rq, kq], axis=2)
+         @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
+    ws = kernel.unitary_log_path(w, half, tol_path)
+    s1 = ws @ a @ ws.conj().transpose(0, 1, 3, 2)
     # stage 2: log path between the compressions onto the shared support
-    paths = []
-    for s1, b, (rq, _) in zip(stage1, v.stacks, bv):
-        a = s1[-1]
-        rqh = rq.conj().transpose(0, 2, 1)
-        ca = rqh @ a @ rq
-        cb = rqh @ b @ rq
-        inner = kernel.unitary_log_path(ca.conj().transpose(0, 2, 1) @ cb,
-                                        half, tol_path)
-        s2 = rq @ (ca @ inner[1:]) @ rqh
-        paths.append(np.concatenate([s1, s2]))
-    return _pinned_path(paths, u, v, PARTIAL_UNITARY_SET)
+    rqh = rq.conj().transpose(0, 2, 1)
+    ca = rqh @ s1[-1] @ rq
+    cb = rqh @ b @ rq
+    inner = kernel.unitary_log_path(ca.conj().transpose(0, 2, 1) @ cb,
+                                    half, tol_path)
+    return np.concatenate([s1, rq @ (ca @ inner[1:]) @ rqh])
 
 
 def homotopic_partial_unitaries(u: Element, v: Element,
@@ -463,26 +485,31 @@ def homotopic_partial_unitaries(u: Element, v: Element,
                                 tol_path: float = TOL_PATH):
     """u ~h v inside the partial-unitary set at a fixed level.
 
-    fd model: true iff the support ranks agree, witnessed by a two-stage
-    path validated at tol_path.  Circle model: decided for the
-    full-support case (reduces to unitaries, via winding) and the zero
-    case; mixed-rank functions are outside the decidable fragment.
+    True iff the support ranks agree and so do the degrees on each grid
+    summand of full support.  The path, validated at tol_path, is built
+    per summand: two stages on an fd block, constant on a grid of rank 0,
+    the log path on a grid of full rank.  Mixed ranks on a grid raise
+    Unsupported (``decides_mixed_ranks``).
     """
     _check_operands(u, v, tol, PARTIAL_UNITARY_SET)
     iu, bu = _spectral_support(model.abs_value(u))
     iv, bv = _spectral_support(model.abs_value(v))
     if iu != iv:
         return False, None
-    if u.algebra.variant == FD:
-        path = _fd_partial_unitary_path(u, v, bu, bv, tol_path)
-    elif iu == (0,):
-        path = _pinned_path([np.repeat(a[None], PATH_SAMPLES, axis=0)
-                             for a in u.stacks], u, v, PARTIAL_UNITARY_SET)
-    elif iu == (u.row_level * u.algebra.dim,):
-        return _unitary_homotopy(u, v, tol_path, PARTIAL_UNITARY_SET)
-    else:
-        raise Unsupported("circle-model homotopy of mixed-rank partial "
-                          "unitaries is undecided")
+    require_decided(u, iu, "circle-model homotopy of mixed-rank partial "
+                           "unitaries is undecided")
+    stacks = []
+    for a, b, (batch, _), r, ba, bb in zip(u.stacks, v.stacks,
+                                           u.algebra.summands, iu, bu, bv):
+        if batch == 1:
+            stacks.append(_two_stage_path(a, b, ba, bb, tol_path))
+        elif r == 0:
+            stacks.append(np.repeat(a[None], PATH_SAMPLES, axis=0))
+        elif _degree(a) != _degree(b):
+            return False, None
+        else:
+            stacks.append(_log_path(a, b, tol_path))
+    path = _pinned_path(stacks, u, v, PARTIAL_UNITARY_SET)
     path.validate_strict(tol_path)
     return True, path
 

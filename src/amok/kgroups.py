@@ -21,10 +21,10 @@ import numpy as np
 
 from . import equivalence as eqv
 from . import model, rand, suites
-from .algebra import (CIRCLE, AlgebraSpec, Element, circle_function,
-                      direct_sum, order_unit)
+from .algebra import (AlgebraSpec, Element, direct_sum, order_unit,
+                      roots_of_unity)
 from .errors import (AlgebraMismatch, NotCancellative, NotProjection,
-                     PreconditionFailure, Unsupported)
+                     PreconditionFailure)
 from .morphisms import MorphismSpec
 
 K0 = "K0"
@@ -122,21 +122,25 @@ def k1_class(u: Element, tol: float = model.TOL_PRED) -> KClass:
 
 def k_class(v: Element, tol: float = model.TOL_PRED) -> KClass:
     """[(v, 0)] from a partial unitary: the rank of |v| on each summand,
-    then the K1 invariant of the unitary completion v + e - |v|."""
-    a, mu = theta_witnesses(v, tol)
-    inv = eqv.proj_invariant(a, tol)
-    if (v.algebra.variant == CIRCLE
-            and inv not in ((0,), (v.row_level * v.algebra.dim,))):
-        raise Unsupported("circle-model K classes exist for the "
-                          "full-support/zero fragment only")
-    return KClass(K, v.algebra, inv + eqv.k1_invariant(mu))
+    then the K1 invariant of the unitary completion v + e - |v|.
+
+    |v| is decomposed by several checks, so this opens a memo scope when
+    none is open."""
+    with model.memo_scope_if_none():
+        a, mu = theta_witnesses(v, tol)
+        inv = eqv.proj_invariant(a, tol)
+        eqv.require_decided(v, inv, "circle-model K classes exist for the "
+                                    "full-support/zero fragment only")
+        return KClass(K, v.algebra, inv + eqv.k1_invariant(mu))
 
 
 def k_pair_class(u: Element, v: Element, tol: float = model.TOL_PRED) -> KClass:
-    """[(u, v)] as a formal difference of two partial unitaries."""
+    """[(u, v)] as a formal difference of two partial unitaries, in one
+    memo scope (opened when none is open)."""
     if u.algebra != v.algebra:
         raise AlgebraMismatch("pair members live over different algebras")
-    return k_class(u, tol) - k_class(v, tol)
+    with model.memo_scope_if_none():
+        return k_class(u, tol) - k_class(v, tol)
 
 
 # -- generic completion ----------------------------------------------------
@@ -176,9 +180,9 @@ def grothendieck_complete(classes, tol: float = model.TOL_PRED) -> dict:
     classes = list(classes)
     if not classes:
         return {"rank": 0, "relations": "free"}
-    dim = len(classes[0].invariant)
+    width = len(classes[0].invariant)
     for m in classes:
-        if len(m.invariant) != dim:
+        if len(m.invariant) != width:
             raise NotCancellative("generators live in different lattices")
     witnessed = [m for m in classes if m.witness is not None]
     for a in witnessed[:8]:
@@ -234,17 +238,18 @@ def whitehead_flag(algebra: AlgebraSpec) -> bool:
 
 
 def k1_group(algebra: AlgebraSpec) -> OrderedGroupView:
-    """Unitary classes: one loop generator per K1 invariant entry."""
+    """Unitary classes: one loop generator per grid summand, diag(z, 1,
+    ..., 1) at each point z of its grid and e on the other summands."""
     wh = whitehead_flag(algebra)
-    unit = k1_class(order_unit(algebra, 1))
-    gens = ()
-    if unit.normal_form:
-        # the circle's winding: diag(z, 1, ..., 1) at every grid point z
-        ones = [1] * (algebra.dim - 1)
-        gens = (circle_function(algebra, 1, 1,
-                                lambda z: np.diag([z] + ones)),)
-    return OrderedGroupView(unit, "full", flags=(("whitehead", wh),),
-                            generators=gens)
+    e = order_unit(algebra, 1)
+    gens = []
+    for i, (b, _) in enumerate(algebra.summands):
+        if b > 1:
+            stacks = [s.copy() for s in e.stacks]
+            stacks[i][:, 0, 0] = roots_of_unity(b)
+            gens.append(Element(algebra, 1, 1, stacks))
+    return OrderedGroupView(k1_class(e), "full", flags=(("whitehead", wh),),
+                            generators=tuple(gens))
 
 
 def _k_properness_flags(algebra: AlgebraSpec) -> tuple:
@@ -279,7 +284,7 @@ def k_group(algebra: AlgebraSpec) -> OrderedGroupView:
     the class of e as the order unit."""
     flags = _k_properness_flags(algebra)
     unit = k_class(order_unit(algebra, 1))
-    if algebra.variant == CIRCLE:
+    if not all(map(eqv.decides_mixed_ranks, algebra.summands)):
         # only the full-support/zero fragment is classified
         return OrderedGroupView(unit, "support",
                                 flags=flags + (("fragment", True),))

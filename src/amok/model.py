@@ -9,8 +9,10 @@ v - v*, and ``orthogonal_infty_a`` the largest entry of uv.
 Inside ``memo_scope`` the three element functions that reach LAPACK
 most, ``abs_value``, ``op_norm`` and ``spectrum``, are computed once per
 distinct input: a repeat call with a bit-identical argument returns the
-stored result.  Outside a scope nothing is cached, except that
-``classify`` opens one for its own predicates.
+stored result.  Outside a scope nothing is cached, except that the
+public entry points that decompose one element several times
+(``classify`` here, ``kgroups.k_class`` and ``kgroups.k_pair_class``)
+open one through ``memo_scope_if_none``.
 
 ``spectrum`` is the one place where a projection is decomposed: the
 order-projection predicate and the rank and range bases of
@@ -47,6 +49,14 @@ def memo_scope():
         yield
     finally:
         _MEMO.reset(token)
+
+
+def memo_scope_if_none():
+    """A ``memo_scope`` when none is open; inside one, a context that
+    does nothing, so the caller's cache is kept and shared."""
+    if _MEMO.get(None) is None:
+        return memo_scope()
+    return contextlib.nullcontext()
 
 
 def _memoized(fn):
@@ -214,8 +224,7 @@ def classify(v: Element, tol: float = TOL_PRED) -> ElementClass:
     so this opens a memo scope when none is open.
     """
     sq = v.is_square_level
-    with (memo_scope() if _MEMO.get(None) is None
-          else contextlib.nullcontext()):
+    with memo_scope_if_none():
         return ElementClass(
             is_selfadjoint=is_selfadjoint(v, tol),
             is_positive=sq and is_positive(v, tol),

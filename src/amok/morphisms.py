@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FD, AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element
 from .errors import AlgebraMismatch, NotUnital, ShapeMismatch
 
 
@@ -31,7 +31,7 @@ class MorphismSpec:
     unital: bool = True
 
     def __post_init__(self):
-        if self.source.variant != FD or self.target.variant != FD:
+        if {b for b, _ in self.source.summands + self.target.summands} != {1}:
             raise AlgebraMismatch("morphisms are defined between fd algebras")
         # integer entries (NumPy's too) become ints; validate() rejects
         # any other entry, bools included
@@ -44,23 +44,23 @@ class MorphismSpec:
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check unitality and conjugator unitarity; raise NotUnital."""
-        k = len(self.source.block_dims)
-        blocks = len(self.target.block_dims)
+        k = len(self.source.summands)
+        blocks = len(self.target.summands)
         if len(self.multiplicity) != blocks:
             raise NotUnital("multiplicity matrix has wrong row count")
         if len(self.conjugators) != blocks:
             raise NotUnital(f"{len(self.conjugators)} conjugators for "
                             f"{blocks} target blocks")
-        for i, (row, dp, c) in enumerate(zip(self.multiplicity,
-                                             self.target.block_dims,
-                                             self.conjugators)):
+        for i, (row, (_, dp), c) in enumerate(zip(self.multiplicity,
+                                                  self.target.summands,
+                                                  self.conjugators)):
             for m in row:
                 if type(m) is not int:
                     raise NotUnital(f"row {i} of the multiplicity matrix has "
                                     f"a non-integer entry {m!r}")
             if len(row) != k or any(m < 0 for m in row):
                 raise NotUnital(f"row {i} of the multiplicity matrix is invalid")
-            total = sum(m * d for m, d in zip(row, self.source.block_dims))
+            total = sum(m * d for m, (_, d) in zip(row, self.source.summands))
             if self.unital and total != dp:
                 raise NotUnital(
                     f"target block {i}: multiplicities fill {total} of {dp}")
@@ -74,21 +74,21 @@ class MorphismSpec:
 
     def multiplicity_array(self) -> np.ndarray:
         return np.array(self.multiplicity, dtype=np.int64).reshape(
-            len(self.target.block_dims), len(self.source.block_dims))
+            len(self.target.summands), len(self.source.summands))
 
 
 def identity_morphism(algebra: AlgebraSpec) -> MorphismSpec:
-    k = len(algebra.block_dims)
+    k = len(algebra.summands)
     mult = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-    conj = tuple(np.eye(d, dtype=complex) for d in algebra.block_dims)
+    conj = tuple(np.eye(d, dtype=complex) for _, d in algebra.summands)
     return MorphismSpec(algebra, algebra, mult, conj)
 
 
 def zero_morphism(source: AlgebraSpec, target: AlgebraSpec) -> MorphismSpec:
     """The zero map (not unital); induces the zero map on K invariants."""
-    k = len(source.block_dims)
-    mult = tuple(tuple(0 for _ in range(k)) for _ in target.block_dims)
-    conj = tuple(np.eye(d, dtype=complex) for d in target.block_dims)
+    k = len(source.summands)
+    mult = tuple(tuple(0 for _ in range(k)) for _ in target.summands)
+    conj = tuple(np.eye(d, dtype=complex) for _, d in target.summands)
     return MorphismSpec(source, target, mult, conj, unital=False)
 
 
@@ -117,9 +117,10 @@ def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
     n = v.row_level
     blocks = [s[0] for s in v.stacks]
     stacks = []
-    for row, dp, c in zip(phi.multiplicity, phi.target.block_dims,
-                          phi.conjugators):
-        cell = _amplify(blocks, phi.source.block_dims, row, dp, n)
+    dims = [d for _, d in phi.source.summands]
+    for row, (_, dp), c in zip(phi.multiplicity, phi.target.summands,
+                               phi.conjugators):
+        cell = _amplify(blocks, dims, row, dp, n)
         big = np.kron(np.eye(n), c)
         stacks.append((big.conj().T @ cell @ big)[None])
     return Element._from_stacks(phi.target, n, n, stacks)
@@ -139,8 +140,8 @@ def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:
         raise AlgebraMismatch("morphisms do not compose")
     phi.validate()
     psi.validate()
-    dims_a = np.array(phi.source.block_dims)
-    dims_b = np.array(phi.target.block_dims)
+    dims_a = np.array([d for _, d in phi.source.summands])
+    dims_b = np.array([d for _, d in phi.target.summands])
     m1, m2 = phi.multiplicity_array(), psi.multiplicity_array()
     k = len(dims_a)
     # source block of each slot of phi's target blocks, unfilled slots last
@@ -148,7 +149,7 @@ def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:
                               [*(row * dims_a), db - row @ dims_a])
                     for row, db in zip(m1, dims_b)]
     conj = []
-    for row, dp, c in zip(m2, psi.target.block_dims, psi.conjugators):
+    for row, (_, dp), c in zip(m2, psi.target.summands, psi.conjugators):
         used = row @ dims_b
         inner = _amplify(phi.conjugators, dims_b, row, dp)
         inner[used:, used:] = np.eye(dp - used)

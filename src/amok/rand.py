@@ -4,17 +4,18 @@ Streams are Philox counter-based: trial t of a run with seed s draws
 from ``stream(s, t)``, so any failure reproduces from (seed, trial)
 alone.  Recipes (documented in the README and fixed as contract):
 
-* element: i.i.d. complex standard normal entries; circle-model
-  elements are trigonometric polynomials of degree <= grid/4 with
-  normal coefficients, evaluated on the grid.
-* unitary: exp(i H) for a random Hermitian H; circle unitaries carry an
-  optional winding w through a diag(z^w, 1, ..., 1) factor.
+* element: i.i.d. complex standard normal entries; on a grid summand,
+  trigonometric polynomials of degree <= grid/4 with normal
+  coefficients, evaluated on the grid.
+* unitary: exp(i H) for a random Hermitian H; each grid summand carries
+  an optional winding w through a diag(z^w, 1, ..., 1) factor.
 * projection: unitary conjugate of a 0/1 diagonal.
 * partial isometry: truncated unitary u p.
 * partial unitary: unitary conjugate of (corner unitary) + (zero block).
 
 The last three take one rank per summand (one per fd block, one for
-the whole circle grid), or draw them with ``uniform_ranks``.
+the whole circle grid), or draw them with ``uniform_ranks``.  Every
+generator draws summand by summand.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel
-from .algebra import CIRCLE, FD, AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, roots_of_unity
 from .errors import PreconditionFailure
 
 
@@ -42,24 +43,24 @@ def _expi(H: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1)
 
 
-def _trig_coeffs(rng, algebra, shape, deg=None):
+def _trig_coeffs(rng, grid, shape, deg=None):
     """Matrix coefficients of a trig polynomial of degree <= grid/4."""
     if deg is None:
-        deg = max(1, algebra.grid_points // 4)
+        deg = max(1, grid // 4)
     ks = np.arange(-deg, deg + 1)
     coeffs = _cnormal(rng, (len(ks),) + shape) / np.sqrt(len(ks))
     return ks, coeffs
 
 
-def _trig_eval(algebra, ks, coeffs):
-    """Values at the grid points as one stack.
+def _trig_eval(grid, ks, coeffs):
+    """Values at the points of a grid of the given size as one stack.
 
     Each point is its own 1 x K row of powers times the coefficients,
     which sums in the order of a per-point ``tensordot``; one N x K
     Vandermonde product would not, and would move generated entries in
     the last digits.
     """
-    zs = algebra.sample_points()
+    zs = roots_of_unity(grid)
     rows = (zs[:, None] ** ks)[:, None, :]
     return (rows @ coeffs.reshape(len(ks), -1)).reshape(
         (len(zs),) + coeffs.shape[1:])
@@ -67,14 +68,15 @@ def _trig_eval(algebra, ks, coeffs):
 
 def element(rng, algebra: AlgebraSpec, row_level: int, col_level: int,
             scale: float = 1.0) -> Element:
-    """Random dense element; circle data is band-limited by design."""
-    if algebra.variant == FD:
-        stacks = [scale * _cnormal(rng, (1, row_level * d, col_level * d))
-                  for d in algebra.block_dims]
-    else:
-        shape = (row_level * algebra.dim, col_level * algebra.dim)
-        ks, coeffs = _trig_coeffs(rng, algebra, shape)
-        stacks = [scale * _trig_eval(algebra, ks, coeffs)]
+    """Random dense element; grid data is band-limited by design."""
+    stacks = []
+    for b, d in algebra.summands:
+        shape = (row_level * d, col_level * d)
+        if b == 1:
+            stacks.append(scale * _cnormal(rng, (1,) + shape))
+        else:
+            ks, coeffs = _trig_coeffs(rng, b, shape)
+            stacks.append(scale * _trig_eval(b, ks, coeffs))
     return Element(algebra, row_level, col_level, tuple(stacks))
 
 
@@ -84,22 +86,18 @@ def positive(rng, algebra: AlgebraSpec, level: int,
     return v.adjoint().matmul(v)
 
 
-def _hermitian_fields(rng, algebra, level, size=None):
-    """Hermitian stacks, one per summand; circle ones vary slowly.
+def _hermitian_field(rng, batch, n):
+    """A (batch, n, n) Hermitian stack: one normal draw on an fd block
+    (batch 1), a slowly varying field on a grid.
 
-    Circle fields are kept at degree <= grid/16 with unit scale so that
+    Grid fields are kept at degree <= grid/16 with unit scale so that
     phase increments of derived unitaries between neighbouring grid
-    points stay well below pi (needed by the winding estimator).
+    points stay well below pi.
     """
-    if algebra.variant == FD:
-        out = []
-        for d in algebra.block_dims:
-            h = _cnormal(rng, (1, level * d, level * d))
-            out.append((h + h.conj().transpose(0, 2, 1)) / 2.0)
-        return out
-    n = level * algebra.dim if size is None else size
-    ks, coeffs = _trig_coeffs(rng, algebra, (n, n),
-                              deg=max(1, algebra.grid_points // 16))
+    if batch == 1:
+        h = _cnormal(rng, (1, n, n))
+        return (h + h.conj().transpose(0, 2, 1)) / 2.0
+    ks, coeffs = _trig_coeffs(rng, batch, (n, n), deg=max(1, batch // 16))
     # enforce pointwise Hermitianity: c_{-k} = c_k^*
     deg = (len(ks) - 1) // 2
     for i, k in enumerate(ks):
@@ -107,25 +105,27 @@ def _hermitian_fields(rng, algebra, level, size=None):
             coeffs[i] = coeffs[deg - k].conj().transpose(1, 0)
         elif k == 0:
             coeffs[i] = (coeffs[i] + coeffs[i].conj().T) / 2.0
-    return [_trig_eval(algebra, ks, coeffs)]
+    return _trig_eval(batch, ks, coeffs)
 
 
 def unitary(rng, algebra: AlgebraSpec, level: int, winding: int = 0) -> Element:
-    """exp(i H) per component; circle model twists by diag(z^w, 1, ...)."""
-    stacks = [_expi(h) for h in _hermitian_fields(rng, algebra, level)]
-    if algebra.variant == CIRCLE and winding != 0:
-        zs = algebra.sample_points()
-        tw = np.tile(np.eye(level * algebra.dim, dtype=complex),
-                     (len(zs), 1, 1))
-        tw[:, 0, 0] = [z ** winding for z in zs]
-        stacks = [stacks[0] @ tw]
+    """exp(i H) per component; each grid summand is twisted by
+    diag(z^w, 1, ...)."""
+    stacks = [_expi(_hermitian_field(rng, b, level * d))
+              for b, d in algebra.summands]
+    for i, (b, d) in enumerate(algebra.summands):
+        if b > 1 and winding != 0:
+            tw = np.tile(np.eye(level * d, dtype=complex), (b, 1, 1))
+            tw[:, 0, 0] = [z ** winding for z in roots_of_unity(b)]
+            stacks[i] = stacks[i] @ tw
     return Element(algebra, level, level, tuple(stacks))
 
 
 def draw_winding(rng, algebra: AlgebraSpec, k: int) -> int:
-    """A winding uniform over -k..k on the circle; 0, drawing nothing,
-    over fd blocks."""
-    return int(rng.integers(-k, k + 1)) if algebra.variant == CIRCLE else 0
+    """A winding uniform over -k..k when the algebra has a grid summand;
+    0, drawing nothing, over fd blocks."""
+    grid = any(b > 1 for b, _ in algebra.summands)
+    return int(rng.integers(-k, k + 1)) if grid else 0
 
 
 def uniform_ranks(rng, algebra: AlgebraSpec, level: int) -> list:
@@ -168,6 +168,16 @@ def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Eleme
     return u.matmul(p)
 
 
+def _per_component(*xs):
+    """(first, matrices) per component of elements over one algebra:
+    ``first`` says which member of an orthogonal pair takes a component
+    that cannot split, the first half of a grid or every other fd block."""
+    for k, (b, _) in enumerate(xs[0].algebra.summands):
+        for j in range(b):
+            yield (j < b // 2 if b > 1 else k % 2 == 0,
+                   [x.stacks[k][j] for x in xs])
+
+
 def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     """Two positives with pointwise-disjoint supports.
 
@@ -177,15 +187,11 @@ def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     level 1 the second element is exactly zero.
     """
     w = unitary(rng, algebra, level)
-    half = algebra.components // 2
     mats_u, mats_v = [], []
     # one component at a time: the draws per component fix the stream
-    for i, w0 in enumerate(w.data):
+    for first, (w0,) in _per_component(w):
         s = w0.shape[0]
         if s == 1:
-            # a one-dimensional component cannot split; u takes the first
-            # half of the grid, or every other fd block
-            first = i < half if algebra.variant == CIRCLE else i % 2 == 0
             val = complex(rng.uniform(0.2, 2.0))
             mats_u.append(np.array([[val if first else 0.0]], dtype=complex))
             mats_v.append(np.array([[0.0 if first else val]], dtype=complex))
@@ -205,14 +211,11 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     by common unitaries on both sides."""
     x = unitary(rng, algebra, level)
     y = unitary(rng, algebra, level)
-    half = algebra.components // 2
     mats_u, mats_v = [], []
     # one component at a time: the draws per component fix the stream
-    for i, (x0, y0) in enumerate(zip(x.data, y.data)):
+    for first, (x0, y0) in _per_component(x, y):
         s = x0.shape[0]
         if s == 1:
-            # as in positive_orthogonal_pair
-            first = i < half if algebra.variant == CIRCLE else i % 2 == 0
             val = _cnormal(rng, (1, 1))
             mats_u.append(val if first else np.zeros((1, 1), dtype=complex))
             mats_v.append(np.zeros((1, 1), dtype=complex) if first else val)
@@ -234,25 +237,24 @@ def partial_unitary(rng, algebra: AlgebraSpec, level: int, ranks=None,
     """w (corner unitary + zero block) w* built in a shared eigenbasis,
     with the given support rank per summand; None draws the ranks.
 
-    fd corners are diagonal phases; the circle corner is a slowly varying
-    unitary field, twisted by the winding."""
+    A block's corner is diagonal phases; a grid's corner is a slowly
+    varying unitary field, twisted by the winding."""
     w = unitary(rng, algebra, level)
     # every rank is drawn before the first corner
     ranks = _ranks(rng, algebra, level, ranks)
     cores = []
     for (b, d), r in zip(algebra.summands, ranks):
         s = level * d
-        if algebra.variant == FD:
+        if b == 1:
             phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=r))
             cores.append(np.diag(np.concatenate([phases, np.zeros(s - r)]))
                          .astype(complex))
             continue
         core = np.zeros((b, s, s), dtype=complex)
         if r:
-            field, = _hermitian_fields(rng, algebra, level, size=r)
-            corner = _expi(field)
+            corner = _expi(_hermitian_field(rng, b, r))
             if winding != 0:
-                twist = [z ** winding for z in algebra.sample_points()]
+                twist = [z ** winding for z in roots_of_unity(b)]
                 corner[:, :, 0] *= np.array(twist)[:, None]
             core[:, :r, :r] = corner
         cores.append(core)

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import FD, AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element
 from .errors import AmokError, SpecParseError
 
 
@@ -39,10 +39,11 @@ def _is_int(x) -> bool:
 
 
 def algebra_to_json(algebra: AlgebraSpec) -> dict:
-    if algebra.variant == FD:
-        return {"variant": "fd", "blocks": list(algebra.block_dims)}
-    return {"variant": "circle", "dim": algebra.dim,
-            "grid": algebra.grid_points}
+    """The fd form when every batch is 1, else the circle form."""
+    if all(b == 1 for b, _ in algebra.summands):
+        return {"variant": "fd", "blocks": [d for _, d in algebra.summands]}
+    (n, d), = algebra.summands
+    return {"variant": "circle", "dim": d, "grid": n}
 
 
 def parse_algebra(obj) -> AlgebraSpec:
@@ -121,13 +122,12 @@ def parse_element(obj) -> Element:
     if not _is_int(m) or not _is_int(n) or m < 0 or n < 0:
         raise SpecParseError("element: levels must be nonnegative integers")
     data = obj["data"]
-    if not isinstance(data, list) or len(data) != algebra.components:
+    dims = [d for b, d in algebra.summands for _ in range(b)]
+    if not isinstance(data, list) or len(data) != len(dims):
         raise SpecParseError(
-            f"element: 'data' must list {algebra.components} matrices")
-    mats = []
-    for i, rows in enumerate(data):
-        d = algebra.component_dim(i)
-        mats.append(_parse_matrix(rows, (m * d, n * d), f"element.data[{i}]"))
+            f"element: 'data' must list {len(dims)} matrices")
+    mats = [_parse_matrix(rows, (m * d, n * d), f"element.data[{i}]")
+            for i, (rows, d) in enumerate(zip(data, dims))]
     try:
         return Element(algebra, m, n, tuple(mats))
     except AmokError as exc:

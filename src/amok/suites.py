@@ -22,7 +22,7 @@ import numpy as np
 
 from . import equivalence as eqv
 from . import kernel, model, rand
-from .algebra import (FD, AlgebraSpec, Element, dilate, direct_sum,
+from .algebra import (AlgebraSpec, Element, dilate, direct_sum,
                       scalar_conjugate, zero)
 from .errors import AmokError
 
@@ -513,10 +513,11 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("sim1-equivalence-laws", t_path, sim1_laws))
 
     def decided_ranks(rng):
-        # circle partial unitaries are decided at full or zero support only
-        if algebra.variant == FD:
-            return rand.uniform_ranks(rng, algebra, 1)
-        return [algebra.dim]
+        # a uniform rank on each summand that decides mixed ranks (fd
+        # blocks), full support on the others (grids)
+        return [int(rng.integers(0, d + 1))
+                if eqv.decides_mixed_ranks((b, d)) else d
+                for b, d in algebra.summands]
 
     def simK_laws(rng):
         ranks = decided_ranks(rng)

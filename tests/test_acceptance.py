@@ -47,9 +47,9 @@ def test_criterion_1_axiom_suite():
     for alg in (FD1, FD2, FD23, CIRCLE1):
         results = suites.model_suite(alg, cfg)
         for r in results:
-            assert r.passed, f"{alg.variant}: {r.name}: {r.failures[:3]}"
+            assert r.passed, f"{alg.summands}: {r.name}: {r.failures[:3]}"
             assert r.worst_residual <= RESIDUAL_TOL, \
-                f"{alg.variant}: {r.name}: residual {r.worst_residual:.3e}"
+                f"{alg.summands}: {r.name}: residual {r.worst_residual:.3e}"
     print("criterion 1 (axiom suite, 200 trials, 4 algebras): PASS")
 
 
@@ -62,7 +62,7 @@ def test_criterion_2_norm_agreement():
             got = model.order_unit_norm(v)
             want = svd_norm_oracle(v)
             assert abs(got - want) <= RESIDUAL_TOL * (1 + want), \
-                f"{alg.variant} trial {t}: {got} vs {want}"
+                f"{alg.summands} trial {t}: {got} vs {want}"
         for t in range(25):
             srng = rand.stream(2, 1000 + t)
             u = rand.element(srng, alg, 1, 1)
@@ -199,7 +199,7 @@ def test_criterion_6_decomposition_constructions():
 
 
 def random_morphism(rng, source):
-    k = len(source.block_dims)
+    k = len(source.summands)
     rows = int(rng.integers(1, 3))
     mult, target_dims = [], []
     for _ in range(rows):
@@ -207,7 +207,7 @@ def random_morphism(rng, source):
         if sum(row) == 0:
             row[int(rng.integers(0, k))] = 1
         mult.append(tuple(row))
-        target_dims.append(sum(m * d for m, d in zip(row, source.block_dims)))
+        target_dims.append(sum(m * d for m, (_, d) in zip(row, source.summands)))
     conj = []
     for d in target_dims:
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -264,7 +264,7 @@ def test_criterion_8_certificate_validity():
         if ok:
             assert path.validate()
             emitted += 1
-        if alg.variant == "fd":
+        if all(b == 1 for b, _ in alg.summands):
             a = rand.partial_unitary(srng, alg, 1)
             b = rand.partial_unitary(srng, alg, 1)
             ok, path = eqv.homotopic_partial_unitaries(a, b)

@@ -302,6 +302,22 @@ def test_equiv_circle_windings_reported(tmp_path, capsys):
     assert report["windings"] == [1, 0]
 
 
+def test_equiv_h_reports_windings_of_loop_degree(tmp_path, capsys):
+    # degrees 48 and -16 on circle dim 3 grid 64, where summing the
+    # determinant's principal steps gives -16 for both
+    alg = algebra.AlgebraSpec.circle(3, 64)
+    u = algebra.circle_function(alg, 1, 1, lambda z: np.diag([z ** 16] * 3))
+    v = algebra.circle_function(alg, 1, 1,
+                                lambda z: np.diag([z ** -16, 1, 1]))
+    uf = write_element(tmp_path / "u.json", u)
+    vf = write_element(tmp_path / "v.json", v)
+    assert cli.main(["equiv", uf, vf, "--relation", "h",
+                     "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["equivalent"] is False
+    assert report["windings"] == [48, -16]
+
+
 def test_equiv_h_answers_in_either_operand_order(tmp_path, capsys):
     # a unitary against a rank-1 partial unitary: neither order may stop
     # at the unitary predicate of the second operand

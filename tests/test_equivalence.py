@@ -20,7 +20,7 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 def fd_element(spec, *mats):
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    d0 = spec.block_dims[0]
+    d0 = spec.summands[0][1]
     m = mats[0].shape[0] // d0
     n = mats[0].shape[1] // d0
     return algebra.Element(spec, m, n, tuple(mats))
@@ -281,6 +281,50 @@ def test_winding_matches_oracle_on_twisted_unitaries():
         assert eqv.winding(u) == w
         assert eqv.k1_invariant(u) == (w,)
         assert winding_oracle(u) == w
+
+
+def diagonal_loop(powers, grid=64, seed=0):
+    """diag(z^a, z^b, ...) at every grid point z, conjugated by a constant
+    unitary: a loop of known degree a + b + ..., on circle dim len(powers)."""
+    alg = algebra.AlgebraSpec.circle(len(powers), grid)
+    rng = np.random.default_rng(seed)
+    c, _ = np.linalg.qr(rng.standard_normal((len(powers),) * 2)
+                        + 1j * rng.standard_normal((len(powers),) * 2))
+    return algebra.circle_function(
+        alg, 1, 1, lambda z: c @ np.diag([z ** k for k in powers]) @ c.conj().T)
+
+
+@pytest.mark.parametrize("powers", [(1, -3), (16, 16), (16, -16), (5, 11),
+                                    (16, 16, 16), (-16, 0, 0), (9, -4, 16)])
+def test_k1_invariant_is_the_degree_of_known_loops(powers):
+    # entries of degree up to grid/4: determinant steps reach 3*pi/2, and
+    # the degree is still the sum of the entries' degrees
+    u = diagonal_loop(powers)
+    assert eqv.k1_invariant(u) == (sum(powers),)
+    assert eqv.winding(u) == sum(powers)
+
+
+def test_k1_invariant_separates_degrees_the_determinant_step_confuses():
+    u, v = diagonal_loop((16, 16, 16)), diagonal_loop((-16, 0, 0))
+    assert eqv.k1_invariant(u) + eqv.k1_invariant(v) == (48, -16)
+    assert eqv.homotopic_unitaries(u, v) == (False, None)
+    assert eqv.k1_invariant(diagonal_loop((16, 16))) == (32,)
+
+
+def test_k1_invariant_refuses_a_step_with_eigenvalue_minus_one():
+    # z^2 on a grid of 4 points alternates 1, -1: no shortest geodesic
+    # joins neighbouring samples, so the loop is not defined
+    with pytest.raises(Unsupported):
+        eqv.k1_invariant(diagonal_loop((2,), grid=4))
+
+
+def test_k1_invariant_diagonalizes_no_step_of_generated_unitaries(monkeypatch):
+    # generated fields vary slowly: the Frobenius screen clears every step
+    rng = rand.stream(224, 0)
+    u = rand.unitary(rng, algebra.AlgebraSpec.circle(2, 64), 2, winding=2)
+    seen = counting_kernel_calls(monkeypatch, "eig_stack")
+    assert eqv.k1_invariant(u) == (2,)
+    assert seen == []
 
 
 def test_k1_invariant_is_empty_over_fd_blocks():

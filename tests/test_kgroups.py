@@ -18,7 +18,7 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 def fd_element(spec, *mats):
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    d0 = spec.block_dims[0]
+    d0 = spec.summands[0][1]
     m = mats[0].shape[0] // d0
     n = mats[0].shape[1] // d0
     return algebra.Element(spec, m, n, tuple(mats))
@@ -33,7 +33,7 @@ def random_unitary_matrix(rng, n):
 
 def random_morphism(rng, source):
     """Unital multiplicity-and-conjugation morphism out of ``source``."""
-    k = len(source.block_dims)
+    k = len(source.summands)
     rows = int(rng.integers(1, 3))
     mult = []
     target_dims = []
@@ -42,7 +42,7 @@ def random_morphism(rng, source):
         if sum(row) == 0:
             row[int(rng.integers(0, k))] = 1
         mult.append(row)
-        target_dims.append(sum(m * d for m, d in zip(row, source.block_dims)))
+        target_dims.append(sum(m * d for m, (_, d) in zip(row, source.summands)))
     target = algebra.AlgebraSpec.fd(target_dims)
     conj = [random_unitary_matrix(rng, d) for d in target_dims]
     return morphisms.MorphismSpec(source, target, tuple(map(tuple, mult)),
@@ -568,7 +568,7 @@ def fragment_partial_unitary(rng, alg):
     level = int(rng.integers(1, 3))
     if rng.integers(0, 2):
         w = int(rng.integers(-2, 3))
-        rank = level * alg.dim
+        rank = level * alg.summands[0][1]
     else:
         w = rank = 0
     return rand.partial_unitary(rng, alg, level, [rank], winding=w), w
@@ -613,6 +613,31 @@ def test_theta_surjectivity_recipe_circle():
         k0_part, k1_part = kgroups.theta_map(kgroups.k_pair_class(v, p))
         assert k0_part == target
         assert k1_part.normal_form == (0,)
+
+
+def test_k_class_decomposes_in_its_own_memo_scope(monkeypatch):
+    # |v| is needed by the partial-unitary check, the projection check and
+    # the rank: without a caller's scope, k_class makes the 10 eigensolves
+    # (5 per fd block) of a run inside one, not 16
+    fd12 = algebra.AlgebraSpec.fd([1, 2])
+    v = rand.partial_unitary(rand.stream(1, 0), fd12, 1, [1, 1])
+    seen = []
+    exact = kgroups.model.kernel.eig_stack
+
+    def counted(A):
+        seen.append(len(A))
+        return exact(A)
+
+    monkeypatch.setattr(kgroups.model.kernel, "eig_stack", counted)
+    x = kgroups.k_class(v)
+    assert len(seen) == 10
+    with model.memo_scope():
+        assert kgroups.k_class(v) == x
+    assert len(seen) == 20
+    # a pair shares one scope: the second member's repeat is a memo hit
+    assert kgroups.k_pair_class(v, v) == kgroups.KClass(kgroups.K, fd12,
+                                                         (0, 0))
+    assert len(seen) == 30
 
 
 def test_theta_splits_by_the_class_algebra():

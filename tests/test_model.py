@@ -6,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from amok import algebra, kernel, model, rand, serialize
-from amok.errors import (InputError, PreconditionFailure, ShapeMismatch,
-                         SpecParseError, ZeroOperand)
+from amok import algebra, kernel, model, morphisms, rand, serialize
+from amok.errors import (AlgebraMismatch, InputError, PreconditionFailure,
+                         ShapeMismatch, SpecParseError, ZeroOperand)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -17,7 +17,7 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 def fd_element(spec, *mats):
     mats = [np.asarray(m, dtype=complex) for m in mats]
-    d0 = spec.block_dims[0]
+    d0 = spec.summands[0][1]
     m = mats[0].shape[0] // d0
     n = mats[0].shape[1] // d0
     return algebra.Element(spec, m, n, tuple(mats))
@@ -396,14 +396,14 @@ def test_isometry_preserves_abs():
                                   algebra.AlgebraSpec.fd([2, 2]), CIRCLE1])
 def test_element_stores_one_readonly_stack_per_summand(spec):
     v = rand.element(rand.stream(116, 0), spec, 2, 1)
-    assert len(v.stacks) == (len(spec.block_dims)
-                             if spec.variant == algebra.FD else 1)
+    assert len(v.stacks) == len(spec.summands)
     for s, (b, d) in zip(v.stacks, spec.summands):
         assert s.shape == (b, 2 * d, d) and s.dtype == complex
         assert not s.flags.writeable
-    assert len(v.data) == spec.components
-    for i, a in enumerate(v.data):
-        d = spec.component_dim(i)
+    # one matrix per component: each fd block, or each grid point
+    dims = [d for b, d in spec.summands for _ in range(b)]
+    assert len(v.data) == len(dims)
+    for a, d in zip(v.data, dims):
         assert a.shape == (2 * d, d) and not a.flags.writeable
     with pytest.raises(ValueError):
         v.data[0][0, 0] = 1.0
@@ -413,6 +413,19 @@ def test_element_stores_one_readonly_stack_per_summand(spec):
         algebra.Element(spec, 2, 1, v.data[1:])
     with pytest.raises(ShapeMismatch):
         algebra.Element(spec, 1, 1, v.data)
+
+
+def test_constructors_pin_the_summands():
+    # an algebra is its (batch, dim) summands: batch 1 per fd block, one
+    # batch of N grid points for the circle
+    assert algebra.AlgebraSpec.fd([2, 3]).summands == ((1, 2), (1, 3))
+    assert algebra.AlgebraSpec.circle(2, 64).summands == ((64, 2),)
+    with pytest.raises(AlgebraMismatch) as exc:
+        FD23.sample_points()
+    assert str(exc.value) == "sample points exist only for the circle model"
+    with pytest.raises(AlgebraMismatch) as exc:
+        morphisms.MorphismSpec(CIRCLE1, M2, ((2,),), (np.eye(2),))
+    assert str(exc.value) == "morphisms are defined between fd algebras"
 
 
 def test_abs_of_equal_size_blocks_is_computed_per_block():

@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 from amok import cli, rand, serialize
+from amok import equivalence as eqv
 from amok.algebra import AlgebraSpec, direct_sum, zero
 
 SEED = 3
@@ -50,8 +51,8 @@ def _write(path: Path, obj) -> str:
 
 def _pair_inputs(name: str, algebra: AlgebraSpec, inputs: Path) -> dict:
     """Input files of one algebra's equiv pairs, keyed by role."""
-    circle = algebra.variant == "circle"
-    wind = 1 if circle else 0
+    # the winding twists grid summands only, so fd draws ignore it
+    wind = 1
 
     def draw(k: int):
         return rand.stream(SEED, k)
@@ -60,8 +61,9 @@ def _pair_inputs(name: str, algebra: AlgebraSpec, inputs: Path) -> dict:
         return [k % (d + 1) for _, d in algebra.summands]
 
     def support(k: int):
-        # circle partial unitaries are decided at full support only
-        return [algebra.dim] if circle else ranks(k)
+        # full support on each summand where mixed ranks are undecided
+        return [r if eqv.decides_mixed_ranks(s) else s[1]
+                for s, r in zip(algebra.summands, ranks(k))]
 
     elements = {
         "u": rand.unitary(draw(0), algebra, 1, winding=wind),

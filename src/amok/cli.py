@@ -204,10 +204,7 @@ def cmd_equiv(args, cfg):
 
 
 def cmd_theta(args, cfg):
-    obj = serialize._read_json(args.x)
-    serialize._require_fields(obj, ("u", "v"), ("u", "v"), "theta input")
-    u = serialize.parse_element(obj["u"])
-    v = serialize.parse_element(obj["v"])
+    u, v = serialize.load_pair(args.x)
     x = kgroups.k_pair_class(u, v, cfg.tol_pred)
     k0_part, k1_part = kgroups.theta_map(x)
     au, mu_u = kgroups.theta_witnesses(u, cfg.tol_pred)

@@ -55,10 +55,23 @@ def _check_same_group(x: KClass, y: KClass) -> None:
 @dataclass(frozen=True)
 class KClass:
     """Class in the group ``group_tag`` over ``algebra``, stored as its
-    normal form: the integer vector of the difference of invariants."""
+    normal form: the integer vector of the difference of invariants.
+    Its width is one rank per summand in K0, one degree per grid summand
+    in K1, and both, ranks first, in K."""
     group_tag: str
     algebra: AlgebraSpec
     normal_form: tuple
+
+    def __post_init__(self):
+        ranks = len(self.algebra.summands)
+        degrees = sum(b > 1 for b, _ in self.algebra.summands)
+        width = {K0: ranks, K1: degrees, K: ranks + degrees}.get(self.group_tag)
+        if width is None:
+            raise PreconditionFailure(f"unknown group tag {self.group_tag!r}")
+        if len(self.normal_form) != width:
+            raise PreconditionFailure(
+                f"a {self.group_tag} class over {self.algebra} has {width} "
+                f"entries, got {len(self.normal_form)}")
 
     def __add__(self, other: "KClass") -> "KClass":
         _check_same_group(self, other)
@@ -306,7 +319,6 @@ def group_view(algebra: AlgebraSpec, tag: str) -> OrderedGroupView:
 
 def induced_map(phi: MorphismSpec, which: str) -> np.ndarray:
     """Integer matrix of the induced homomorphism on invariants."""
-    phi.validate()
     if which in (K0, K):
         return phi.multiplicity_array()
     if which == K1:

@@ -6,7 +6,8 @@ multiplicity[i][j] diagonal copies of source block j, conjugated by the
 unitary.  Up to unitary equivalence these are exactly the unital
 *-homomorphisms between such algebras, they compose, and they make the
 induced maps on the K-invariants exactly computable.  A non-unital map
-leaves the trailing slots of a target block zero.  Both operations work
+leaves the trailing slots of a target block zero.  A spec is checked
+when it is built, so every spec in hand is valid.  Both operations work
 on the stack layout: one amplification per target block, and in
 ``compose`` one stable sort, exact for non-unital maps too.
 """
@@ -22,7 +23,7 @@ from .algebra import AlgebraSpec, Element
 from .errors import AlgebraMismatch, NotUnital, ShapeMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MorphismSpec:
     source: AlgebraSpec
     target: AlgebraSpec
@@ -31,29 +32,27 @@ class MorphismSpec:
     unital: bool = True
 
     def __post_init__(self):
+        """Check unitality and that each conjugator is unitary to within
+        1e-9; an invalid spec raises NotUnital."""
         if {b for b, _ in self.source.summands + self.target.summands} != {1}:
             raise AlgebraMismatch("morphisms are defined between fd algebras")
-        # integer entries (NumPy's too) become ints; validate() rejects
-        # any other entry, bools included
+        # integer entries (NumPy's too) become ints; any other entry,
+        # bools included, is refused below
         mult = tuple(tuple(int(x) if isinstance(x, numbers.Integral)
                            and not isinstance(x, bool) else x for x in row)
                      for row in self.multiplicity)
         object.__setattr__(self, "multiplicity", mult)
         conj = tuple(np.asarray(c, dtype=complex) for c in self.conjugators)
         object.__setattr__(self, "conjugators", conj)
-
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check unitality and conjugator unitarity; raise NotUnital."""
         k = len(self.source.summands)
         blocks = len(self.target.summands)
-        if len(self.multiplicity) != blocks:
+        if len(mult) != blocks:
             raise NotUnital("multiplicity matrix has wrong row count")
-        if len(self.conjugators) != blocks:
-            raise NotUnital(f"{len(self.conjugators)} conjugators for "
+        if len(conj) != blocks:
+            raise NotUnital(f"{len(conj)} conjugators for "
                             f"{blocks} target blocks")
-        for i, (row, (_, dp), c) in enumerate(zip(self.multiplicity,
-                                                  self.target.summands,
-                                                  self.conjugators)):
+        for i, (row, (_, dp), c) in enumerate(zip(mult, self.target.summands,
+                                                  conj)):
             for m in row:
                 if type(m) is not int:
                     raise NotUnital(f"row {i} of the multiplicity matrix has "
@@ -69,7 +68,7 @@ class MorphismSpec:
                     f"target block {i}: multiplicities overfill {dp}")
             if c.shape != (dp, dp):
                 raise NotUnital(f"conjugator {i} has shape {c.shape}")
-            if float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > tol:
+            if float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > 1e-9:
                 raise NotUnital(f"conjugator {i} is not unitary")
 
     def multiplicity_array(self) -> np.ndarray:
@@ -107,9 +106,7 @@ def _amplify(blocks, dims, row, dp: int, level: int = 1) -> np.ndarray:
 
 def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
     """phi applied at the level of v: per target block, one amplification
-    of the source stacks and one conjugation by I_n (x) c.  An invalid
-    phi raises NotUnital."""
-    phi.validate()
+    of the source stacks and one conjugation by I_n (x) c."""
     if v.algebra != phi.source:
         raise AlgebraMismatch("element lives over a different algebra")
     if not v.is_square_level:
@@ -133,13 +130,11 @@ def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:
     copies of phi's target blocks, each holding phi's copies).  The
     composed conjugator is the amplified phi conjugators times psi's,
     with its rows sorted stably by the source block of each nested slot;
-    unfilled slots sort last and carry the identity.  Both specs are
-    validated first, so an invalid one raises NotUnital.
+    unfilled slots sort last and carry the identity.  The composite is
+    checked when it is built, as every spec is.
     """
     if phi.target != psi.source:
         raise AlgebraMismatch("morphisms do not compose")
-    phi.validate()
-    psi.validate()
     dims_a = np.array([d for _, d in phi.source.summands])
     dims_b = np.array([d for _, d in phi.target.summands])
     m1, m2 = phi.multiplicity_array(), psi.multiplicity_array()

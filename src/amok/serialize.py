@@ -2,10 +2,10 @@
 paths, and group views.
 
 Field names are part of the external contract; parsers reject unknown
-fields.  An element matrix is type-checked in one scan and converted in
-one array; only a malformed one is walked again, to name its first bad
-entry.  Canonical dumps are sorted-key compact JSON so identical inputs
-produce byte-identical output, the bytes of the stdlib ``json.dumps``.
+fields.  An element matrix is walked once, cell by cell in row order,
+and its first bad row or entry is named.  Canonical dumps are
+sorted-key compact JSON so identical inputs produce byte-identical
+output, the bytes of the stdlib ``json.dumps``.
 Path samples are written straight from their stacks, a few samples at a
 time, with the float text of ``repr`` computed for whole arrays.
 """
@@ -13,13 +13,11 @@ time, with the float text of ``repr`` computed for whole arrays.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
-from itertools import chain
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .errors import AmokError, SpecParseError
+from .errors import SpecParseError
 
 
 def _require_fields(obj: dict, allowed, required, where: str) -> None:
@@ -72,38 +70,29 @@ def parse_algebra(obj) -> AlgebraSpec:
 
 
 def _parse_matrix(rows, shape, where: str) -> np.ndarray:
-    """The complex matrix of JSON rows of ``[re, im]`` pairs; only a
-    malformed one is walked cell by cell, to name its first bad entry."""
+    """The complex matrix of JSON rows of ``[re, im]`` pairs, walked once
+    in row order; the first bad row or entry is named, and non-finite
+    entries are refused once the walk is done."""
     if not isinstance(rows, list) or len(rows) != shape[0]:
         raise SpecParseError(f"{where}: expected {shape[0]} rows")
-    values = None
-    if all(type(row) is list and len(row) == shape[1] for row in rows):
-        cells = list(chain.from_iterable(rows))
-        if set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}:
-            numbers = list(chain.from_iterable(cells))
-            if set(map(type, numbers)) <= {int, float}:
-                with suppress(OverflowError):
-                    values = np.array(numbers, dtype=float)
-    if values is None:
-        _raise_first_bad_entry(rows, shape, where)
-    if not np.isfinite(values).all():
-        raise SpecParseError(f"{where}: entries must be finite numbers")
-    return values.view(complex).reshape(shape)
-
-
-def _raise_first_bad_entry(rows, shape, where: str):
+    values = []
     for r, row in enumerate(rows):
         if type(row) is not list or len(row) != shape[1]:
             raise SpecParseError(f"{where}: row {r} must have {shape[1]} entries")
         for c, cell in enumerate(row):
             if (type(cell) is not list or len(cell) != 2
-                    or not all(type(x) in (int, float) for x in cell)):
+                    or type(cell[0]) not in (int, float)
+                    or type(cell[1]) not in (int, float)):
                 raise SpecParseError(
                     f"{where}: entry ({r},{c}) must be a [re, im] pair")
             try:
-                complex(cell[0], cell[1])
+                values.append(complex(cell[0], cell[1]))
             except OverflowError:
                 raise SpecParseError(f"{where}: entry ({r},{c}) is too large")
+    matrix = np.array(values, dtype=complex).reshape(shape)
+    if not np.isfinite(matrix).all():
+        raise SpecParseError(f"{where}: entries must be finite numbers")
+    return matrix
 
 
 def element_to_json(v: Element) -> dict:
@@ -128,10 +117,7 @@ def parse_element(obj) -> Element:
             f"element: 'data' must list {len(dims)} matrices")
     mats = [_parse_matrix(rows, (m * d, n * d), f"element.data[{i}]")
             for i, (rows, d) in enumerate(zip(data, dims))]
-    try:
-        return Element(algebra, m, n, tuple(mats))
-    except AmokError as exc:
-        raise SpecParseError(f"element: {exc}")
+    return Element(algebra, m, n, tuple(mats))
 
 
 def _read_json(path: str):
@@ -159,6 +145,14 @@ def load_element(path: str) -> Element:
 
 def load_algebra(path: str) -> AlgebraSpec:
     return parse_algebra(_read_json(path))
+
+
+def load_pair(path: str) -> tuple:
+    """The elements ``u`` and ``v`` of the JSON object in the file at
+    ``path`` (the input of ``theta``)."""
+    obj = _read_json(path)
+    _require_fields(obj, ("u", "v"), ("u", "v"), "theta input")
+    return parse_element(obj["u"]), parse_element(obj["v"])
 
 
 class _PathSamples:

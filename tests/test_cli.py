@@ -72,6 +72,39 @@ def test_boolean_block_gives_exit_2(tmp_path, capsys):
     assert "SpecParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim, grid, message", [
+    (0, 16, "circle model needs dim >= 1"),
+    (1, 48, "grid_points must be a power of two"),
+    (2, 4, "grid_points must be at least 4*dim"),
+])
+def test_bad_circle_spec_gives_exit_2_with_its_message(tmp_path, capsys,
+                                                       dim, grid, message):
+    spec = write_json(tmp_path / "alg.json",
+                      {"variant": "circle", "dim": dim, "grid": grid})
+    assert cli.main(["kgroup", spec, "--which", "k"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error (SpecParseError): algebra: {message}\n"
+
+
+def test_failing_properties_are_listed_with_their_failures(tmp_path,
+                                                           capsys):
+    # no residual is within 1e-300, so most properties fail
+    spec = write_algebra(tmp_path / "alg.json",
+                         algebra.AlgebraSpec.fd([1, 2]))
+    assert cli.main(["check-axioms", spec, "--trials", "1",
+                     "--tol-pred", "1e-300"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [i for i, line in enumerate(lines) if "[FAIL]" in line]
+    assert len(failed) == 13
+    for i in failed:
+        count = int(re.search(r"failures=(\d+)$", lines[i]).group(1))
+        assert count >= 1
+        entries = lines[i + 1:i + 1 + min(count, 3)]
+        assert all(e.startswith("      {'trial': ") for e in entries)
+        assert not lines[i + 1 + len(entries)].startswith("      ")
+
+
 def test_nan_entry_gives_exit_2(tmp_path, capsys):
     obj = serialize.element_to_json(algebra.order_unit(M2, 1))
     obj["data"][0][0][0] = [float("nan"), 0.0]

@@ -422,6 +422,22 @@ def test_zero_homotopic_to_zero():
         assert model.distance(s, z) <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_circle_zero_takes_the_constant_path(dim):
+    # rank 0 on the grid summand: the path is constant, not a log path
+    circle16 = algebra.AlgebraSpec.circle(dim, 16)
+    z = algebra.zero(circle16, 1)
+    ok, path = eqv.homotopic_partial_unitaries(z, z)
+    assert ok and path.relation_domain == eqv.PARTIAL_UNITARY_SET
+    assert len(path.samples) == eqv.PATH_SAMPLES == 129
+    path.validate_strict()
+    assert eqv.simK_equivalent(z, algebra.zero(circle16, 2))[0]
+    assert kgroups.k_class(z).normal_form == (0, 0)
+    u = rand.unitary(rand.stream(213, dim), circle16, 1, winding=1)
+    assert kgroups.k_pair_class(z, u) == -kgroups.k_class(u)
+    assert kgroups.k_class(u).normal_form == (dim, 1)
+
+
 def test_flip_homotopic_to_unit():
     flip = fd_element(M2, [[0, 1], [1, 0]])
     assert model.classify(flip).is_partial_unitary

@@ -274,6 +274,20 @@ def test_k_circle_exposes_fragment():
         kgroups.k_class(mixed)
 
 
+def test_circle_cones_full_and_support():
+    circle16 = algebra.AlgebraSpec.circle(1, 16)
+    k1, k = kgroups.k1_group(circle16), kgroups.k_group(circle16)
+    assert (k1.cone, k.cone) == ("full", "support")
+    cases = [(k1, (-3,), True), (k, (0, 0), True), (k, (1, -2), True),
+             (k, (0, 1), False), (k, (-1, 0), False)]
+    for view, nf, inside in cases:
+        x = kgroups.KClass(view.order_unit.group_tag, circle16, nf)
+        assert view.cone_contains(x) is inside, nf
+        # x <= y exactly when y - x is in the cone
+        assert view.leq(view.order_unit, view.order_unit + x) is inside, nf
+        assert view.leq(-x, view.order_unit.scale(0)) is inside, nf
+
+
 # -- morphisms and functoriality -------------------------------------------
 
 def test_identity_morphism_acts_trivially():
@@ -338,7 +352,7 @@ def test_group_views_refuse_classes_of_other_groups_or_algebras():
     for view, y, error in (
             (k0, x, PreconditionFailure),
             (k1, x, PreconditionFailure),
-            (k0, kgroups.KClass(kgroups.K1, FD23, (1, 5)), PreconditionFailure),
+            (k0, kgroups.KClass(kgroups.K1, FD23, ()), PreconditionFailure),
             (k0, kgroups.KClass(kgroups.K0, FD12, (1, 5)), AlgebraMismatch)):
         with pytest.raises(error):
             view.cone_contains(y)
@@ -385,8 +399,8 @@ def test_composition_of_morphisms_is_exact():
         pairs.append((phi, random_morphism(srng, phi.target)))
     pairs.append(nonunital_pair(rand.stream(308, 10)))
     for phi, psi in pairs:
+        # the composite is checked when compose builds it
         comp = morphisms.compose(psi, phi)
-        comp.validate()
         for level in (1, 2, 3):
             v = rand.element(rng, phi.source, level, level)
             via_comp = morphisms.apply_morphism(comp, v)
@@ -452,7 +466,7 @@ def test_permutation_morphisms_are_inverse_on_invariants():
 def test_morphism_validation_rejects_non_unital():
     with pytest.raises(NotUnital):
         morphisms.MorphismSpec(M2, algebra.AlgebraSpec.fd([3]),
-                               ((1,),), (np.eye(3),)).validate()
+                               ((1,),), (np.eye(3),))
 
 
 FD12 = algebra.AlgebraSpec.fd([1, 2])
@@ -463,31 +477,52 @@ FD12 = algebra.AlgebraSpec.fd([1, 2])
     ((np.eye(1), np.eye(2), np.eye(3)), "3 conjugators for 2 target blocks"),
 ], ids=["fewer", "more"])
 def test_morphism_validation_counts_conjugators(conjugators, message):
-    spec = morphisms.MorphismSpec(FD12, FD12, ((1, 0), (0, 1)), conjugators)
     with pytest.raises(NotUnital, match=message):
-        spec.validate()
+        morphisms.MorphismSpec(FD12, FD12, ((1, 0), (0, 1)), conjugators)
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True],
                          ids=["fraction", "float", "bool"])
 def test_morphism_validation_rejects_non_integer_multiplicities(entry):
-    spec = morphisms.MorphismSpec(FD12, FD12, ((entry, 0), (0, 1)),
-                                  (np.eye(1), np.eye(2)))
     with pytest.raises(NotUnital, match="non-integer entry"):
-        spec.validate()
+        morphisms.MorphismSpec(FD12, FD12, ((entry, 0), (0, 1)),
+                               (np.eye(1), np.eye(2)))
 
 
 def test_apply_and_compose_reject_an_overfilling_spec():
-    # two copies of a 2x2 block do not fit in a 3x3 block, unital or not
+    # two copies of a 2x2 block do not fit in a 3x3 block, unital or not;
+    # the spec is refused when it is built, before any apply or compose
     fd3 = algebra.AlgebraSpec.fd([3])
-    over = morphisms.MorphismSpec(M2, fd3, ((2,),), (np.eye(3),),
-                                  unital=False)
     with pytest.raises(NotUnital, match="overfill"):
-        morphisms.apply_morphism(over, algebra.order_unit(M2, 1))
-    with pytest.raises(NotUnital, match="overfill"):
-        morphisms.compose(morphisms.identity_morphism(fd3), over)
-    with pytest.raises(NotUnital, match="overfill"):
-        morphisms.compose(over, morphisms.zero_morphism(fd3, M2))
+        morphisms.MorphismSpec(M2, fd3, ((2,),), (np.eye(3),), unital=False)
+
+
+@pytest.mark.parametrize("use", [
+    lambda: (kgroups.KClass(kgroups.K0, FD12, (1, 2))
+             + kgroups.KClass(kgroups.K0, FD12, (1,))),
+    lambda: kgroups.k0_group(FD12).cone_contains(
+        kgroups.KClass(kgroups.K0, FD12, (1,))),
+    lambda: kgroups.theta_map(kgroups.KClass(kgroups.K, FD12, (5,))),
+    lambda: kgroups.induced_class(morphisms.identity_morphism(FD12),
+                                  kgroups.KClass(kgroups.K0, FD12, (1,))),
+], ids=["add", "cone", "theta", "induced"])
+def test_kclass_of_the_wrong_width_is_refused(use):
+    # before the width check: (2,), True, a K0 part (5,), a NumPy error
+    with pytest.raises(PreconditionFailure,
+                       match=r"^a K0? class over .* has 2 entries, got 1$"):
+        use()
+
+
+def test_kclass_width_counts_ranks_then_degrees():
+    circle16 = algebra.AlgebraSpec.circle(1, 16)
+    for tag, width in ((kgroups.K0, 1), (kgroups.K1, 1), (kgroups.K, 2)):
+        kgroups.KClass(tag, circle16, (0,) * width)
+        with pytest.raises(PreconditionFailure, match=(
+                f"^a {tag} class over .* has {width} entries, "
+                f"got {width + 1}$")):
+            kgroups.KClass(tag, circle16, (0,) * (width + 1))
+    with pytest.raises(PreconditionFailure, match="unknown group tag 'K2'"):
+        kgroups.KClass("K2", FD12, (0, 0))
 
 
 # -- the splitting map -----------------------------------------------------

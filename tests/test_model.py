@@ -515,6 +515,14 @@ def test_element_json_roundtrip():
         back = serialize.parse_element(json.loads(text))
         assert back.same_shape(v)
         assert model.distance(back, v) == 0.0
+    # a JSON integer reads as its nearest double (2**53 + 1 ties to the
+    # even 2**53), and the sign of a zero is kept
+    obj = serialize.element_to_json(algebra.zero(M2, 1))
+    obj["data"][0][0] = [[2 ** 53 + 1, -0.0], [-0.0, -(2 ** 53 + 1)]]
+    back = serialize.parse_element(obj).stacks[0][0]
+    want = np.array([[complex(2.0 ** 53, -0.0), complex(-0.0, -2.0 ** 53)],
+                     [0j, 0j]])
+    assert back.tobytes() == want.tobytes()
 
 
 def test_element_json_keeps_signed_zeros_and_subnormals():

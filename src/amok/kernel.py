@@ -3,15 +3,31 @@
 Every routine takes a stack of shape ``(B, n, n)`` (``(B, m, n)`` for
 the singular values and the SVD) and works on each entry.  Hermitian
 eigendecomposition, SVD and the Cholesky positive-definiteness test run
-on LAPACK through ``numpy.linalg``; a failed LAPACK solve raises
-``NoConvergence``.  On top of these sit the PSD square root and
-principal-branch unitary logarithm paths.  All routines are pure
-functions of plain ``numpy.ndarray`` inputs.
+on LAPACK; a failed LAPACK solve raises ``NoConvergence``.  On top of
+these sit the PSD square root and principal-branch unitary logarithm
+paths.  All routines are pure functions of plain ``numpy.ndarray``
+inputs.
+
+The three Hermitian solvers call NumPy's own LAPACK gufuncs
+(``numpy.linalg._umath_linalg.eigh_lo``, ``eigvalsh_lo`` and
+``cholesky_lo``) with the signatures ``numpy.linalg.eigh``,
+``eigvalsh`` and ``cholesky`` pass them, so every output bit is theirs.
+On the 1x1 to 6x6 matrices of the models, the wrapper's argument
+checks and type resolution cost about as much as the solve itself, and
+every input here is already a complex stack.  A gufunc reports a failed
+solve by raising the floating-point invalid flag, which ``numpy.linalg``
+turns into ``LinAlgError``; here each call runs under
+``np.errstate(invalid="raise", ...)`` and the resulting
+``FloatingPointError`` becomes ``NoConvergence``.  The gufunc names were
+checked on NumPy 2.4.6; the NumPy 1.x sources use the same three names.
+The SVD goes through ``numpy.linalg.svd``, since its gufunc names
+changed in NumPy 2.0.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NoConvergence, NotHermitian, NotUnitary
 
@@ -19,12 +35,30 @@ TOL_EIG = 1e-11
 TOL_PATH = 1e-8
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call a NumPy LAPACK routine; a failed solve raises NoConvergence."""
+# the LAPACK gufuncs behind np.linalg.eigh, eigvalsh and cholesky (lower
+# triangle), bound here so that a test can substitute a failing solver
+_eigh = _umath_linalg.eigh_lo
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_cholesky = _umath_linalg.cholesky_lo
+
+
+def _lapack(gufunc, A: np.ndarray, signature: str):
+    """Run a LAPACK gufunc on a complex stack; a failed solve, flagged as
+    an invalid operation, raises NoConvergence."""
     try:
-        return routine(*args, **kwargs)
+        with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore"):
+            return gufunc(A, signature=signature)
+    except FloatingPointError as exc:
+        raise NoConvergence(f"LAPACK {gufunc.__name__} failed: {exc}") from exc
+
+
+def _svd(*args, **kwargs):
+    """numpy.linalg.svd; a failed solve raises NoConvergence."""
+    try:
+        return np.linalg.svd(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK {routine.__name__} failed: {exc}") from exc
+        raise NoConvergence(f"LAPACK svd failed: {exc}") from exc
 
 
 def _adjoint(A: np.ndarray) -> np.ndarray:
@@ -50,11 +84,12 @@ def eig_stack(A: np.ndarray):
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise NotHermitian(f"stack has shape {A.shape}, not (B, n, n)")
-    w, V = _lapack(np.linalg.eigh, _hermitian_part(A))
-    if A.shape[-1] == 0:
-        return w, V
+    w, V = _lapack(_eigh, _hermitian_part(A), "D->dD")
     B, n = w.shape
-    idx = np.argmax(np.abs(V), axis=1)  # (B, n)
+    if n <= 1:
+        # LAPACK returns a 1x1 eigenvector as exactly 1: no phase to fix
+        return w, V
+    idx = np.abs(V).argmax(axis=1)  # (B, n)
     lead = V[np.arange(B)[:, None], idx, np.arange(n)]
     # a unit column's largest entry is at least 1/sqrt(n), never zero
     return w, V * (lead.conj() / np.abs(lead))[:, None, :]
@@ -69,12 +104,12 @@ def sqrtm_psd_stack(A: np.ndarray) -> np.ndarray:
     to ~1e-8 and poison every projection predicate downstream.
     """
     w, V = eig_stack(A)
-    scale = float(np.max(np.abs(w), initial=0.0))
+    scale = float(np.abs(w).max(initial=0.0))
     snap = 1e-13 * (1.0 + scale)
     neg_ok = 100 * TOL_EIG * (1.0 + scale)
-    if np.any(w < -neg_ok):
+    if (w < -neg_ok).any():
         raise DomainError(
-            f"sqrt of matrix with eigenvalue {float(np.min(w)):.3e}")
+            f"sqrt of matrix with eigenvalue {float(w.min()):.3e}")
     sw = np.sqrt(np.where(w < snap, 0.0, w))
     return _hermitian_part((V * sw[:, None, :]) @ _adjoint(V))
 
@@ -83,19 +118,20 @@ def min_eig_stack(A: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each entry of a stack
     (0 if empty)."""
     A = np.asarray(A, dtype=np.complex128)
-    w = _lapack(np.linalg.eigvalsh, _hermitian_part(A))
+    w = _lapack(_eigvalsh, _hermitian_part(A), "D->d")
     return w[:, 0] if w.shape[1] else np.zeros(A.shape[0])
 
 
 def cholesky_feasible_stack(A: np.ndarray) -> bool:
-    """True iff every Hermitian entry of the stack is positive definite.
+    """True iff every Hermitian entry of the complex stack is positive
+    definite.
 
     Cholesky feasibility test used inside the order-unit-norm bisection;
     much cheaper than a full eigendecomposition.
     """
     try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
+        _lapack(_cholesky, A, "D->D")
+    except NoConvergence:
         return False
     return True
 
@@ -107,9 +143,8 @@ def svd_stack(A: np.ndarray):
     k = min(m, n), with A = left @ diag(s) @ right^* per entry, s
     nonnegative descending and left/right with orthonormal columns.
     """
-    left, s, right_h = _lapack(np.linalg.svd,
-                               np.asarray(A, dtype=np.complex128),
-                               full_matrices=False)
+    left, s, right_h = _svd(np.asarray(A, dtype=np.complex128),
+                            full_matrices=False)
     return left, s, _adjoint(right_h)
 
 
@@ -129,13 +164,13 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
         raise NotUnitary(f"stack has shape {U.shape}, not (B, n, n)")
     n = U.shape[-1]
     Uh = _adjoint(U)
-    defect = np.max(np.abs(Uh @ U - np.eye(n)), axis=(1, 2), initial=0.0)
+    defect = np.abs(Uh @ U - np.eye(n)).max(axis=(1, 2), initial=0.0)
     bad = np.nonzero(defect > tol)[0]
     if bad.size:
         raise NotUnitary(f"unitarity defect {defect[bad[0]]:.3e} "
                          f"exceeds tol {tol:.3e}")
     w, W = eig_stack((U + Uh) / 2.0)
-    cluster_tol = 1e-8 * (1.0 + np.max(np.abs(w), axis=1, initial=0.0))
+    cluster_tol = 1e-8 * (1.0 + np.abs(w).max(axis=1, initial=0.0))
     near = np.diff(w, axis=1) <= cluster_tol[:, None]
     for i in np.nonzero(near.any(axis=1))[0]:
         S = (U[i] - Uh[i]) / 2.0j
@@ -149,7 +184,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
                 W[i, :, start:stop] = Qc @ Vc[0]
     D = _adjoint(W) @ U @ W
     off = D[:, ~np.eye(n, dtype=bool)]
-    if np.max(np.abs(off), initial=0.0) > 100 * max(tol, 1e-12) * n:
+    if np.abs(off).max(initial=0.0) > 100 * max(tol, 1e-12) * n:
         raise NoConvergence("unitary diagonalization failed to decouple")
     return np.angle(np.diagonal(D, axis1=1, axis2=2)), W
 
@@ -180,9 +215,9 @@ def spectral_norms_per_entry(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
     if A.shape[1] == 0 or A.shape[2] == 0:
         return np.zeros(A.shape[0])
-    return _lapack(np.linalg.svd, A, compute_uv=False)[:, 0]
+    return _svd(A, compute_uv=False)[:, 0]
 
 
 def spectral_norm_stack(A: np.ndarray) -> float:
     """Largest singular value over a stack of (rectangular) matrices."""
-    return float(np.max(spectral_norms_per_entry(A), initial=0.0))
+    return float(spectral_norms_per_entry(A).max(initial=0.0))

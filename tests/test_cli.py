@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amok import (algebra, cli, equivalence as eqv, errors, model, rand,
-                  serialize, suites)
+from amok import (algebra, cli, equivalence as eqv, errors, kernel, model,
+                  rand, serialize, suites)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -191,9 +191,10 @@ def test_out_into_missing_directory_gives_exit_2(tmp_path, capsys):
 
 def test_lapack_failure_gives_exit_3(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # NumPy's LAPACK gufuncs flag a failed solve as an invalid operation
+        return np.sqrt(np.full(1, -1.0))
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(kernel, "_eigh", fail)
     path = write_element(tmp_path / "e.json", algebra.order_unit(M2, 1))
     assert cli.main(["classify", path]) == 3
     assert "NoConvergence" in capsys.readouterr().err
@@ -885,13 +886,13 @@ def test_memo_is_dropped_after_each_command(tmp_path, monkeypatch):
     # one worker: calls made in forked workers are not counted here
     monkeypatch.setattr(suites, "usable_cpus", lambda: 1)
     calls = []
-    eigh = np.linalg.eigh
+    eigh = kernel._eigh
 
     def counting(*args, **kwargs):
         calls.append(None)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(kernel, "_eigh", counting)
     spec = write_algebra(tmp_path / "alg.json", M2)
     argv = ["check-axioms", spec, "--trials", "1", "--format", "json",
             "--out", str(tmp_path / "out.json")]

@@ -651,6 +651,40 @@ def test_serialized_step_bound_revalidates_transferred_path():
                          relation_domain=obj["relation_domain"]).validate_strict()
 
 
+@pytest.mark.parametrize("domain, start, bound", [
+    (eqv.PROJECTION_SET, P10, 1.0),          # ranks 1 and 2
+    (eqv.PARTIAL_UNITARY_SET, algebra.zero(M2, 1), 1.0),  # supports 0, 2
+    (eqv.PROJECTION_SET, P10, float("nan")),  # steps > nan never holds
+    (eqv.PROJECTION_SET, P10, 0.0),
+    (eqv.UNITARY_SET, E, -1.0),
+])
+def test_step_bound_outside_its_ceiling_is_refused(domain, start, bound):
+    # every sample passes its predicate; only the bound is wrong
+    path = eqv.HomotopyPath(samples=(start, E), relation_domain=domain,
+                            step_bound=bound)
+    with pytest.raises(PreconditionFailure, match="step bound"):
+        path.validate_strict()
+    with pytest.raises(PreconditionFailure, match="step bound"):
+        path.validate()
+
+
+def test_step_bound_ceiling_counts_tol_path():
+    u = fd_element(M2, np.diag([1.0, 0.0]))
+    ok, path = eqv.homotopic_partial_unitaries(u, u)
+    assert ok and path.step_bound == eqv.STEP_BOUND
+    path.validate_strict(0.29)
+    with pytest.raises(PreconditionFailure, match="partial_unitary ceiling"):
+        path.validate_strict(0.3)
+    # a bound below the ceiling leaves the steps to be checked
+    jump = eqv.HomotopyPath(samples=(P10, E), relation_domain=eqv.PROJECTION_SET,
+                            step_bound=0.9)
+    with pytest.raises(PredicateFailure, match="step 0->1"):
+        jump.validate_strict()
+    # unitary paths have no ceiling
+    eqv.HomotopyPath(samples=(E, E.scale(-1.0)), relation_domain=eqv.UNITARY_SET,
+                     step_bound=5.0).validate_strict()
+
+
 def test_path_validator_catches_bad_samples():
     rng = rand.stream(218, 0)
     u = rand.unitary(rng, M2, 1)

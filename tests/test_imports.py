@@ -1,5 +1,6 @@
 """Static checks: every module of the package uses each name it imports,
-and loads at import time only the modules of an allowlist."""
+loads at import time only the modules of an allowlist, and reaches the
+LAPACK solvers only through ``kernel``."""
 
 import ast
 from pathlib import Path
@@ -84,6 +85,56 @@ def test_package_imports_only_allowlisted_modules_at_import_time():
                       if name not in IMPORT_ALLOWLIST]
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# The numpy.linalg solvers that only kernel.py may call; the scan leaves
+# det, norm and qr, which other modules use, alone.
+KERNEL_SOLVERS = {"eigh", "eigvalsh", "cholesky", "svd"}
+
+
+def solver_uses(source: str) -> list:
+    """(line, name) of each use of NumPy's LAPACK gufunc module
+    ``_umath_linalg`` and of each read of a ``KERNEL_SOLVERS`` attribute of
+    ``numpy.linalg`` (``np.linalg.eigh``, ``linalg.svd``, or imported
+    from ``numpy.linalg``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_umath_linalg":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            on_linalg = (isinstance(base, ast.Attribute) and base.attr == "linalg"
+                         or isinstance(base, ast.Name) and base.id == "linalg")
+            if (node.attr == "_umath_linalg"
+                    or on_linalg and node.attr in KERNEL_SOLVERS):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                name = f"{module}.{alias.name}"
+                if ("_umath_linalg" in name
+                        or module == "numpy.linalg"
+                        and alias.name in KERNEL_SOLVERS):
+                    found.append((node.lineno, alias.name))
+    return sorted(found)
+
+
+def test_only_the_kernel_calls_the_lapack_solvers():
+    # the scan itself sees each form, and leaves det, norm and qr alone
+    probe = ("import numpy as np\nfrom numpy import linalg\n"
+             "from numpy.linalg import _umath_linalg, cholesky, qr\n"
+             "import numpy.linalg._umath_linalg as g\n"
+             "np.linalg.eigh(a); linalg.svd(a); np.linalg._umath_linalg\n"
+             "_umath_linalg.eigvalsh_lo(a); np.linalg.det(a)\n"
+             "np.linalg.norm(a); np.linalg.qr(a); kernel.svd_stack(a)\n")
+    assert solver_uses(probe) == [
+        (3, "_umath_linalg"), (3, "cholesky"),
+        (4, "numpy.linalg._umath_linalg"), (5, "_umath_linalg"),
+        (5, "eigh"), (5, "svd"), (6, "_umath_linalg")]
+    found = {p.name: solver_uses(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "kernel.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert solver_uses((PACKAGE / "kernel.py").read_text())
 
 
 def test_sources_parse_as_python_3_10():

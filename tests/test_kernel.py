@@ -59,13 +59,100 @@ def test_eig_stack_conventions_degenerate():
                                      Q @ D @ Q.conj().T]))
 
 
-def test_eig_stack_lapack_failure_raises_no_convergence(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def failing_solver(*args, **kwargs):
+    """Fails as NumPy's LAPACK gufuncs do: by raising the floating-point
+    invalid flag."""
+    return np.sqrt(np.full(1, -1.0))
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+def test_eig_stack_lapack_failure_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(kernel, "_eigh", failing_solver)
     with pytest.raises(NoConvergence):
         kernel.eig_stack(np.eye(2, dtype=complex)[None])
+
+
+def test_eig_stack_of_nan_raises_no_convergence():
+    # a real LAPACK failure; np.linalg.eigh raises LinAlgError here
+    A = np.full((1, 3, 3), np.nan, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(A)
+    with pytest.raises(NoConvergence):
+        kernel.eig_stack(A)
+
+
+# The kernel's Hermitian solvers as they were through numpy.linalg: the
+# gufunc calls must reproduce them bit for bit.
+def reference_eig_stack(A):
+    A = np.asarray(A, dtype=np.complex128)
+    w, V = np.linalg.eigh((A + A.conj().transpose(0, 2, 1)) / 2.0)
+    if A.shape[-1] == 0:
+        return w, V
+    B, n = w.shape
+    idx = np.argmax(np.abs(V), axis=1)
+    lead = V[np.arange(B)[:, None], idx, np.arange(n)]
+    return w, V * (lead.conj() / np.abs(lead))[:, None, :]
+
+
+def reference_min_eig_stack(A):
+    A = np.asarray(A, dtype=np.complex128)
+    w = np.linalg.eigvalsh((A + A.conj().transpose(0, 2, 1)) / 2.0)
+    return w[:, 0] if w.shape[1] else np.zeros(A.shape[0])
+
+
+def reference_cholesky_feasible_stack(A):
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def solver_inputs(rng, n, B):
+    """Stacks of B entries at size n: random Hermitian, identities,
+    repeated eigenvalues and non-Hermitian (read as the Hermitian part)."""
+    herm = np.stack([random_hermitian(rng, n) for _ in range(B)])
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
+    Q = np.stack([random_unitary(rng, n) for _ in range(B)])
+    D = np.diag(np.repeat([-1.0, 2.0], (n + 1) // 2)[:n]).astype(complex)
+    repeated = Q @ D @ Q.conj().transpose(0, 2, 1)
+    general = (rng.standard_normal((B, n, n))
+               + 1j * rng.standard_normal((B, n, n)))
+    return {"hermitian": herm, "identity": eye, "repeated": repeated,
+            "non-hermitian": general}
+
+
+def assert_same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 64])
+@pytest.mark.parametrize("n", range(7))
+def test_hermitian_solvers_match_numpy_linalg_bit_for_bit(n, B):
+    rng = np.random.default_rng(100 * n + B)
+    for name, A in solver_inputs(rng, n, B).items():
+        w, V = kernel.eig_stack(A)
+        rw, rV = reference_eig_stack(A)
+        assert_same_bits(w, rw)
+        assert_same_bits(V, rV)
+        assert_same_bits(kernel.min_eig_stack(A), reference_min_eig_stack(A))
+
+
+@pytest.mark.parametrize("B", [1, 64])
+@pytest.mark.parametrize("n", range(7))
+def test_cholesky_verdicts_match_numpy_linalg(n, B):
+    rng = np.random.default_rng(200 + 10 * n + B)
+    herm = np.stack([random_hermitian(rng, n) for _ in range(B)])
+    G = rng.standard_normal((B, n, max(n - 1, 0)))
+    singular = (G @ G.transpose(0, 2, 1)).astype(complex)  # PSD, rank n - 1
+    shifted = herm + 3.0 * np.eye(n)
+    for A in (np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)),
+              herm, herm - 3.0 * np.eye(n), shifted, singular):
+        assert (kernel.cholesky_feasible_stack(A)
+                == reference_cholesky_feasible_stack(A))
+        for i in range(min(B, 8)):   # and one entry at a time
+            assert (kernel.cholesky_feasible_stack(A[i:i + 1])
+                    == reference_cholesky_feasible_stack(A[i:i + 1]))
 
 
 def eig_one(M):

@@ -9,11 +9,13 @@ power of two and at least 4d, so a batch above 1 always means a grid.
 Every predicate is evaluated pointwise at grid resolution, so circle
 inputs should be trigonometric polynomials of degree at most N/4.
 
-An Element at levels (m, n) stores one read-only complex stack of shape
-(batch, m*dim, n*dim) per summand.  Every calculus routine maps over
-these stacks on one code path, batched across a grid and one block at a
-time over fd.  ``Element.data`` lists the same matrices per component
-(fd block or grid point).  Elements are immutable.
+An Element at levels (m, n) is one read-only complex stack of shape
+(batch, m*dim, n*dim) per summand, and ``Element(algebra, m, n,
+stacks)`` is the one way to build it, for parsed, generated and computed
+data alike.  Every calculus routine maps over these stacks on one code
+path, batched across a grid and one block at a time over fd.
+``Element.data`` views the same matrices per component (fd block or grid
+point).  Elements are immutable.
 """
 
 from __future__ import annotations
@@ -68,34 +70,15 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-def _stack_components(algebra: AlgebraSpec, m: int, n: int, mats) -> list:
-    """Group one matrix per component into one stack per summand."""
-    dims = [d for b, d in algebra.summands for _ in range(b)]
-    if len(mats) != len(dims):
-        raise ShapeMismatch(f"expected {len(dims)} component "
-                            f"matrices, got {len(mats)}")
-    for i, (a, d) in enumerate(zip(mats, dims)):
-        want = (m * d, n * d)
-        if np.shape(a) != want:
-            raise ShapeMismatch(
-                f"component {i} has shape {np.shape(a)}, expected {want}")
-    stacks, start = [], 0
-    for b, _ in algebra.summands:
-        stacks.append(np.stack(mats[start:start + b]))
-        start += b
-    return stacks
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Element:
     """An m x n matrix over the model: one read-only complex stack of
     shape (batch, m*dim, n*dim) per summand (see ``AlgebraSpec``).
 
-    ``data`` lists either one 2-D matrix per component (fd block or grid
-    point, in order) or one 3-D stack per summand; both are checked
-    against the levels and stored as frozen stacks.  This is the entry
-    for parsed, generated and user data; the library's own arithmetic
-    builds its results through ``_from_stacks``, which only freezes.
+    The constructor checks that the levels are nonnegative, that there is
+    one stack per summand and that each has its summand's shape, raising
+    ShapeMismatch otherwise, then stores each stack as a frozen complex
+    array (a view, when it already is one).
     """
 
     algebra: AlgebraSpec
@@ -104,37 +87,21 @@ class Element:
     stacks: tuple = field(repr=False)
 
     def __init__(self, algebra: AlgebraSpec, row_level: int, col_level: int,
-                 data):
+                 stacks):
         if row_level < 0 or col_level < 0:
             raise ShapeMismatch("levels must be nonnegative")
-        data = tuple(data)
-        if data and np.ndim(data[0]) == 2:
-            data = _stack_components(algebra, row_level, col_level, data)
+        stacks = tuple(_freeze(s) for s in stacks)
         summands = algebra.summands
-        if len(data) != len(summands):
+        if len(stacks) != len(summands):
             raise ShapeMismatch(f"expected {len(summands)} stacks, "
-                                f"got {len(data)}")
-        stacks = []
-        for i, (s, (b, d)) in enumerate(zip(data, summands)):
-            s = _freeze(s)
+                                f"got {len(stacks)}")
+        for i, (s, (b, d)) in enumerate(zip(stacks, summands)):
             want = (b, row_level * d, col_level * d)
             if s.shape != want:
                 raise ShapeMismatch(
                     f"stack {i} has shape {s.shape}, expected {want}")
-            stacks.append(s)
         vars(self).update(algebra=algebra, row_level=row_level,
-                          col_level=col_level, stacks=tuple(stacks))
-
-    @classmethod
-    def _from_stacks(cls, algebra: AlgebraSpec, row_level: int,
-                     col_level: int, stacks) -> "Element":
-        """Element from one stack per summand that the library has just
-        computed at the right shapes: frozen, but not checked again."""
-        self = object.__new__(cls)
-        vars(self).update(algebra=algebra, row_level=row_level,
-                          col_level=col_level,
-                          stacks=tuple(_freeze(s) for s in stacks))
-        return self
+                          col_level=col_level, stacks=stacks)
 
     @property
     def data(self) -> tuple:
@@ -155,8 +122,7 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def _wrap(self, stacks) -> "Element":
-        return Element._from_stacks(self.algebra, self.row_level,
-                                    self.col_level, stacks)
+        return Element(self.algebra, self.row_level, self.col_level, stacks)
 
     def __add__(self, other: "Element") -> "Element":
         if not self.same_shape(other):
@@ -180,9 +146,8 @@ class Element:
     __rmul__ = __mul__
 
     def adjoint(self) -> "Element":
-        return Element._from_stacks(
-            self.algebra, self.col_level, self.row_level,
-            (a.conj().transpose(0, 2, 1) for a in self.stacks))
+        return Element(self.algebra, self.col_level, self.row_level,
+                       (a.conj().transpose(0, 2, 1) for a in self.stacks))
 
     def matmul(self, other: "Element") -> "Element":
         """Componentwise matrix product (levels must be composable)."""
@@ -190,9 +155,8 @@ class Element:
             raise AlgebraMismatch("product needs a common algebra")
         if self.col_level != other.row_level:
             raise ShapeMismatch("inner levels do not match")
-        return Element._from_stacks(
-            self.algebra, self.row_level, other.col_level,
-            (a @ b for a, b in zip(self.stacks, other.stacks)))
+        return Element(self.algebra, self.row_level, other.col_level,
+                       (a @ b for a, b in zip(self.stacks, other.stacks)))
 
     def max_abs(self) -> float:
         """Largest entry modulus (0 if empty, NaN if any entry is NaN)."""
@@ -205,28 +169,29 @@ class Element:
 def zero(algebra: AlgebraSpec, row_level: int, col_level=None) -> Element:
     if col_level is None:
         col_level = row_level
-    return Element._from_stacks(
-        algebra, row_level, col_level,
-        (np.zeros((b, row_level * d, col_level * d), dtype=complex)
-         for b, d in algebra.summands))
+    return Element(algebra, row_level, col_level,
+                   (np.zeros((b, row_level * d, col_level * d), dtype=complex)
+                    for b, d in algebra.summands))
 
 
 @functools.cache
 def order_unit(algebra: AlgebraSpec, level: int) -> Element:
     """e^n = e + ... + e at the given level.  Elements are immutable, so
     one e^n per (algebra, level) is built and shared."""
-    return Element._from_stacks(
-        algebra, level, level,
-        (np.broadcast_to(np.eye(level * d, dtype=complex),
-                         (b, level * d, level * d))
-         for b, d in algebra.summands))
+    return Element(algebra, level, level,
+                   (np.broadcast_to(np.eye(level * d, dtype=complex),
+                                    (b, level * d, level * d))
+                    for b, d in algebra.summands))
 
 
 def circle_function(algebra: AlgebraSpec, row_level, col_level, fn) -> Element:
-    """Element of the circle model from a function z -> matrix."""
-    zs = algebra.sample_points()
-    return Element(algebra, row_level, col_level,
-                   tuple(np.asarray(fn(z), dtype=complex) for z in zs))
+    """Element of the circle model from a function z -> matrix, its
+    values at the grid points stacked into the one summand's stack."""
+    values = [np.asarray(fn(z), dtype=complex)
+              for z in algebra.sample_points()]
+    if len({a.shape for a in values}) > 1:
+        raise ShapeMismatch("values at the grid points differ in shape")
+    return Element(algebra, row_level, col_level, (np.stack(values),))
 
 
 # -- block operations ------------------------------------------------------
@@ -243,8 +208,8 @@ def direct_sum(u: Element, v: Element) -> Element:
         out[:, :ra, :ca] = a
         out[:, ra:, ca:] = b
         stacks.append(out)
-    return Element._from_stacks(u.algebra, u.row_level + v.row_level,
-                                u.col_level + v.col_level, stacks)
+    return Element(u.algebra, u.row_level + v.row_level,
+                   u.col_level + v.col_level, stacks)
 
 
 def scalar_conjugate(alpha, v: Element, beta) -> Element:
@@ -261,8 +226,7 @@ def scalar_conjugate(alpha, v: Element, beta) -> Element:
     for a, (_, d) in zip(v.stacks, v.algebra.summands):
         # the scalars act on levels, amplified to the summand's d x d cells
         stacks.append(np.kron(alpha, np.eye(d)) @ a @ np.kron(beta, np.eye(d)))
-    return Element._from_stacks(v.algebra, alpha.shape[0], beta.shape[1],
-                                stacks)
+    return Element(v.algebra, alpha.shape[0], beta.shape[1], stacks)
 
 
 def dilate(v: Element) -> Element:
@@ -275,4 +239,4 @@ def dilate(v: Element) -> Element:
         out[:, :m * d, m * d:] = a
         out[:, m * d:, :m * d] = a.conj().transpose(0, 2, 1)
         stacks.append(out)
-    return Element._from_stacks(v.algebra, m + n, m + n, stacks)
+    return Element(v.algebra, m + n, m + n, stacks)

@@ -46,7 +46,7 @@ PARTIAL_UNITARY_SET = "partial_unitary"
 PROJECTION_SET = "projection"
 
 # step_bound + tol_path must stay below the ceiling of the path's domain
-# (HomotopyPath.validate_strict); unitary paths have none
+# (_require_step_bound); unitary paths have none
 STEP_CEILING = {PROJECTION_SET: 1.0, PARTIAL_UNITARY_SET: 0.5}
 
 
@@ -197,8 +197,8 @@ class HomotopyPath:
                           step_bound=step_bound)
 
     def _sample(self, t: int) -> Element:
-        return Element._from_stacks(self.algebra, self.row_level,
-                                    self.col_level, (s[t] for s in self.stacks))
+        return Element(self.algebra, self.row_level, self.col_level,
+                       (s[t] for s in self.stacks))
 
     @property
     def samples(self) -> tuple:
@@ -223,33 +223,14 @@ class HomotopyPath:
     def validate_strict(self, tol_path: float = TOL_PATH) -> None:
         """Raise PredicateFailure at the first offending sample.
 
-        Before any sample is checked, raise PreconditionFailure unless
-        ``step_bound`` is positive and ``step_bound + tol_path`` is below
-        the ceiling of the domain (``STEP_CEILING``), so that no bound can
-        carry a path across the invariant of its domain:
-
-        - projections less than 1 apart have equal rank, so the
-          projection ceiling is 1;
-        - for contractions, ||u*u - v*v|| <= 2 ||u - v||, so partial
-          unitaries less than 1/2 apart have supports less than 1 apart,
-          of equal rank; the partial-unitary ceiling is 1/2.
-
-        Unitary paths have no ceiling: fd unitary groups are connected,
-        and the circle's bound waits for a grid-step check of the loops.
-
-        Steps are screened by their Frobenius norm, an upper bound of the
-        operator norm; only steps the bound cannot clear are measured
-        exactly, so the verdict, index and message are those of an exact
-        check of every step."""
+        Before any sample is checked, ``_require_step_bound`` refuses a
+        step bound that could carry the path across the invariant of its
+        domain.  Steps are screened by their Frobenius norm, an upper
+        bound of the operator norm; only steps the bound cannot clear are
+        measured exactly, so the verdict, index and message are those of
+        an exact check of every step."""
+        _require_step_bound(self.relation_domain, self.step_bound, tol_path)
         limit = self.step_bound + tol_path
-        ceiling = STEP_CEILING.get(self.relation_domain, np.inf)
-        if not self.step_bound > 0:
-            raise PreconditionFailure(
-                f"step bound {self.step_bound!r} is not positive")
-        if not limit < ceiling:
-            raise PreconditionFailure(
-                f"step bound {self.step_bound!r} plus tol_path {tol_path!r} "
-                f"is not below the {self.relation_domain} ceiling {ceiling!r}")
         per_summand = [self._residuals(S, limit) for S in self.stacks]
         worst = np.max([w for w, _ in per_summand], axis=0)
         steps = np.max([st for _, st in per_summand], axis=0)
@@ -294,6 +275,30 @@ class HomotopyPath:
         norms = norms.reshape(T - 1, B)
         return (np.max(res.reshape(T, -1), axis=1, initial=0.0),
                 np.max(norms, axis=1, initial=0.0))
+
+
+def _require_step_bound(domain: str, step_bound: float,
+                        tol_path: float) -> None:
+    """Raise PreconditionFailure unless ``step_bound`` is positive and
+    ``step_bound + tol_path`` is below the ceiling of the domain
+    (``STEP_CEILING``), so that no step of a valid path can change the
+    invariant of its domain:
+
+    - projections less than 1 apart have equal rank, so the projection
+      ceiling is 1;
+    - for contractions, ||u*u - v*v|| <= 2 ||u - v||, so partial
+      unitaries less than 1/2 apart have supports less than 1 apart, of
+      equal rank; the partial-unitary ceiling is 1/2.
+
+    Unitary paths have no ceiling: fd unitary groups are connected, and
+    the circle's bound waits for a grid-step check of the loops."""
+    ceiling = STEP_CEILING.get(domain, np.inf)
+    if not step_bound > 0:
+        raise PreconditionFailure(f"step bound {step_bound!r} is not positive")
+    if not step_bound + tol_path < ceiling:
+        raise PreconditionFailure(
+            f"step bound {step_bound!r} plus tol_path {tol_path!r} "
+            f"is not below the {domain} ceiling {ceiling!r}")
 
 
 # -- operands --------------------------------------------------------------

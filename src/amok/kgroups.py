@@ -232,7 +232,7 @@ def k0_group(algebra: AlgebraSpec) -> OrderedGroupView:
 def _diagonal_projection(algebra: AlgebraSpec, level: int, ranks) -> Element:
     """diag(1, ..., 1, 0, ..., 0) with ranks[i] ones in summand i (at
     every grid point of the circle's one summand)."""
-    return Element._from_stacks(algebra, level, level, (
+    return Element(algebra, level, level, (
         np.broadcast_to(np.diag(np.arange(level * d) < r).astype(complex),
                         (b, level * d, level * d))
         for (b, d), r in zip(algebra.summands, ranks)))

@@ -85,7 +85,7 @@ def abs_value(v: Element) -> Element:
     """|v| = (v* v)^{1/2}, computed per summand stack."""
     roots = tuple(kernel.sqrtm_psd_stack(a.conj().transpose(0, 2, 1) @ a)
                   for a in v.stacks)
-    return Element._from_stacks(v.algebra, v.col_level, v.col_level, roots)
+    return Element(v.algebra, v.col_level, v.col_level, roots)
 
 
 @_memoized

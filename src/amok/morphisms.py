@@ -120,7 +120,7 @@ def apply_morphism(phi: MorphismSpec, v: Element) -> Element:
         cell = _amplify(blocks, dims, row, dp, n)
         big = np.kron(np.eye(n), c)
         stacks.append((big.conj().T @ cell @ big)[None])
-    return Element._from_stacks(phi.target, n, n, stacks)
+    return Element(phi.target, n, n, stacks)
 
 
 def compose(psi: MorphismSpec, phi: MorphismSpec) -> MorphismSpec:

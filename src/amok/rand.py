@@ -168,14 +168,14 @@ def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Eleme
     return u.matmul(p)
 
 
-def _per_component(*xs):
-    """(first, matrices) per component of elements over one algebra:
-    ``first`` says which member of an orthogonal pair takes a component
-    that cannot split, the first half of a grid or every other fd block."""
-    for k, (b, _) in enumerate(xs[0].algebra.summands):
+def _components(algebra: AlgebraSpec):
+    """(summand, index, first) of each component (fd block or grid point),
+    in order: ``first`` says which member of an orthogonal pair takes a
+    component that cannot split, the first half of a grid or every other
+    fd block."""
+    for k, (b, _) in enumerate(algebra.summands):
         for j in range(b):
-            yield (j < b // 2 if b > 1 else k % 2 == 0,
-                   [x.stacks[k][j] for x in xs])
+            yield k, j, (j < b // 2 if b > 1 else k % 2 == 0)
 
 
 def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
@@ -187,23 +187,23 @@ def positive_orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     level 1 the second element is exactly zero.
     """
     w = unitary(rng, algebra, level)
-    mats_u, mats_v = [], []
+    us = [np.zeros_like(a) for a in w.stacks]
+    vs = [np.zeros_like(a) for a in w.stacks]
     # one component at a time: the draws per component fix the stream
-    for first, (w0,) in _per_component(w):
+    for k, j, first in _components(algebra):
+        w0 = w.stacks[k][j]
         s = w0.shape[0]
         if s == 1:
-            val = complex(rng.uniform(0.2, 2.0))
-            mats_u.append(np.array([[val if first else 0.0]], dtype=complex))
-            mats_v.append(np.array([[0.0 if first else val]], dtype=complex))
+            (us if first else vs)[k][j] = rng.uniform(0.2, 2.0)
             continue
         cut = int(rng.integers(1, s))
         a = np.concatenate([rng.uniform(0.2, 2.0, size=cut), np.zeros(s - cut)])
         b = np.concatenate([np.zeros(cut), rng.uniform(0.2, 2.0, size=s - cut)])
-        mats_u.append(w0 @ np.diag(a).astype(complex) @ w0.conj().T)
-        mats_v.append(w0 @ np.diag(b).astype(complex) @ w0.conj().T)
-    herm = lambda ms: [(m + m.conj().T) / 2.0 for m in ms]
-    return (Element(algebra, level, level, tuple(herm(mats_u))),
-            Element(algebra, level, level, tuple(herm(mats_v))))
+        us[k][j] = w0 @ np.diag(a).astype(complex) @ w0.conj().T
+        vs[k][j] = w0 @ np.diag(b).astype(complex) @ w0.conj().T
+    herm = lambda ss: [(a + a.conj().transpose(0, 2, 1)) / 2.0 for a in ss]
+    return (Element(algebra, level, level, herm(us)),
+            Element(algebra, level, level, herm(vs)))
 
 
 def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
@@ -211,14 +211,14 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
     by common unitaries on both sides."""
     x = unitary(rng, algebra, level)
     y = unitary(rng, algebra, level)
-    mats_u, mats_v = [], []
+    us = [np.zeros_like(a) for a in x.stacks]
+    vs = [np.zeros_like(a) for a in x.stacks]
     # one component at a time: the draws per component fix the stream
-    for first, (x0, y0) in _per_component(x, y):
+    for k, j, first in _components(algebra):
+        x0, y0 = x.stacks[k][j], y.stacks[k][j]
         s = x0.shape[0]
         if s == 1:
-            val = _cnormal(rng, (1, 1))
-            mats_u.append(val if first else np.zeros((1, 1), dtype=complex))
-            mats_v.append(np.zeros((1, 1), dtype=complex) if first else val)
+            (us if first else vs)[k][j] = _cnormal(rng, (1, 1))
             continue
         r = int(rng.integers(1, s))
         c = int(rng.integers(1, s))
@@ -226,10 +226,10 @@ def orthogonal_pair(rng, algebra: AlgebraSpec, level: int):
         v0 = np.zeros((s, s), dtype=complex)
         u0[:r, :c] = _cnormal(rng, (r, c))
         v0[r:, c:] = _cnormal(rng, (s - r, s - c))
-        mats_u.append(x0 @ u0 @ y0.conj().T)
-        mats_v.append(x0 @ v0 @ y0.conj().T)
-    return (Element(algebra, level, level, tuple(mats_u)),
-            Element(algebra, level, level, tuple(mats_v)))
+        us[k][j] = x0 @ u0 @ y0.conj().T
+        vs[k][j] = x0 @ v0 @ y0.conj().T
+    return (Element(algebra, level, level, us),
+            Element(algebra, level, level, vs))
 
 
 def partial_unitary(rng, algebra: AlgebraSpec, level: int, ranks=None,

@@ -111,13 +111,17 @@ def parse_element(obj) -> Element:
     if not _is_int(m) or not _is_int(n) or m < 0 or n < 0:
         raise SpecParseError("element: levels must be nonnegative integers")
     data = obj["data"]
-    dims = [d for b, d in algebra.summands for _ in range(b)]
-    if not isinstance(data, list) or len(data) != len(dims):
-        raise SpecParseError(
-            f"element: 'data' must list {len(dims)} matrices")
-    mats = [_parse_matrix(rows, (m * d, n * d), f"element.data[{i}]")
-            for i, (rows, d) in enumerate(zip(data, dims))]
-    return Element(algebra, m, n, tuple(mats))
+    count = sum(b for b, _ in algebra.summands)
+    if not isinstance(data, list) or len(data) != count:
+        raise SpecParseError(f"element: 'data' must list {count} matrices")
+    # one matrix per component, in order, grouped into one stack per summand
+    stacks, i = [], 0
+    for b, d in algebra.summands:
+        stacks.append(np.stack([
+            _parse_matrix(data[j], (m * d, n * d), f"element.data[{j}]")
+            for j in range(i, i + b)]))
+        i += b
+    return Element(algebra, m, n, stacks)
 
 
 def _read_json(path: str):

@@ -249,7 +249,7 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         beta = (rng.standard_normal((n, s)) + 1j * rng.standard_normal((n, s)))
         lhs = model.abs_value(scalar_conjugate(alpha, v, beta))
         vb = scalar_conjugate(np.eye(n), model.abs_value(v), beta)
-        rhs = model.abs_value(vb).scale(float(np.linalg.norm(alpha, 2)))
+        rhs = model.abs_value(vb).scale(kernel.spectral_norm_stack(alpha[None]))
         return _neg_part(rhs - lhs)
 
     properties.append(Property("abs-scalar-contraction", t_all,
@@ -420,6 +420,10 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
 # -- equivalence properties ------------------------------------------------
 
 def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
+    # the simK properties build partial-unitary paths at the library's step
+    # bound; a tol_path no such path can meet is bad input, not a failure
+    eqv._require_step_bound(eqv.PARTIAL_UNITARY_SET, eqv.STEP_BOUND,
+                            cfg.tol_path)
     properties = []
     t_fast = max(10, cfg.trials // 4)
     t_path = max(5, cfg.trials // 20)

@@ -47,6 +47,25 @@ def test_check_axioms_passes_small_run(tmp_path, capsys):
     assert all(p["worst_residual"] <= 1e-8 for p in report["properties"])
 
 
+def test_check_axioms_refuses_a_tol_path_no_partial_unitary_path_can_meet(
+        tmp_path, capsys):
+    # the simK properties build partial-unitary paths at the step bound
+    # 0.2, and step bound plus tol_path must stay below the ceiling 1/2
+    spec = write_algebra(tmp_path / "alg.json", algebra.AlgebraSpec.fd([1, 2]))
+    out = tmp_path / "report.json"
+    args = ["check-axioms", spec, "--trials", "2", "--format", "json",
+            "--out", str(out), "--tol-path"]
+    assert cli.main(args + ["0.3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        "error (PreconditionFailure): step bound 0.2 plus tol_path 0.3 "
+        "is not below the partial_unitary ceiling 0.5\n"))
+    assert not out.exists()
+    assert cli.main(args + ["0.29"]) == 0
+    properties = json.loads(out.read_text())["properties"]
+    assert len(properties) == 24 and all(p["passed"] for p in properties)
+
+
 def test_malformed_json_gives_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -226,7 +245,7 @@ def test_classify_unit(tmp_path, capsys):
 
 
 def test_classify_matrix_unit(tmp_path, capsys):
-    v = algebra.Element(M2, 1, 1, (np.array([[0, 1], [0, 0]], dtype=complex),))
+    v = algebra.Element(M2, 1, 1, (np.array([[[0, 1], [0, 0]]], dtype=complex),))
     path = write_element(tmp_path / "v.json", v)
     code = cli.main(["classify", path, "--format", "json"])
     report = json.loads(capsys.readouterr().out)
@@ -266,8 +285,8 @@ def test_kgroup_reports(tmp_path, capsys):
 
 
 def test_equiv_mvn_certificate(tmp_path, capsys):
-    p = algebra.Element(M2, 1, 1, (np.diag([1.0, 0.0]).astype(complex),))
-    q = algebra.Element(M2, 1, 1, (np.diag([0.0, 1.0]).astype(complex),))
+    p = algebra.Element(M2, 1, 1, (np.diag([1.0, 0.0])[None],))
+    q = algebra.Element(M2, 1, 1, (np.diag([0.0, 1.0])[None],))
     pf = write_element(tmp_path / "p.json", p)
     qf = write_element(tmp_path / "q.json", q)
     code = cli.main(["equiv", "--relation", "mvn", pf, qf, "--format", "json"])
@@ -311,7 +330,7 @@ def test_equiv_validates_each_witness_once(tmp_path, capsys, monkeypatch):
 
 def test_path_not_buildable_at_path_tolerance_gives_exit_3(tmp_path, capsys):
     c, s = np.cos(0.3), np.sin(0.3)
-    u = algebra.Element(M2, 1, 1, (np.array([[c, -s], [s, c]]),))
+    u = algebra.Element(M2, 1, 1, (np.array([[[c, -s], [s, c]]]),))
     # unitary at --tol-pred 1e-5, but not at the default path tolerance
     v = algebra.order_unit(M2, 1).scale(1 + 1e-6)
     uf = write_element(tmp_path / "u.json", u)

@@ -19,11 +19,13 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 
 def fd_element(spec, *mats):
-    mats = [np.asarray(m, dtype=complex) for m in mats]
+    """Element over fd blocks from one matrix per block, each the one
+    entry of its block's (1, m*d, n*d) stack."""
+    stacks = [np.asarray(a, dtype=complex)[None] for a in mats]
     d0 = spec.summands[0][1]
-    m = mats[0].shape[0] // d0
-    n = mats[0].shape[1] // d0
-    return algebra.Element(spec, m, n, tuple(mats))
+    m = stacks[0].shape[1] // d0
+    n = stacks[0].shape[2] // d0
+    return algebra.Element(spec, m, n, stacks)
 
 
 def det_oracle(a):

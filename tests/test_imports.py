@@ -88,25 +88,52 @@ def test_package_imports_only_allowlisted_modules_at_import_time():
 
 
 # The numpy.linalg solvers that only kernel.py may call; the scan leaves
-# det, norm and qr, which other modules use, alone.
+# det, qr and the norms other than the spectral ones, which other modules
+# use, alone.
 KERNEL_SOLVERS = {"eigh", "eigvalsh", "cholesky", "svd"}
+# the orders at which numpy.linalg.norm of a matrix runs an SVD
+SVD_NORM_ORDERS = (2, -2, "nuc")
+
+
+def _on_linalg(node) -> bool:
+    """Whether node reads an attribute of ``np.linalg`` or ``linalg``."""
+    base = node.value
+    return (isinstance(base, ast.Attribute) and base.attr == "linalg"
+            or isinstance(base, ast.Name) and base.id == "linalg")
+
+
+def _svd_norm(call: ast.Call) -> bool:
+    """Whether call is a ``linalg.norm`` whose ``ord``, by position or
+    keyword, is one of ``SVD_NORM_ORDERS``."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "norm"
+            and _on_linalg(func)):
+        return False
+    ords = call.args[1:2] + [k.value for k in call.keywords if k.arg == "ord"]
+    for node in ords:
+        try:
+            if ast.literal_eval(node) in SVD_NORM_ORDERS:
+                return True
+        except ValueError:
+            pass
+    return False
 
 
 def solver_uses(source: str) -> list:
     """(line, name) of each use of NumPy's LAPACK gufunc module
-    ``_umath_linalg`` and of each read of a ``KERNEL_SOLVERS`` attribute of
+    ``_umath_linalg``, of each read of a ``KERNEL_SOLVERS`` attribute of
     ``numpy.linalg`` (``np.linalg.eigh``, ``linalg.svd``, or imported
-    from ``numpy.linalg``)."""
+    from ``numpy.linalg``) and of each ``linalg.norm`` call at an order
+    that runs an SVD."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id == "_umath_linalg":
             found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Call) and _svd_norm(node):
+            found.append((node.lineno, "norm"))
         elif isinstance(node, ast.Attribute):
-            base = node.value
-            on_linalg = (isinstance(base, ast.Attribute) and base.attr == "linalg"
-                         or isinstance(base, ast.Name) and base.id == "linalg")
             if (node.attr == "_umath_linalg"
-                    or on_linalg and node.attr in KERNEL_SOLVERS):
+                    or _on_linalg(node) and node.attr in KERNEL_SOLVERS):
                 found.append((node.lineno, node.attr))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             module = getattr(node, "module", None) or ""
@@ -120,17 +147,23 @@ def solver_uses(source: str) -> list:
 
 
 def test_only_the_kernel_calls_the_lapack_solvers():
-    # the scan itself sees each form, and leaves det, norm and qr alone
+    # the scan itself sees each form, and leaves det, qr and the norms
+    # that run no SVD alone
     probe = ("import numpy as np\nfrom numpy import linalg\n"
              "from numpy.linalg import _umath_linalg, cholesky, qr\n"
              "import numpy.linalg._umath_linalg as g\n"
              "np.linalg.eigh(a); linalg.svd(a); np.linalg._umath_linalg\n"
              "_umath_linalg.eigvalsh_lo(a); np.linalg.det(a)\n"
-             "np.linalg.norm(a); np.linalg.qr(a); kernel.svd_stack(a)\n")
+             "np.linalg.norm(a); np.linalg.qr(a); kernel.svd_stack(a)\n"
+             "np.linalg.norm(a, 2); linalg.norm(a, ord=-2)\n"
+             "np.linalg.norm(a, 'nuc'); np.linalg.norm(x=a, ord='nuc')\n"
+             "np.linalg.norm(a, axis=(1, 2)); np.linalg.norm(a, 1)\n"
+             "linalg.norm(a, 'fro', (1, 2)); np.linalg.norm(a, ord=k)\n")
     assert solver_uses(probe) == [
         (3, "_umath_linalg"), (3, "cholesky"),
         (4, "numpy.linalg._umath_linalg"), (5, "_umath_linalg"),
-        (5, "eigh"), (5, "svd"), (6, "_umath_linalg")]
+        (5, "eigh"), (5, "svd"), (6, "_umath_linalg"),
+        (8, "norm"), (8, "norm"), (9, "norm"), (9, "norm")]
     found = {p.name: solver_uses(p.read_text())
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "kernel.py"}
     assert {k: v for k, v in found.items() if v} == {}

@@ -16,11 +16,13 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 
 def fd_element(spec, *mats):
-    mats = [np.asarray(m, dtype=complex) for m in mats]
+    """Element over fd blocks from one matrix per block, each the one
+    entry of its block's (1, m*d, n*d) stack."""
+    stacks = [np.asarray(a, dtype=complex)[None] for a in mats]
     d0 = spec.summands[0][1]
-    m = mats[0].shape[0] // d0
-    n = mats[0].shape[1] // d0
-    return algebra.Element(spec, m, n, tuple(mats))
+    m = stacks[0].shape[1] // d0
+    n = stacks[0].shape[2] // d0
+    return algebra.Element(spec, m, n, stacks)
 
 
 def sqrt_oracle(M):
@@ -400,19 +402,30 @@ def test_element_stores_one_readonly_stack_per_summand(spec):
     for s, (b, d) in zip(v.stacks, spec.summands):
         assert s.shape == (b, 2 * d, d) and s.dtype == complex
         assert not s.flags.writeable
-    # one matrix per component: each fd block, or each grid point
+    # data views one matrix per component: each fd block, or each grid point
     dims = [d for b, d in spec.summands for _ in range(b)]
     assert len(v.data) == len(dims)
     for a, d in zip(v.data, dims):
         assert a.shape == (2 * d, d) and not a.flags.writeable
     with pytest.raises(ValueError):
         v.data[0][0, 0] = 1.0
-    back = algebra.Element(spec, 2, 1, v.data)
-    assert all(np.array_equal(a, b) for a, b in zip(back.stacks, v.stacks))
-    with pytest.raises(ShapeMismatch):
-        algebra.Element(spec, 2, 1, v.data[1:])
-    with pytest.raises(ShapeMismatch):
-        algebra.Element(spec, 1, 1, v.data)
+    # the constructor keeps frozen complex stacks as they are, and freezes
+    # a writable stack of another dtype as a complex copy
+    back = algebra.Element(spec, 2, 1, v.stacks)
+    assert all(a is b for a, b in zip(back.stacks, v.stacks))
+    real = [np.ones((b, 2 * d, d)) for b, d in spec.summands]
+    w = algebra.Element(spec, 2, 1, real)
+    assert all(s.dtype == complex and not s.flags.writeable
+               and np.array_equal(s, r) for s, r in zip(w.stacks, real))
+    assert all(r.flags.writeable for r in real)
+    # it takes one 3-D stack per summand and nothing else: not one 2-D
+    # matrix per component, not a stack too few, not the wrong levels
+    for stacks, m, n in ((v.data, 2, 1), (v.stacks[1:], 2, 1),
+                         (v.stacks + v.stacks[:1], 2, 1), (v.stacks, 1, 1),
+                         (v.stacks, 2, 2), (v.stacks, -1, 1),
+                         (v.stacks, 2, -1)):
+        with pytest.raises(ShapeMismatch):
+            algebra.Element(spec, m, n, stacks)
 
 
 def test_constructors_pin_the_summands():

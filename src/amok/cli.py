@@ -8,7 +8,8 @@ envelope around it: the RunConfig, the memo scope, the timer, the
 the exit codes of errors.  All randomness derives from (--seed, trial
 index); JSON reports are canonical (sorted keys, compact) so identical
 configurations produce byte-identical output.  Exit codes: 0 all pass,
-1 property failure, 2 input error, 3 numerical failure.
+1 property failure, 2 input error, 3 numerical failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-# OSError covers unreadable input files and an unwritable --out path
+# OSError covers unreadable input files and an unwritable --out path;
+# MemoryError an allocation the process may not make
 _INPUT_ERRORS = (InputError, OSError)
-_NUMERICAL_ERRORS = (NumericalError,)
+_NUMERICAL_ERRORS = (NumericalError, MemoryError)
 
 _PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
                   "approx1": eqv.approx1_equivalent,

@@ -228,13 +228,15 @@ class HomotopyPath:
         domain.  Steps are screened by their Frobenius norm, an upper
         bound of the operator norm; only steps the bound cannot clear are
         measured exactly, so the verdict, index and message are those of
-        an exact check of every step."""
+        an exact check of every step.  A sample with a non-finite entry
+        fails its predicate, and a non-finite step has size inf."""
         _require_step_bound(self.relation_domain, self.step_bound, tol_path)
         limit = self.step_bound + tol_path
-        per_summand = [self._residuals(S, limit) for S in self.stacks]
+        with np.errstate(invalid="ignore", over="ignore"):
+            per_summand = [self._residuals(S, limit) for S in self.stacks]
         worst = np.max([w for w, _ in per_summand], axis=0)
         steps = np.max([st for _, st in per_summand], axis=0)
-        bad = np.nonzero(worst > tol_path)[0]
+        bad = np.nonzero(~(worst <= tol_path))[0]
         if bad.size:
             i = int(bad[0])
             raise PredicateFailure(
@@ -252,9 +254,9 @@ class HomotopyPath:
 
         A step's size is its Frobenius norm where that is within ``limit``
         (less a relative margin of 1e-12, so rounding cannot clear a step
-        the exact norm fails), and its operator norm elsewhere: the size
-        is above ``limit`` exactly when the operator norm is, and then
-        equals it."""
+        the exact norm fails), inf where that is not finite, and its
+        operator norm elsewhere: the size is above ``limit`` exactly when
+        the operator norm is, and then equals it."""
         T, B, n, _ = S.shape
         flat = S.reshape(T * B, n, n)
         sh = flat.conj().transpose(0, 2, 1)
@@ -269,7 +271,9 @@ class HomotopyPath:
             res = np.maximum(np.abs(flat - sh), np.abs(flat @ flat - flat))
         diffs = (S[1:] - S[:-1]).reshape((T - 1) * B, n, n)
         norms = np.linalg.norm(diffs, axis=(1, 2))
-        loose = ~(norms <= limit * (1.0 - 1e-12))
+        finite = np.isfinite(norms)
+        norms[~finite] = np.inf
+        loose = finite & (norms > limit * (1.0 - 1e-12))
         if loose.any():
             norms[loose] = kernel.spectral_norms_per_entry(diffs[loose])
         norms = norms.reshape(T - 1, B)

@@ -93,10 +93,6 @@ class PreconditionFailure(InputError):
 
 # --- groups / morphisms ---
 
-class NotCancellative(NumericalError):
-    pass
-
-
 class NotUnital(InputError):
     pass
 

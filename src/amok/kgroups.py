@@ -23,8 +23,7 @@ from . import equivalence as eqv
 from . import model, rand, suites
 from .algebra import (AlgebraSpec, Element, direct_sum, order_unit,
                       roots_of_unity)
-from .errors import (AlgebraMismatch, NotCancellative, NotProjection,
-                     PreconditionFailure)
+from .errors import AlgebraMismatch, PreconditionFailure
 from .morphisms import MorphismSpec
 
 K0 = "K0"
@@ -38,12 +37,6 @@ PROPERNESS_SEED = 2025
 
 
 # -- classes and views -----------------------------------------------------
-
-@dataclass(frozen=True)
-class MonoidElement:
-    invariant: tuple
-    witness: Element | None = None
-
 
 def _check_same_group(x: KClass, y: KClass) -> None:
     if x.group_tag != y.group_tag:
@@ -154,67 +147,6 @@ def k_pair_class(u: Element, v: Element, tol: float = model.TOL_PRED) -> KClass:
         raise AlgebraMismatch("pair members live over different algebras")
     with model.memo_scope_if_none():
         return k_class(u, tol) - k_class(v, tol)
-
-
-# -- generic completion ----------------------------------------------------
-
-def _lattice_rank(vectors) -> int:
-    """Rank of the subgroup of Z^m generated by integer vectors, by
-    fraction-free Gaussian elimination."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    a = np.array(rows, dtype=object)
-    rank = 0
-    cols = a.shape[1]
-    for c in range(cols):
-        piv = None
-        for r in range(rank, a.shape[0]):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        for r in range(a.shape[0]):
-            if r != rank and a[r][c] != 0:
-                a[r] = a[r] * a[rank][c] - a[rank] * a[r][c]
-        rank += 1
-    return rank
-
-
-def grothendieck_complete(classes, tol: float = model.TOL_PRED) -> dict:
-    """Difference group of the invariant lattice spanned by the inputs.
-
-    Additivity is re-verified on witness pairs (invariant of a direct
-    sum must equal the sum of invariants); the integer lattice is
-    automatically cancellative once additivity holds.
-    """
-    classes = list(classes)
-    if not classes:
-        return {"rank": 0, "relations": "free"}
-    width = len(classes[0].invariant)
-    for m in classes:
-        if len(m.invariant) != width:
-            raise NotCancellative("generators live in different lattices")
-    witnessed = [m for m in classes if m.witness is not None]
-    for a in witnessed[:8]:
-        for b in witnessed[:8]:
-            got = _witness_invariant(direct_sum(a.witness, b.witness), tol)
-            want = tuple(x + y for x, y in zip(a.invariant, b.invariant))
-            if got != want:
-                raise NotCancellative(
-                    f"invariant not additive: {got} != {want}")
-    return {"rank": _lattice_rank([m.invariant for m in classes]),
-            "relations": "free"}
-
-
-def _witness_invariant(w: Element, tol: float) -> tuple:
-    """Invariant of a witness, trying projection then support."""
-    try:
-        return eqv.proj_invariant(w, tol)
-    except NotProjection:
-        return eqv.support_invariant(w, tol)
 
 
 # -- the three groups ------------------------------------------------------

@@ -32,8 +32,8 @@ class MorphismSpec:
     unital: bool = True
 
     def __post_init__(self):
-        """Check unitality and that each conjugator is unitary to within
-        1e-9; an invalid spec raises NotUnital."""
+        """Check unitality and that each conjugator is finite and unitary
+        to within 1e-9; an invalid spec raises NotUnital."""
         if {b for b, _ in self.source.summands + self.target.summands} != {1}:
             raise AlgebraMismatch("morphisms are defined between fd algebras")
         # integer entries (NumPy's too) become ints; any other entry,
@@ -68,7 +68,8 @@ class MorphismSpec:
                     f"target block {i}: multiplicities overfill {dp}")
             if c.shape != (dp, dp):
                 raise NotUnital(f"conjugator {i} has shape {c.shape}")
-            if float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > 1e-9:
+            if (not np.isfinite(c).all() or
+                    float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > 1e-9):
                 raise NotUnital(f"conjugator {i} is not unitary")
 
     def multiplicity_array(self) -> np.ndarray:

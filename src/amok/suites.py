@@ -574,14 +574,6 @@ def _support_projection(u: Element) -> Element:
     return Element(u.algebra, u.row_level, u.col_level, tuple(stacks))
 
 
-def model_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
-    return run_properties(cfg, _model_properties(algebra, cfg))
-
-
-def equivalence_suite(algebra: AlgebraSpec, cfg: RunConfig) -> list:
-    return run_properties(cfg, _equivalence_properties(algebra, cfg))
-
-
 def check_axioms(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     return run_properties(cfg, _model_properties(algebra, cfg)
                           + _equivalence_properties(algebra, cfg))

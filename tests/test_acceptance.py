@@ -45,7 +45,7 @@ def svd_norm_oracle(v):
 def test_criterion_1_axiom_suite():
     cfg = suites.RunConfig(seed=1, trials=200)
     for alg in (FD1, FD2, FD23, CIRCLE1):
-        results = suites.model_suite(alg, cfg)
+        results = suites.run_properties(cfg, suites._model_properties(alg, cfg))
         for r in results:
             assert r.passed, f"{alg.summands}: {r.name}: {r.failures[:3]}"
             assert r.worst_residual <= RESIDUAL_TOL, \
@@ -91,8 +91,7 @@ def test_criterion_3_k0_structure():
                     cls = kgroups.k0_class(p)
                     assert cls.normal_form == ranks
                     realized.add(ranks)
-            gens = [kgroups.MonoidElement(r) for r in sorted(realized)]
-            assert kgroups.grothendieck_complete(gens)["rank"] == k
+            assert np.linalg.matrix_rank(np.array(sorted(realized))) == k
             # cone properness on a small window
             for nf in itertools.product(range(-2, 3), repeat=k):
                 g = kgroups.KClass(kgroups.K0, alg, nf)

@@ -5,6 +5,7 @@ import json
 from collections import Counter
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -217,6 +218,23 @@ def test_lapack_failure_gives_exit_3(tmp_path, capsys, monkeypatch):
     path = write_element(tmp_path / "e.json", algebra.order_unit(M2, 1))
     assert cli.main(["classify", path]) == 3
     assert "NoConvergence" in capsys.readouterr().err
+
+
+def test_out_of_memory_gives_exit_3_without_a_traceback(tmp_path):
+    # the circle generators' powers at grid 65536 take 8 GiB; the child
+    # limits its own address space to 3 GiB before it starts, so the
+    # allocation fails at once instead of loading the machine
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    spec = write_json(tmp_path / "alg.json",
+                      {"variant": "circle", "dim": 1, "grid": 65536})
+    proc = fresh_process(["kgroup", spec, "--which", "k1"],
+                         preexec_fn=limit_address_space)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "MemoryError" in err
 
 
 def test_every_error_has_one_exit_code():
@@ -852,14 +870,20 @@ def test_check_axioms_validates_each_witness_once(tmp_path, monkeypatch):
         f"witnesses; {len(built)} built")
 
 
-def stdout_of_fresh_process(argv) -> bytes:
-    """Standard output of ``amok argv`` in a new interpreter, which
-    draws its own hash seed."""
+def fresh_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``amok argv`` run to completion in a new interpreter, which draws
+    its own hash seed; ``kwargs`` go to ``subprocess.run``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "amok.cli"] + argv,
-                          capture_output=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-m", "amok.cli"] + argv,
+                          capture_output=True, env=env, timeout=300, **kwargs)
+
+
+def stdout_of_fresh_process(argv) -> bytes:
+    """Standard output of a successful ``amok argv`` in a new
+    interpreter."""
+    proc = fresh_process(argv)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 

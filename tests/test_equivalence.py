@@ -557,7 +557,9 @@ def test_cancellation_trial_whose_decider_raises_is_a_failure(monkeypatch):
         raise NoConvergence("LAPACK eigh failed")
 
     monkeypatch.setattr(eqv, "simK_equivalent", no_convergence)
-    results = suites.equivalence_suite(FD23, suites.RunConfig(trials=5))
+    cfg = suites.RunConfig(trials=5)
+    results = suites.run_properties(
+        cfg, suites._equivalence_properties(FD23, cfg))
     result, = [r for r in results if r.name == "simK-cancellation"]
     assert not result.passed
     assert len(result.failures) == result.trials
@@ -695,6 +697,26 @@ def test_path_validator_catches_bad_samples():
     with pytest.raises(PredicateFailure):
         broken.validate_strict()
     assert not broken.validate()
+
+
+def test_path_of_one_nan_sample_fails_validation():
+    nan = fd_element(M2, np.full((2, 2), np.nan))
+    path = eqv.HomotopyPath(samples=(nan,), relation_domain=eqv.UNITARY_SET)
+    assert not path.validate()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_sample_fails_its_predicate_without_an_svd(monkeypatch,
+                                                              value):
+    bad = fd_element(M2, np.full((2, 2), value))
+    path = eqv.HomotopyPath(samples=(E, bad, E),
+                            relation_domain=eqv.UNITARY_SET)
+    seen = counting_kernel_calls(monkeypatch, "spectral_norms_per_entry")
+    with pytest.raises(PredicateFailure) as info:
+        path.validate_strict()
+    assert info.value.index == 1
+    assert str(info.value) == "sample 1 fails the unitary predicate"
+    assert seen == []
 
 
 def counting_kernel_calls(monkeypatch, name):

@@ -1,6 +1,7 @@
 """Static checks: every module of the package uses each name it imports,
-loads at import time only the modules of an allowlist, and reaches the
-LAPACK solvers only through ``kernel``."""
+loads at import time only the modules of an allowlist, reaches the
+LAPACK solvers only through ``kernel``, and uses every error class it
+defines."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,45 @@ def test_package_has_no_unused_imports():
     found = {p.name: unused_imports(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def dead_error_classes(errors_source: str, other_sources) -> list:
+    """Classes defined in ``errors_source`` that none of ``other_sources``
+    names outside an import statement, so that no other module raises,
+    catches, subclasses or tabulates them (as ``Name`` or as
+    ``errors.Name``)."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    named = set()
+    for source in other_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "errors"):
+                named.add(node.attr)
+    return [name for name in defined if name not in named]
+
+
+def test_every_error_class_is_used_outside_errors():
+    # the scan itself flags a class that is only defined, subclassed in
+    # its own module or imported, and counts each kind of use elsewhere
+    probe = "".join(f"class {name}({base}):\n    pass\n" for name, base in [
+        ("Base", "Exception"), ("Raised", "Base"), ("Caught", "Base"),
+        ("Tabled", "Base"), ("Extended", "Base"), ("Imported", "Base"),
+        ("Dead", "Raised")])
+    users = ["from .errors import Base, Imported, Raised\n"
+             "try:\n    raise Raised('x')\nexcept (Base, KeyError):\n"
+             "    pass\n",
+             "from . import errors\nTABLE = {'a': errors.Tabled}\n"
+             "GROUP = (errors.Caught,)\n"
+             "class Local(errors.Extended):\n    pass\n"]
+    assert dead_error_classes(probe, users) == ["Imported", "Dead"]
+    others = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "errors.py"]
+    assert dead_error_classes((PACKAGE / "errors.py").read_text(),
+                              others) == []
 
 
 # The modules outside the package that may be loaded when the package is

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amok import algebra, equivalence as eqv, kgroups, model, morphisms, rand
-from amok.errors import (AlgebraMismatch, NoConvergence, NotProjection,
-                         NotUnital, PreconditionFailure, Unsupported)
+from amok.errors import (AlgebraMismatch, NotProjection, NotUnital,
+                         PreconditionFailure, Unsupported)
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -106,42 +106,18 @@ def test_well_definedness_under_padding():
         assert plain == padded
 
 
-# -- completion engine -----------------------------------------------------
+# -- additivity ------------------------------------------------------------
 
-def test_completion_of_scalar_monoid():
-    classes = [kgroups.MonoidElement((n,)) for n in range(5)]
-    out = kgroups.grothendieck_complete(classes)
-    assert out["rank"] == 1
-    assert out["relations"] == "free"
-
-
-def test_completion_of_projection_ranks():
-    rng = rand.stream(301, 0)
-    classes = []
-    for ranks in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        p = rand.projection(rng, FD23, 1, ranks=list(ranks))
-        classes.append(kgroups.MonoidElement(ranks, p))
-    out = kgroups.grothendieck_complete(classes)
-    assert out["rank"] == 2
-
-
-def test_completion_does_not_swallow_numerical_failure(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("LAPACK eigh failed")
-
-    def fallback(*args, **kwargs):
-        pytest.fail("a numerical failure fell back to the support invariant")
-
-    monkeypatch.setattr(eqv, "proj_invariant", no_convergence)
-    monkeypatch.setattr(eqv, "support_invariant", fallback)
-    p = rand.projection(rand.stream(302, 0), FD23, 1, ranks=[1, 0])
-    with pytest.raises(NoConvergence):
-        kgroups.grothendieck_complete([kgroups.MonoidElement((1, 0), p)])
-
-
-def test_completion_of_trivial_monoid():
-    classes = [kgroups.MonoidElement(()) for _ in range(3)]
-    assert kgroups.grothendieck_complete(classes)["rank"] == 0
+@pytest.mark.parametrize("alg", [FD23, algebra.AlgebraSpec.circle(1, 16),
+                                 algebra.AlgebraSpec.circle(2, 64)],
+                         ids=["fd23", "circle1x16", "circle2x64"])
+def test_k0_class_of_a_direct_sum_is_the_sum_of_the_classes(alg):
+    for t in range(6):
+        rng = rand.stream(303, t)
+        p = rand.projection(rng, alg, 1 + t % 2)
+        q = rand.projection(rng, alg, 1 + t // 3)
+        assert (kgroups.k0_class(algebra.direct_sum(p, q))
+                == kgroups.k0_class(p) + kgroups.k0_class(q))
 
 
 # -- the three groups ------------------------------------------------------
@@ -489,6 +465,16 @@ def test_morphism_validation_rejects_non_integer_multiplicities(entry):
     with pytest.raises(NotUnital, match="non-integer entry"):
         morphisms.MorphismSpec(FD12, FD12, ((entry, 0), (0, 1)),
                                (np.eye(1), np.eye(2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_morphism_validation_rejects_non_finite_conjugators(value):
+    # the product c* c of such a conjugator would warn; the entry is
+    # refused before it is formed
+    c = np.eye(2, dtype=complex)
+    c[0, 1] = value
+    with pytest.raises(NotUnital, match="conjugator 1 is not unitary"):
+        morphisms.MorphismSpec(FD12, FD12, ((1, 0), (0, 1)), (np.eye(1), c))
 
 
 def test_apply_and_compose_reject_an_overfilling_spec():

@@ -52,12 +52,6 @@ class AlgebraSpec:
             raise ValueError("grid_points must be a power of two")
         return AlgebraSpec(((n, d),))
 
-    def sample_points(self) -> np.ndarray:
-        """Grid points z_j = exp(2*pi*i*j/N) of the circle model."""
-        if len(self.summands) != 1 or self.summands[0][0] == 1:
-            raise AlgebraMismatch("sample points exist only for the circle model")
-        return roots_of_unity(self.summands[0][0])
-
 
 def roots_of_unity(n: int) -> np.ndarray:
     """The n grid points z_j = exp(2*pi*i*j/n) of a circle summand."""
@@ -140,11 +134,6 @@ class Element:
     def scale(self, z: complex) -> "Element":
         return self._wrap(z * a for a in self.stacks)
 
-    def __mul__(self, z) -> "Element":
-        return self.scale(complex(z))
-
-    __rmul__ = __mul__
-
     def adjoint(self) -> "Element":
         return Element(self.algebra, self.col_level, self.row_level,
                        (a.conj().transpose(0, 2, 1) for a in self.stacks))
@@ -186,9 +175,12 @@ def order_unit(algebra: AlgebraSpec, level: int) -> Element:
 
 def circle_function(algebra: AlgebraSpec, row_level, col_level, fn) -> Element:
     """Element of the circle model from a function z -> matrix, its
-    values at the grid points stacked into the one summand's stack."""
+    values at the grid points stacked into the one summand's stack.
+    Raises AlgebraMismatch for any algebra but one grid summand."""
+    if len(algebra.summands) != 1 or algebra.summands[0][0] == 1:
+        raise AlgebraMismatch("circle functions exist only on the circle model")
     values = [np.asarray(fn(z), dtype=complex)
-              for z in algebra.sample_points()]
+              for z in roots_of_unity(algebra.summands[0][0])]
     if len({a.shape for a in values}) > 1:
         raise ShapeMismatch("values at the grid points differ in shape")
     return Element(algebra, row_level, col_level, (np.stack(values),))

@@ -128,13 +128,6 @@ def _degree(U: np.ndarray) -> int:
     return w
 
 
-def winding(u: Element) -> int:
-    """The winding w of a circle-model unitary: k1_invariant(u) = (w,)."""
-    if len(inv := k1_invariant(u)) != 1:
-        raise Unsupported("winding is a circle-model invariant")
-    return inv[0]
-
-
 # -- certificates ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -484,6 +477,14 @@ def decides_mixed_ranks(summand) -> bool:
     support rank on an fd block (batch 1), but on a grid (batch above 1)
     only at rank 0 and full rank, not at mixed ranks between them."""
     return summand[0] == 1
+
+
+def decided_ranks(algebra: AlgebraSpec, rank_of) -> list:
+    """One support rank per level-1 summand of size d: ``rank_of(d)``
+    where ``decides_mixed_ranks``, full support d elsewhere.  ``rank_of``
+    is called in summand order and only where it decides."""
+    return [rank_of(d) if decides_mixed_ranks((b, d)) else d
+            for b, d in algebra.summands]
 
 
 def require_decided(x: Element, ranks, message: str) -> None:

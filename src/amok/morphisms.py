@@ -68,8 +68,10 @@ class MorphismSpec:
                     f"target block {i}: multiplicities overfill {dp}")
             if c.shape != (dp, dp):
                 raise NotUnital(f"conjugator {i} has shape {c.shape}")
-            if (not np.isfinite(c).all() or
-                    float(np.max(np.abs(c.conj().T @ c - np.eye(dp)))) > 1e-9):
+            # NaN, inf and overflow in c* c all fail the one comparison
+            with np.errstate(over="ignore", invalid="ignore"):
+                defect = np.max(np.abs(c.conj().T @ c - np.eye(dp)))
+            if not defect <= 1e-9:
                 raise NotUnital(f"conjugator {i} is not unitary")
 
     def multiplicity_array(self) -> np.ndarray:

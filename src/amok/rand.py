@@ -80,9 +80,8 @@ def element(rng, algebra: AlgebraSpec, row_level: int, col_level: int,
     return Element(algebra, row_level, col_level, tuple(stacks))
 
 
-def positive(rng, algebra: AlgebraSpec, level: int,
-             scale: float = 1.0) -> Element:
-    v = element(rng, algebra, level, level, scale)
+def positive(rng, algebra: AlgebraSpec, level: int) -> Element:
+    v = element(rng, algebra, level, level)
     return v.adjoint().matmul(v)
 
 

@@ -3,7 +3,8 @@
 Each property draws its inputs from a per-trial RNG stream derived from
 (seed, trial index), measures a residual, and records any trial whose
 residual exceeds the property tolerance.  The same suites back the
-command-line ``check-axioms`` run and the test suite.
+command-line ``check-axioms`` run and the test suite.  Only ``cli``
+imports this module, so it may import any other module of the library.
 
 The properties of a run are independent, so they run on forked worker
 processes, one per usable CPU, with the calling process as one of them.
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import equivalence as eqv
-from . import kernel, model, rand
+from . import kernel, kgroups, model, rand
 from .algebra import (AlgebraSpec, Element, dilate, direct_sum,
                       scalar_conjugate, zero)
 from .errors import AmokError
@@ -219,21 +220,6 @@ def _levels(rng):
     return int(rng.integers(1, 4)), int(rng.integers(1, 4))
 
 
-def abs_hoelder_excess(rng, algebra: AlgebraSpec, n: int) -> float:
-    """Spot check that |.| is Hoelder-1/2 continuous: the largest gap
-    ||v + d| - |v|| above 40 sqrt(delta) for one drawn v at level n and
-    a drawn d of each scale delta in 1e-2, 1e-4, 1e-6; 0 if none is."""
-    v = rand.element(rng, algebra, n, n)
-    res = 0.0
-    for delta in (1e-2, 1e-4, 1e-6):
-        d = rand.element(rng, algebra, n, n, scale=delta)
-        gap = model.distance(model.abs_value(v + d), model.abs_value(v))
-        # square-root Hoelder bound with a generous stable constant
-        if gap > 40.0 * np.sqrt(delta):
-            res = max(res, gap)
-    return res
-
-
 # -- element-calculus properties -------------------------------------------
 
 def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
@@ -410,7 +396,8 @@ def _model_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
                                classify_lattice))
 
     def abs_continuity(rng):
-        return abs_hoelder_excess(rng, algebra, int(rng.integers(1, 4)))
+        return kgroups.abs_hoelder_excess(rng, algebra,
+                                          int(rng.integers(1, 4)))
 
     properties.append(Property("abs-continuity", t_slow, abs_continuity))
 
@@ -517,11 +504,10 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
     properties.append(Property("sim1-equivalence-laws", t_path, sim1_laws))
 
     def decided_ranks(rng):
-        # a uniform rank on each summand that decides mixed ranks (fd
-        # blocks), full support on the others (grids)
-        return [int(rng.integers(0, d + 1))
-                if eqv.decides_mixed_ranks((b, d)) else d
-                for b, d in algebra.summands]
+        # uniform where the rank is decided (fd blocks), full support on
+        # the grids, which draw nothing
+        return eqv.decided_ranks(algebra,
+                                 lambda s: int(rng.integers(0, s + 1)))
 
     def simK_laws(rng):
         ranks = decided_ranks(rng)

@@ -20,7 +20,7 @@ CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 RESIDUAL_TOL = 1e-8
 
 
-def winding_oracle(u):
+def degree_oracle(u):
     """Argument-principle winding of det(u(z)), cofactor determinants."""
     def det(a):
         n = a.shape[0]
@@ -121,7 +121,7 @@ def test_criterion_4_k1_structure():
             CIRCLE1, 1, 1, lambda z, n=n: np.array([[z ** n]], dtype=complex))
         assert model.classify(f).is_unitary
         assert kgroups.k1_class(f).normal_form == (n,)
-        assert winding_oracle(f) == n
+        assert degree_oracle(f) == n
         powers[n] = f
     for a in powers:
         for b in powers:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amok import (algebra, cli, equivalence as eqv, errors, kernel, model,
-                  rand, serialize, suites)
+from amok import (algebra, cli, equivalence as eqv, errors, kernel, kgroups,
+                  model, rand, serialize, suites)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -387,6 +387,39 @@ def test_equiv_h_reports_windings_of_loop_degree(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["equivalent"] is False
     assert report["windings"] == [48, -16]
+
+
+def test_projection_of_varying_rank_is_refused(tmp_path, capsys):
+    # 1 on the first half of the grid points, 0 on the rest: an order
+    # projection at every point, of rank 1 or 0
+    p = algebra.Element(algebra.AlgebraSpec.circle(1, 16), 1, 1, [
+        (np.arange(16) < 8).astype(complex).reshape(16, 1, 1)])
+    assert model.is_order_projection(p)
+    for invariant in (eqv.proj_invariant, kgroups.k0_class):
+        with pytest.raises(errors.NotProjection) as exc:
+            invariant(p)
+        assert str(exc.value) == "projection rank varies across grid samples"
+    pf = write_element(tmp_path / "p.json", p)
+    assert cli.main(["equiv", pf, pf, "--relation", "mvn"]) == 2
+    assert capsys.readouterr().err == (
+        "error (NotProjection): projection rank varies across grid samples\n")
+
+
+def test_equiv_h_joins_rank_zero_circle_partial_unitaries(tmp_path, capsys):
+    # the zero is no unitary: the partial-unitary decider joins two zeros
+    # by a constant path, and the report carries no windings, since the
+    # zero's determinant loop sits at 0
+    zero = algebra.zero(algebra.AlgebraSpec.circle(1, 16), 1)
+    with pytest.raises(errors.Unsupported,
+                       match="^determinant loop passes too close to zero$"):
+        eqv.k1_invariant(zero)
+    zf = write_element(tmp_path / "zero.json", zero)
+    assert cli.main(["equiv", zf, zf, "--relation", "h",
+                     "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["equivalent"] is True
+    assert report["witness"]["kind"] == "path"
+    assert "windings" not in report
 
 
 def test_equiv_h_answers_in_either_operand_order(tmp_path, capsys):

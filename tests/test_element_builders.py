@@ -133,7 +133,7 @@ def test_circle_function_stacks_its_grid_values():
     fn = lambda z: np.array([[z, 0, 1, 0], [0, 1, 0, z ** 2]])
     v = algebra.circle_function(spec, 1, 2, fn)
     assert same_bytes(v.stacks, [np.stack([np.asarray(fn(z), dtype=complex)
-                                           for z in spec.sample_points()])])
+                                           for z in algebra.roots_of_unity(16)])])
     # a value of the wrong shape, everywhere or at one grid point only
     bad = (lambda z: np.eye(2), lambda z: z,
            lambda z: np.eye(2) if z == 1 else np.zeros((2, 4)))

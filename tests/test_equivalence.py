@@ -41,7 +41,7 @@ def det_oracle(a):
     return total
 
 
-def winding_oracle(u):
+def degree_oracle(u):
     """Argument-principle winding of det(u(z)) over the sample loop."""
     dets = np.array([det_oracle(a) for a in u.data])
     phases = np.angle(dets)
@@ -270,19 +270,18 @@ def test_circle_winding_separates_classes():
     one = algebra.order_unit(CIRCLE1, 1)
     ok, path = eqv.homotopic_unitaries(z, one)
     assert not ok and path is None
-    assert winding_oracle(z) == 1
-    assert winding_oracle(one) == 0
-    assert eqv.winding(z) == 1
-    assert eqv.winding(one) == 0
+    assert degree_oracle(z) == 1
+    assert degree_oracle(one) == 0
+    assert eqv.k1_invariant(z) == (1,)
+    assert eqv.k1_invariant(one) == (0,)
 
 
 def test_winding_matches_oracle_on_twisted_unitaries():
     rng = rand.stream(204, 0)
     for w in (-2, -1, 0, 1, 2):
         u = rand.unitary(rng, CIRCLE1, 2, winding=w)
-        assert eqv.winding(u) == w
         assert eqv.k1_invariant(u) == (w,)
-        assert winding_oracle(u) == w
+        assert degree_oracle(u) == w
 
 
 def diagonal_loop(powers, grid=64, seed=0):
@@ -303,7 +302,6 @@ def test_k1_invariant_is_the_degree_of_known_loops(powers):
     # the degree is still the sum of the entries' degrees
     u = diagonal_loop(powers)
     assert eqv.k1_invariant(u) == (sum(powers),)
-    assert eqv.winding(u) == sum(powers)
 
 
 def test_k1_invariant_separates_degrees_the_determinant_step_confuses():
@@ -334,8 +332,20 @@ def test_k1_invariant_is_empty_over_fd_blocks():
     for alg in (M2, FD23):
         u = rand.unitary(rng, alg, 2)
         assert eqv.k1_invariant(u) == ()
-        with pytest.raises(Unsupported, match="circle-model invariant"):
-            eqv.winding(u)
+
+
+def test_decided_ranks_asks_only_the_fd_blocks_in_summand_order():
+    asked = []
+
+    def rank_of(d):
+        asked.append(d)
+        return d - 1
+
+    assert eqv.decided_ranks(FD23, rank_of) == [1, 2]
+    assert asked == [2, 3]
+    # a grid decides no mixed rank: full support, and rank_of is not called
+    assert eqv.decided_ranks(CIRCLE1, rank_of) == [1]
+    assert asked == [2, 3]
 
 
 def test_circle_equal_winding_gives_validated_path():

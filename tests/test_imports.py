@@ -1,7 +1,8 @@
 """Static checks: every module of the package uses each name it imports,
 loads at import time only the modules of an allowlist, reaches the
-LAPACK solvers only through ``kernel``, and uses every error class it
-defines."""
+LAPACK solvers only through ``kernel``, uses every error class it
+defines, and imports its own modules without a cycle, with ``suites``
+on top."""
 
 import ast
 from pathlib import Path
@@ -125,6 +126,62 @@ def test_package_imports_only_allowlisted_modules_at_import_time():
                       if name not in IMPORT_ALLOWLIST]
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def internal_imports(source: str) -> set:
+    """The modules of the package that a module imports, by
+    ``from . import a, b`` or by ``from .a import name``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_faults(graph: dict) -> list:
+    """The faults of an import graph {module: modules it imports}: each
+    module but ``cli`` that imports ``suites``, then the first cycle a
+    depth-first search in name order meets, from the module it re-enters
+    around to that module again."""
+    faults = [("imports suites", m) for m in sorted(graph)
+              if m != "cli" and "suites" in graph[m]]
+    done, path = set(), []
+
+    def visit(m):
+        path.append(m)
+        for n in sorted(graph.get(m, ())):
+            if n in path:
+                return path[path.index(n):] + [n]
+            if n not in done and (cycle := visit(n)):
+                return cycle
+        done.add(path.pop())
+        return None
+
+    for m in sorted(graph):
+        if m not in done and (cycle := visit(m)):
+            return faults + [("cycle", cycle)]
+    return faults
+
+
+def test_internal_imports_form_no_cycle_and_only_cli_imports_suites():
+    # the scan itself reads both relative forms and nothing else, and
+    # flags a cycle and a second importer of suites
+    probe = ("from . import kernel, model as m\nfrom .algebra import zero\n"
+             "from amok import rand\nimport os\n"
+             "def f():\n    from .errors import AmokError\n")
+    assert internal_imports(probe) == {"kernel", "model", "algebra", "errors"}
+    assert import_faults({"a": {"b"}, "b": {"c"}, "c": {"a", "d"},
+                          "d": set()}) == [("cycle", ["a", "b", "c", "a"])]
+    assert import_faults({"cli": {"suites", "kgroups"},
+                          "kgroups": {"suites"}, "suites": set()}) == [
+        ("imports suites", "kgroups")]
+    graph = {p.stem: internal_imports(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert "suites" in graph["cli"]
+    assert import_faults(graph) == []
 
 
 # The numpy.linalg solvers that only kernel.py may call; the scan leaves

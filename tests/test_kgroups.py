@@ -191,7 +191,7 @@ def test_k1_circle_is_winding_group():
     assert view.cone == "full"
     assert dict(view.flags)["whitehead"]
     gen = view.generators[0]
-    assert eqv.winding(gen) == 1
+    assert eqv.k1_invariant(gen) == (1,)
     assert kgroups.k1_class(gen).normal_form == (1,)
 
 
@@ -467,10 +467,11 @@ def test_morphism_validation_rejects_non_integer_multiplicities(entry):
                                (np.eye(1), np.eye(2)))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200],
+                         ids=["nan", "inf", "huge"])
 def test_morphism_validation_rejects_non_finite_conjugators(value):
-    # the product c* c of such a conjugator would warn; the entry is
-    # refused before it is formed
+    # c* c of such a conjugator is NaN, inf or overflows; the spec is
+    # refused without a warning, which pytest would turn into an error
     c = np.eye(2, dtype=complex)
     c[0, 1] = value
     with pytest.raises(NotUnital, match="conjugator 1 is not unitary"):

@@ -434,8 +434,8 @@ def test_constructors_pin_the_summands():
     assert algebra.AlgebraSpec.fd([2, 3]).summands == ((1, 2), (1, 3))
     assert algebra.AlgebraSpec.circle(2, 64).summands == ((64, 2),)
     with pytest.raises(AlgebraMismatch) as exc:
-        FD23.sample_points()
-    assert str(exc.value) == "sample points exist only for the circle model"
+        algebra.circle_function(FD23, 1, 1, lambda z: np.eye(2))
+    assert str(exc.value) == "circle functions exist only on the circle model"
     with pytest.raises(AlgebraMismatch) as exc:
         morphisms.MorphismSpec(CIRCLE1, M2, ((2,),), (np.eye(2),))
     assert str(exc.value) == "morphisms are defined between fd algebras"

@@ -91,6 +91,22 @@ def test_worker_exception_reaches_the_caller(monkeypatch, cpus):
     assert "LookupError: raised in a worker" in str(cause)
 
 
+def test_a_worker_that_dies_is_reported(monkeypatch):
+    fake_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def exit_in_a_worker(rng):
+        time.sleep(0.05)
+        if os.getpid() != parent:
+            os._exit(3)
+        return 0.0
+
+    properties = [suites.Property(f"p{i}", 1, exit_in_a_worker)
+                  for i in range(8)]
+    with pytest.raises(ChildProcessError, match="wait status"):
+        run(properties)
+
+
 @pytest.mark.parametrize("head", [0.0, 0.1])
 @pytest.mark.parametrize("cpus", CPU_COUNTS)
 def test_lowest_failing_index_wins(monkeypatch, cpus, head):

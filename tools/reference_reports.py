@@ -62,8 +62,7 @@ def _pair_inputs(name: str, algebra: AlgebraSpec, inputs: Path) -> dict:
 
     def support(k: int):
         # full support on each summand where mixed ranks are undecided
-        return [r if eqv.decides_mixed_ranks(s) else s[1]
-                for s, r in zip(algebra.summands, ranks(k))]
+        return eqv.decided_ranks(algebra, lambda s: k % (s + 1))
 
     elements = {
         "u": rand.unitary(draw(0), algebra, 1, winding=wind),

@@ -238,15 +238,18 @@ def main(argv=None) -> int:
             report, lines, code = _COMMANDS[args.command](args, cfg)
             elapsed = time.time() - t0
         report.update(command=args.command, config=dataclasses.asdict(cfg))
+
+        def open_out():
+            return (open(args.out, "w") if args.out
+                    else contextlib.nullcontext(sys.stdout))
+
         if args.format == "json":
-            out = serialize.dumps_canonical(report)
+            # streamed in pieces; a report the encoder refuses raises
+            # before --out is opened
+            serialize.write_canonical(report, open_out)
         else:
-            out = "\n".join(lines + [f"elapsed: {elapsed:.2f}s"])
-        # two writes: a witness report is too large to copy for one newline
-        with (open(args.out, "w") if args.out
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(out)
-            fh.write("\n")
+            with open_out() as fh:
+                fh.write("\n".join(lines + [f"elapsed: {elapsed:.2f}s", ""]))
         return code
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")

@@ -19,8 +19,9 @@ per summand, the element layout with a leading sample axis.  The path
 builders compute these stacks in one piece, write the first and last
 entries as exactly the two operands, and hand them to the path; the
 validator and the report writer (``serialize.path_to_json``, then
-``serialize.dumps_canonical``) read them directly.  Per-sample
-Elements (``samples``, ``start``, ``end``) are views of the stacks.
+``serialize.write_canonical``, which streams a chunk of samples at a
+time) read them directly.  Per-sample Elements (``samples``, ``start``,
+``end``) are views of the stacks.
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ def proj_invariant(p: Element, tol: float = model.TOL_PRED) -> tuple:
     return _spectral_support(p)[0]
 
 
+@model._memoized
 def k1_invariant(u: Element) -> tuple:
     """Complete K1 invariant of a unitary: the degree of its loop on each
     grid summand, in order.  fd blocks add no entry, since their unitary
     groups are connected, so the invariant is ``()`` over fd blocks and
-    ``(w,)`` on the circle."""
+    ``(w,)`` on the circle.  Memoized inside ``model.memo_scope``."""
     return tuple(_degree(a) for a, (b, _) in zip(u.stacks, u.algebra.summands)
                  if b > 1)
 

@@ -6,13 +6,14 @@ distance at a predicate tolerance, with two exceptions that compare the
 largest entry instead: ``is_selfadjoint`` bounds the largest entry of
 v - v*, and ``orthogonal_infty_a`` the largest entry of uv.
 
-Inside ``memo_scope`` the three element functions that reach LAPACK
-most, ``abs_value``, ``op_norm`` and ``spectrum``, are computed once per
-distinct input: a repeat call with a bit-identical argument returns the
-stored result.  Outside a scope nothing is cached, except that the
-public entry points that decompose one element several times
-(``classify`` here, ``kgroups.k_class`` and ``kgroups.k_pair_class``)
-open one through ``memo_scope_if_none``.
+Inside ``memo_scope`` the element functions that reach LAPACK most,
+``abs_value``, ``op_norm`` and ``spectrum`` here and
+``equivalence.k1_invariant``, are computed once per distinct input: a
+repeat call with a bit-identical argument returns the stored result.
+Outside a scope nothing is cached, except that the public entry points
+that decompose one element several times (``classify`` here,
+``kgroups.k_class`` and ``kgroups.k_pair_class``) open one through
+``memo_scope_if_none``.
 
 ``spectrum`` is the one place where a projection is decomposed: the
 order-projection predicate and the rank and range bases of
@@ -41,9 +42,9 @@ _MEMO = contextvars.ContextVar("amok_model_memo")
 
 @contextlib.contextmanager
 def memo_scope():
-    """Cache ``abs_value``, ``op_norm`` and ``spectrum`` by input content
-    until the block exits; a nested scope starts empty and restores the
-    outer one."""
+    """Cache ``abs_value``, ``op_norm``, ``spectrum`` and
+    ``equivalence.k1_invariant`` by input content until the block exits;
+    a nested scope starts empty and restores the outer one."""
     token = _MEMO.set({})
     try:
         yield

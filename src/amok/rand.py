@@ -52,18 +52,27 @@ def _trig_coeffs(rng, grid, shape, deg=None):
     return ks, coeffs
 
 
+# grid points per pass of _trig_eval
+_TRIG_CHUNK = 256
+
+
 def _trig_eval(grid, ks, coeffs):
     """Values at the points of a grid of the given size as one stack.
 
     Each point is its own 1 x K row of powers times the coefficients,
     which sums in the order of a per-point ``tensordot``; one N x K
     Vandermonde product would not, and would move generated entries in
-    the last digits.
+    the last digits.  The rows of powers are built ``_TRIG_CHUNK`` points
+    at a time, so the memory beyond the stack itself does not grow with
+    the grid; the time still grows with N times K.
     """
     zs = roots_of_unity(grid)
-    rows = (zs[:, None] ** ks)[:, None, :]
-    return (rows @ coeffs.reshape(len(ks), -1)).reshape(
-        (len(zs),) + coeffs.shape[1:])
+    flat = coeffs.reshape(len(ks), -1)
+    out = np.empty((grid, 1, flat.shape[1]), complex)
+    for j in range(0, grid, _TRIG_CHUNK):
+        np.matmul((zs[j:j + _TRIG_CHUNK, None] ** ks)[:, None, :], flat,
+                  out=out[j:j + _TRIG_CHUNK])
+    return out.reshape((grid,) + coeffs.shape[1:])
 
 
 def element(rng, algebra: AlgebraSpec, row_level: int, col_level: int,

@@ -6,8 +6,11 @@ fields.  An element matrix is walked once, cell by cell in row order,
 and its first bad row or entry is named.  Canonical dumps are
 sorted-key compact JSON so identical inputs produce byte-identical
 output, the bytes of the stdlib ``json.dumps``.
-Path samples are written straight from their stacks, a few samples at a
-time, with the float text of ``repr`` computed for whole arrays.
+``write_canonical`` streams that text to its destination in pieces, one
+per chunk of path samples, each sliced straight from the path's stacks
+with the float text of ``repr`` computed for the whole chunk; neither the
+text nor a copy of a path's samples is ever held whole.
+``dumps_canonical`` is the join of the same pieces.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def load_pair(path: str) -> tuple:
 
 class _PathSamples:
     """The samples of a path, kept as its (T, B, r, c) stacks until
-    ``dumps_canonical`` writes them."""
+    ``write_canonical`` or ``dumps_canonical`` writes them."""
     __slots__ = ("path",)
 
     def __init__(self, path):
@@ -169,8 +172,9 @@ class _PathSamples:
 
 
 def path_to_json(path) -> dict:
-    """A path whose ``"samples"`` are written by ``dumps_canonical`` as
-    one element object per sample, straight from its stacks."""
+    """A path whose ``"samples"`` are written by ``write_canonical`` and
+    ``dumps_canonical`` as one element object per sample, straight from
+    its stacks."""
     return {"kind": "path",
             "relation_domain": path.relation_domain,
             "step_bound": path.step_bound,
@@ -204,9 +208,11 @@ _DIGITS4 = np.concatenate(np.broadcast_arrays(_digits2[:, None], _digits2),
 _neg, _k, _J, _column = np.ix_(range(2), range(4), range(18), range(24))
 _NUMBER_KEEP = ((_column == 0) & (_neg == 1) | (_column == 1) | (_column == 2)
                 | (6 - _k <= _column) & (_column < 24 - _J)).reshape(-1, 24)
-# floats per pass: four samples of a circle dim 2 grid 64 path; larger
-# passes raise the peak memory of a dump
-_CHUNK_FLOATS = 2048
+# floats per pass, eight samples of a circle dim 2 grid 64 path: a pass
+# holds about 230 bytes per float at its peak.  Measured on that path's
+# 1.4 MB report, on one core of a 2-core x86 VM: 17.1 ms per report at
+# 2048, 15.2 ms at 4096, and 14.7 ms at 8192 for twice the memory
+_CHUNK_FLOATS = 4096
 
 
 def _float_rows(x, pieces):
@@ -222,29 +228,56 @@ def _float_rows(x, pieces):
     """
     n = len(x)
     F, P = pieces.shape
+    # in place where it can be, and each array dropped once it is dead:
+    # this is the peak memory of a writer pass
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1.0)
-    a = np.where(fast, a, 0.5)
-    # exact: the doubles 0.1, 0.01 and 0.001 lie above those decimals
-    k = 18 + (a < 0.1) + (a < 0.01) + (a < 0.001)
-    b = _POW10[k]
+    a[~fast] = 0.5
+    # k - 18; exact: the doubles 0.1, 0.01 and 0.001 lie above those decimals
+    k = np.add(a < 0.1, a < 0.01, dtype=np.int8)
+    k += a < 0.001
+    b = _POW10[18:][k]
     hi = a * b
-    c = 134217729.0 * a  # 2**27 + 1: split a and b into 26-bit halves
-    ah = c - (c - a)
+    c = a * 134217729.0  # 2**27 + 1: split a and b into 26-bit halves
+    ah = c - a
+    np.subtract(c, ah, out=ah)
     al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
+    np.multiply(b, 134217729.0, out=c)
+    bh = c - b
+    np.subtract(c, bh, out=bh)
     bl = b - bh
-    lo = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
-    up = np.spacing(a) * 0.5 * b  # the scaled half-ulp gap, exact
+    del c
+    # lo = al bl - (((hi - ah bh) - al bh) - ah bl)
+    lo = ah * bh
+    np.subtract(hi, lo, out=lo)
+    t = al * bh
+    lo -= t
+    np.multiply(ah, bl, out=t)
+    lo -= t
+    np.multiply(al, bl, out=t)
+    np.subtract(t, lo, out=lo)
+    del ah, al, bh, bl, t
+    up = np.spacing(a)  # the scaled half-ulp gap, exact
+    up *= 0.5
+    up *= b
+    del a, b
     li, ui = np.floor(lo), np.floor(up)
-    lf, uf = lo - li, up - ui  # exact: multiples of 2**-46
-    base = hi.astype(np.int64) + li.astype(np.int64)  # floor(hi + lo)
+    lf, uf = lo, up
+    lf -= li  # exact: multiples of 2**-46
+    uf -= ui
+    base = hi.astype(np.int64)
+    base += li.astype(np.int64)  # floor(hi + lo)
+    del hi, li, lo, up
+    ui = ui.astype(np.int64)
     # the ends hi + lo -+ up are odd multiples of powers of two below 1,
     # never integers; below a power of two the gap is half as wide, but the
     # powers of two here are short exact decimals, written either way
-    low = base - ui.astype(np.int64) + (lf > uf)
-    high = base + ui.astype(np.int64) + (lf + uf >= 1)
+    low = base - ui
+    low += lf > uf
+    high = base + ui
+    uf += lf
+    high += uf >= 1
+    del ui, uf
     J = np.zeros(n, np.int64)  # below 18: 1e18 is in no interval
     todo = np.arange(n)
     for j, p in enumerate(_POW10_INT[1:].tolist(), 1):
@@ -252,24 +285,39 @@ def _float_rows(x, pieces):
         if not todo.size:
             break
         J[todo] = j
+    del todo
     p = _POW10_INT[J]
     q = base // p
-    below = q * p
+    decimal = q * p  # the multiple below, raised below where it is not
     # the multiple above is nearer when p - 2 (base - below) < 2 lf
-    t = (p - 2 * (base - below)).astype(np.float64)
-    nearer_above = (2 * lf > t) | ((2 * lf == t) & (q % 2 == 1))
-    decimal = np.where((below < low) | (nearer_above & (below + p <= high)),
-                       below + p, below)
-    # four-digit groups, by division by scalars only (array divisors are slow)
-    quotients = [decimal // g for g in (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)]
-    groups = np.stack([quotients[0]] + [
-        lower - 10000 * upper
-        for upper, lower in zip(quotients, quotients[1:] + [decimal])], axis=1)
+    base -= decimal
+    base *= 2
+    t = (p - base).astype(np.float64)
+    lf *= 2
+    nearer_above = (lf > t) | ((lf == t) & (q % 2 == 1))
+    del base, q, t, lf
+    p += decimal
+    nearer_above &= p <= high
+    nearer_above |= decimal < low
+    np.copyto(decimal, p, where=nearer_above)
+    del p, low, high, nearer_above
+    # four-digit groups, by division by scalars only (array divisors are
+    # slow): each quotient less 10000 times the one above it
+    groups = np.empty((5, n), np.int64)
+    for row, g in zip(groups, (10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        np.floor_divide(decimal, g, out=row)
+    groups[4] = decimal
+    for i in range(4, 0, -1):
+        groups[i] -= 10000 * groups[i - 1]
     rows = np.empty((n, P + 24), np.uint8)
     rows.reshape(-1, F, P + 24)[:, :, :P + 4] = np.concatenate(
         [pieces, np.broadcast_to(np.frombuffer(b"-0.0", np.uint8), (F, 4))], 1)
-    rows[:, P + 4:] = _DIGITS4.take(groups).view(np.uint8).reshape(n, 20)
-    rows[:, P:] *= _NUMBER_KEEP.take(((x < 0) * 4 + k - 18) * 18 + J, axis=0)
+    rows[:, P + 4:] = _DIGITS4.take(groups.T).view(np.uint8).reshape(n, 20)
+    del groups
+    # the keep row of sign, k - 18 and J
+    J += 18 * k
+    J[x < 0] += 72
+    rows[:, P:] *= _NUMBER_KEEP.take(J, axis=0)
     slow = np.flatnonzero(~fast)
     rows[slow, P:] = np.frombuffer(b"".join(
         repr(v).encode().ljust(24, b"\0") for v in x[slow].tolist()),
@@ -277,21 +325,18 @@ def _float_rows(x, pieces):
     return rows
 
 
-def _samples_json(path) -> str:
+def _sample_pieces(path):
     """The canonical JSON of a path's samples, as ``element_to_json`` of
-    each sample would give, written straight from the stacks.
+    each sample would give, in one piece of text per chunk of samples.
 
     The text of a sample is cut at its floats into a header, the short
-    pieces between floats, and a trailer.  ``_float_rows`` writes the
-    floats of a few samples at a time with their pieces, in the float text
-    of the json encoder (``float.__repr__``); the headers and trailers go
-    around them in one byte buffer, decoded once.
+    pieces between floats, and a trailer.  Each chunk of samples is
+    sliced straight from the stacks; ``_float_rows`` writes its floats
+    with their pieces, in the float text of the json encoder
+    (``float.__repr__``), and the headers and trailers go around them in
+    one byte buffer, decoded once.
     """
     T = len(path.stacks[0])
-    flat = np.concatenate([s.view(np.float64).reshape(T, -1)
-                           for s in path.stacks], axis=1)
-    if not np.isfinite(flat).all():
-        raise ValueError("Out of range float values are not JSON compliant")
     matrices = []
     for s in path.stacks:
         _, b, r, c = s.shape
@@ -300,27 +345,36 @@ def _samples_json(path) -> str:
     algebra = _dumps(algebra_to_json(path.algebra))  # holds no "\0"
     sample = (f'{{"algebra":{algebra},"col_level":{path.col_level},'
               f'"data":[{",".join(matrices)}],"row_level":{path.row_level}}}')
-    F = flat.shape[1]
-    if not F:
-        return "[" + ",".join([sample] * T) + "]"
-    head, *inner, tail = (sample + ",").encode().split(b"\0")
+    F = sample.count("\0")
+    head, *inner = sample.encode().split(b"\0")
+    tail = inner.pop() if F else b""
     width = max(map(len, inner), default=0)
     pieces = np.frombuffer(b"".join(p.ljust(width, b"\0")
                                     for p in [b"", *inner]), np.uint8)
     pieces = pieces.reshape(F, width)
-    per = max(1, _CHUNK_FLOATS // F)
-    out = bytearray(b"[")
+    per = max(1, _CHUNK_FLOATS // max(F, 1))
+    sep = b"["
     for t in range(0, T, per):
-        rows = _float_rows(flat[t:t + per].ravel(), pieces)
-        text = memoryview(rows[rows != 0])
-        ends = np.cumsum(np.count_nonzero(rows.reshape(-1, F * rows.shape[1]),
-                                          axis=1)).tolist()
+        n = min(per, T - t)
+        if F:
+            rows = _float_rows(np.concatenate(
+                [s[t:t + n].view(np.float64).reshape(n, -1)
+                 for s in path.stacks], axis=1).ravel(), pieces)
+            ends = np.cumsum(np.count_nonzero(rows.reshape(n, -1),
+                                              axis=1)).tolist()
+            text = memoryview(rows[rows != 0])
+            del rows
+        else:
+            ends, text = [0] * n, b""
+        out = bytearray()
         for start, end in zip([0] + ends, ends):
+            out += sep
             out += head
             out += text[start:end]
             out += tail
-    out[-1:] = b"]"
-    return out.decode("ascii")
+            sep = b","
+        yield out.decode("ascii")
+    yield "]"
 
 
 def _dumps(obj) -> str:
@@ -330,23 +384,51 @@ def _dumps(obj) -> str:
                       allow_nan=False, check_circular=False)
 
 
-def _encode(obj):
-    """The canonical JSON of ``obj`` if it holds path samples, else None:
-    the stdlib dump of ``obj`` is then canonical as it is.  Path samples
-    are looked for as dict values, through nested dicts only; the dicts
-    on the way to them are written here, with string keys in sorted
-    order, and every other value goes through the stdlib dump."""
+def _require_finite(path) -> None:
+    """Refuse a path with a non-finite sample, as the json encoder would,
+    without an array as large as the path: NaN propagates through ``min``
+    and ``max``, and an infinity is one of them."""
+    for s in path.stacks:
+        x = s.view(np.float64)
+        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant")
+
+
+def _layout(obj):
+    """The canonical JSON of ``obj`` as text and path samples in order,
+    or None if it holds no path samples: the stdlib dump of ``obj`` is
+    then canonical as it is.  Path samples are looked for as dict values,
+    through nested dicts only; the dicts on the way to them are laid out
+    here, with string keys in sorted order, every other value is dumped
+    by the stdlib, and the samples are checked finite."""
     if isinstance(obj, _PathSamples):
-        return _samples_json(obj.path)
+        _require_finite(obj.path)
+        return [obj]
     if not isinstance(obj, dict):
         return None
     keys = sorted(obj)
-    parts = [_encode(obj[k]) for k in keys]
-    if all(p is None for p in parts):
+    inner = [_layout(obj[k]) for k in keys]
+    if all(p is None for p in inner):
         return None
-    return "{" + ",".join(
-        f"{_dumps(k)}:{_dumps(obj[k]) if p is None else p}"
-        for k, p in zip(keys, parts)) + "}"
+    parts = []
+    for i, (k, p) in enumerate(zip(keys, inner)):
+        parts.append(("," if i else "{") + _dumps(k) + ":")
+        parts += [_dumps(obj[k])] if p is None else p
+    parts.append("}")
+    return parts
+
+
+def _pieces(obj):
+    """The canonical JSON of ``obj`` as an iterator of text pieces, none
+    larger than a chunk of path samples.  Everything the encoder refuses
+    raises here, before the first piece is asked for."""
+    parts = _layout(obj)
+    if parts is None:
+        return iter([_dumps(obj)])
+    return (piece for part in parts
+            for piece in ([part] if isinstance(part, str)
+                          else _sample_pieces(part.path)))
 
 
 def dumps_canonical(obj) -> str:
@@ -355,6 +437,19 @@ def dumps_canonical(obj) -> str:
     The bytes are those of the stdlib dump with ``sort_keys=True`` and
     compact separators, also for the samples of a ``path_to_json``
     witness, which are written from the path's stacks instead of from
-    nested lists."""
-    text = _encode(obj)
-    return _dumps(obj) if text is None else text
+    nested lists.  The text is the join of the pieces that
+    ``write_canonical`` writes."""
+    return "".join(_pieces(obj))
+
+
+def write_canonical(obj, open_out) -> None:
+    """Write ``dumps_canonical(obj)`` and a newline to the text stream
+    that ``open_out()`` opens as a context manager, one bounded piece at a
+    time, so that neither the text nor a copy of a path's samples is ever
+    held whole.  Anything the encoder refuses raises before ``open_out``
+    is called, so a file it would open keeps its bytes."""
+    pieces = _pieces(obj)
+    with open_out() as fh:
+        for piece in pieces:
+            fh.write(piece)
+        fh.write("\n")

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
 import contextlib
+import io
 import json
 from collections import Counter
 import os
@@ -8,7 +9,9 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -221,15 +224,16 @@ def test_lapack_failure_gives_exit_3(tmp_path, capsys, monkeypatch):
 
 
 def test_out_of_memory_gives_exit_3_without_a_traceback(tmp_path):
-    # the circle generators' powers at grid 65536 take 8 GiB; the child
-    # limits its own address space to 3 GiB before it starts, so the
-    # allocation fails at once instead of loading the machine
+    # the coefficient degrees of the circle generators at grid 2**40 take
+    # 1 TiB, with or without chunked evaluation; the child limits its own
+    # address space to 3 GiB before it starts, so the allocation fails at
+    # once instead of loading the machine
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
     spec = write_json(tmp_path / "alg.json",
-                      {"variant": "circle", "dim": 1, "grid": 65536})
-    proc = fresh_process(["kgroup", spec, "--which", "k1"],
+                      {"variant": "circle", "dim": 1, "grid": 2 ** 40})
+    proc = fresh_process(["kgroup", spec, "--which", "k1"], timeout=60,
                          preexec_fn=limit_address_space)
     err = proc.stderr.decode()
     assert proc.returncode == 3, err
@@ -344,6 +348,30 @@ def test_equiv_validates_each_witness_once(tmp_path, capsys, monkeypatch):
     # a path tolerance no sample can meet is a numerical failure
     assert cli.main(["equiv", uf, vf, "--relation", "h",
                      "--tol-path", "1e-30"]) == 3
+
+
+def test_equiv_computes_each_loop_degree_once(tmp_path, capsys,
+                                              monkeypatch):
+    degrees = []
+    degree = eqv._degree
+
+    def counting(U):
+        degrees.append(U)
+        return degree(U)
+
+    monkeypatch.setattr(eqv, "_degree", counting)
+    circle2 = algebra.AlgebraSpec.circle(2, 64)
+    rng = rand.stream(402, 0)
+    uf = write_element(tmp_path / "u.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    vf = write_element(tmp_path / "v.json",
+                       rand.unitary(rng, circle2, 1, winding=1))
+    assert cli.main(["equiv", "--relation", "h", uf, vf,
+                     "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["equivalent"] is True and report["windings"] == [1, 1]
+    # the decider's invariants and the reported windings share them
+    assert len(degrees) == 2
 
 
 def test_path_not_buildable_at_path_tolerance_gives_exit_3(tmp_path, capsys):
@@ -508,15 +536,60 @@ def test_path_writer_matches_the_nested_list_dump():
         want = nested_list_path_json(path)
         assert (serialize.dumps_canonical(serialize.path_to_json(path))
                 == stdlib_dump(want))
+        assert written(serialize.path_to_json(path)) == stdlib_dump(want)
         # inside nested dicts, beside values the stdlib dump writes
         report = {"witness": serialize.path_to_json(path), "windings": [1, 1],
                   "config": {"tol_path": 1e-08, "seed": 0}, "extra": None,
                   "nested": {"a": {"witness": serialize.path_to_json(path)},
                              "b": 2.5}}
-        assert serialize.dumps_canonical(report) == stdlib_dump(
+        text = stdlib_dump(
             {"witness": want, "windings": [1, 1],
              "config": {"tol_path": 1e-08, "seed": 0}, "extra": None,
              "nested": {"a": {"witness": want}, "b": 2.5}})
+        assert serialize.dumps_canonical(report) == text == written(report)
+
+
+def written(obj) -> str:
+    """The text ``write_canonical`` writes, less its newline, checked
+    equal on a file and on stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        serialize.write_canonical(obj, lambda: open(out, "w"))
+        to_file = out.read_bytes()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        serialize.write_canonical(
+            obj, lambda: contextlib.nullcontext(sys.stdout))
+    assert stdout.getvalue().encode() == to_file and to_file[-1:] == b"\n"
+    return to_file[:-1].decode()
+
+
+def repeated(path, T: int) -> eqv.HomotopyPath:
+    """``path`` with its samples repeated in order to T samples."""
+    return eqv.HomotopyPath(
+        [np.resize(s, (T,) + s.shape[1:]) for s in path.stacks],
+        path.relation_domain, like=path.start)
+
+
+def test_path_writer_streams_chunks_of_samples_across_boundaries():
+    F = sum(s[0].size * 2 for s in special_float_path().stacks)
+    per = serialize._CHUNK_FLOATS // F  # samples per chunk
+    assert per > 1
+    for T in (1, per - 1, per, per + 1, 2 * per - 1, 2 * per, 2 * per + 1):
+        path = repeated(special_float_path(), T)
+        want = nested_list_path_json(path)
+        longest = max(len(stdlib_dump(s)) for s in want["samples"])
+        pieces = []
+        fh = types.SimpleNamespace(write=pieces.append)
+        serialize.write_canonical({"witness": serialize.path_to_json(path)},
+                                  lambda: contextlib.nullcontext(fh))
+        text = stdlib_dump({"witness": want})
+        assert "".join(pieces) == text + "\n", T
+        assert serialize.dumps_canonical(
+            {"witness": serialize.path_to_json(path)}) == text
+        # one piece per chunk of samples: none holds more than a chunk
+        assert max(map(len, pieces)) <= per * (longest + 1)
+        assert written(serialize.path_to_json(path)) == stdlib_dump(want)
 
 
 def test_path_writer_rejects_non_finite_samples():
@@ -529,6 +602,34 @@ def test_path_writer_rejects_non_finite_samples():
         with pytest.raises(ValueError):
             serialize.dumps_canonical({"witness":
                                        serialize.path_to_json(broken)})
+        # refused before the destination is opened
+        for report in ({"witness": serialize.path_to_json(broken)},
+                       {"witness": serialize.path_to_json(path),
+                        "windings": [bad]}):
+            with pytest.raises(ValueError):
+                serialize.write_canonical(
+                    report, lambda: pytest.fail("the destination was opened"))
+
+
+def test_equiv_with_a_non_finite_sample_keeps_an_existing_out_file(
+        tmp_path, monkeypatch):
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    rng = rand.stream(404, 0)
+    u = rand.unitary(rng, circle, 1, winding=1)
+    ok, path = eqv.homotopic_unitaries(u, u)
+    assert ok
+    stacks = [s.copy() for s in path.stacks]
+    stacks[0][5, 3, 0, 0] = complex(float("nan"), 0.0)
+    broken = eqv.HomotopyPath(stacks, path.relation_domain, like=u)
+    monkeypatch.setattr(eqv, "homotopic_unitaries",
+                        lambda *args, **kwargs: (True, broken))
+    uf = write_element(tmp_path / "u.json", u)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    with pytest.raises(ValueError):
+        cli.main(["equiv", uf, uf, "--relation", "h", "--format", "json",
+                  "--out", str(out)])
+    assert out.read_bytes() == b"an earlier report\n"
 
 
 def test_path_writer_writes_samples_without_entries():
@@ -536,8 +637,9 @@ def test_path_writer_writes_samples_without_entries():
     empty = algebra.order_unit(fd12, 0)
     ok, path = eqv.homotopic_unitaries(empty, empty)
     assert ok and path.stacks[1].shape == (eqv.PATH_SAMPLES, 1, 0, 0)
-    assert (serialize.dumps_canonical(serialize.path_to_json(path))
-            == stdlib_dump(nested_list_path_json(path)))
+    want = stdlib_dump(nested_list_path_json(path))
+    assert serialize.dumps_canonical(serialize.path_to_json(path)) == want
+    assert written(serialize.path_to_json(path)) == want
 
 
 def written_floats(x) -> list:
@@ -576,28 +678,42 @@ def test_float_writer_matches_repr_on_a_million_doubles():
     assert len(got) == len(want) and not bad, bad[:5]
 
 
-def test_path_writer_peak_memory_stays_near_the_report_size(tmp_path,
-                                                            monkeypatch):
-    circle2 = algebra.AlgebraSpec.circle(2, 64)
-    rng = rand.stream(402, 0)
-    uf = write_element(tmp_path / "u.json",
-                       rand.unitary(rng, circle2, 1, winding=1))
-    vf = write_element(tmp_path / "v.json",
-                       rand.unitary(rng, circle2, 1, winding=1))
-    dumps, reports = serialize.dumps_canonical, []
-    monkeypatch.setattr(serialize, "dumps_canonical",
-                        lambda report: reports.append(report) or "")
-    assert cli.main(["equiv", "--relation", "h", uf, vf,
-                     "--format", "json"]) == 0
-    assert reports[0]["witness"]["samples"]
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
     tracemalloc.start()
     try:
-        text = dumps(reports[0])
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(text) > 10 ** 6
-    assert peak <= 3.5 * len(text), peak / len(text)
+
+
+def test_streamed_report_memory_stays_bounded(tmp_path):
+    circle2 = algebra.AlgebraSpec.circle(2, 64)
+    rng = rand.stream(402, 0)
+    u = rand.unitary(rng, circle2, 1, winding=1)
+    v = rand.unitary(rng, circle2, 1, winding=1)
+    uf = write_element(tmp_path / "u.json", u)
+    vf = write_element(tmp_path / "v.json", v)
+    out = tmp_path / "report.json"
+    argv = ["equiv", "--relation", "h", uf, vf, "--format", "json",
+            "--out", str(out)]
+    assert cli.main(argv) == 0  # warm-up: imports and cached parsers
+    peak = traced_peak(lambda: cli.main(argv))
+    size = out.stat().st_size
+    assert json.loads(out.read_bytes())["witness"]["samples"]
+    assert size > 10 ** 6
+    # the whole command, from the inputs to the last byte written
+    assert peak <= 2.5 * size, peak / size
+    # the writer holds a chunk of samples at a time, however many there are
+    ok, path = eqv.homotopic_unitaries(u, v)
+    assert ok and len(path.stacks[0]) == eqv.PATH_SAMPLES == 129
+    peaks = []
+    for T in (129, 1025):
+        report = {"witness": serialize.path_to_json(repeated(path, T))}
+        peaks.append(traced_peak(lambda: serialize.write_canonical(
+            report, lambda: open(os.devnull, "w"))))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("command", ["classify", "kgroup", "theta"])
@@ -909,8 +1025,9 @@ def fresh_process(argv, **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    kwargs.setdefault("timeout", 300)
     return subprocess.run([sys.executable, "-m", "amok.cli"] + argv,
-                          capture_output=True, env=env, timeout=300, **kwargs)
+                          capture_output=True, env=env, **kwargs)
 
 
 def stdout_of_fresh_process(argv) -> bytes:

@@ -140,3 +140,23 @@ def test_circle_function_stacks_its_grid_values():
     for fn in bad:
         with pytest.raises(ShapeMismatch):
             algebra.circle_function(spec, 1, 2, fn)
+
+
+def per_point_trig_eval(grid, ks, coeffs):
+    """Grid values of a trig polynomial, one ``tensordot`` per point."""
+    zs = algebra.roots_of_unity(grid)
+    return np.stack([np.tensordot(z ** ks, coeffs, axes=1) for z in zs])
+
+
+@pytest.mark.parametrize("grid, shape, deg", [
+    (16, (1, 1), None), (16, (1, 1), 1), (64, (2, 2), None), (64, (2, 2), 4),
+    (4096, (1, 1), 256)], ids=["circle1x16", "circle1x16-field",
+                               "circle2x64", "circle2x64-field", "grid4096"])
+def test_trig_eval_in_chunks_gives_the_per_point_bits(grid, shape, deg):
+    # the degrees of rand.element (grid/4) and of its Hermitian fields
+    # (grid/16); grid 4096 spans 16 chunks of grid points
+    ks, coeffs = rand._trig_coeffs(rand.stream(5, grid), grid, shape, deg)
+    got = rand._trig_eval(grid, ks, coeffs)
+    want = per_point_trig_eval(grid, ks, coeffs)
+    assert got.shape == want.shape == (grid,) + shape
+    assert got.tobytes() == want.tobytes()

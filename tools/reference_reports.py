@@ -20,13 +20,18 @@ Builds every input from seeded ``amok.rand`` draws and writes it under
 * ``classify`` on fd [1,2] inputs, and ``theta`` on an fd [1,2] pair
   and on a circle dim 1 grid 16 pair of full support (windings 1, -1).
 
-Exits 1 if any command exits non-zero.  To compare two checkouts, run it
-once with each checkout's ``src`` on ``PYTHONPATH`` and ``diff -r`` the
-two output directories.
+Each ``equiv`` command runs a second time with its report on stdout,
+captured; those bytes must equal its ``--out`` file, so both
+destinations of the streamed writer are checked.  Exits 1 if any command
+exits non-zero or an ``equiv`` report differs between the two.  To
+compare two checkouts, run it once with each checkout's ``src`` on
+``PYTHONPATH`` and ``diff -r`` the two output directories.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -146,10 +151,17 @@ def main(argv=None) -> int:
     reports.mkdir(parents=True, exist_ok=True)
     failed = []
     for name, args in commands(inputs):
-        code = cli.main(args + ["--format", "json",
-                                "--out", str(reports / f"{name}.json")])
+        report = reports / f"{name}.json"
+        code = cli.main(args + ["--format", "json", "--out", str(report)])
         if code != 0:
             failed.append(f"{name}: exit {code}")
+        elif args[0] == "equiv":
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(args + ["--format", "json"])
+            if code != 0 or stdout.getvalue().encode() != report.read_bytes():
+                failed.append(f"{name}: the report on stdout (exit {code}) "
+                              f"differs from its --out file")
     for line in failed:
         sys.stderr.write(line + "\n")
     return 1 if failed else 0

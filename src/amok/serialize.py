@@ -5,9 +5,10 @@ Field names are part of the external contract; parsers reject unknown
 fields.  An element matrix is walked once, cell by cell in row order,
 and its first bad row or entry is named.  Canonical dumps are
 sorted-key compact JSON so identical inputs produce byte-identical
-output, the bytes of the stdlib ``json.dumps``.
-``write_canonical`` streams that text to its destination in pieces, one
-per chunk of path samples, each sliced straight from the path's stacks
+output, the bytes of the stdlib ``json.dumps``, which lays out every
+report: it writes each path, at any depth, as a slot string, and
+``write_canonical`` streams the path's samples into the slot in pieces,
+one per chunk of samples, each sliced straight from the path's stacks
 with the float text of ``repr`` computed for the whole chunk; neither the
 text nor a copy of a path's samples is ever held whole.
 ``dumps_canonical`` is the join of the same pieces.
@@ -19,7 +20,8 @@ import json
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, zero
+from .equivalence import HomotopyPath
 from .errors import SpecParseError
 
 
@@ -162,23 +164,15 @@ def load_pair(path: str) -> tuple:
     return parse_element(obj["u"]), parse_element(obj["v"])
 
 
-class _PathSamples:
-    """The samples of a path, kept as its (T, B, r, c) stacks until
-    ``write_canonical`` or ``dumps_canonical`` writes them."""
-    __slots__ = ("path",)
-
-    def __init__(self, path):
-        self.path = path
-
-
 def path_to_json(path) -> dict:
-    """A path whose ``"samples"`` are written by ``write_canonical`` and
-    ``dumps_canonical`` as one element object per sample, straight from
-    its stacks."""
+    """A path object that holds the path itself under ``"samples"``;
+    ``write_canonical`` and ``dumps_canonical`` write it, at any depth of
+    a report, as one element object per sample, straight from its
+    stacks."""
     return {"kind": "path",
             "relation_domain": path.relation_domain,
             "step_bound": path.step_bound,
-            "samples": _PathSamples(path)}
+            "samples": path}
 
 
 def certificate_to_json(cert) -> dict:
@@ -329,22 +323,17 @@ def _sample_pieces(path):
     """The canonical JSON of a path's samples, as ``element_to_json`` of
     each sample would give, in one piece of text per chunk of samples.
 
-    The text of a sample is cut at its floats into a header, the short
-    pieces between floats, and a trailer.  Each chunk of samples is
-    sliced straight from the stacks; ``_float_rows`` writes its floats
-    with their pieces, in the float text of the json encoder
-    (``float.__repr__``), and the headers and trailers go around them in
-    one byte buffer, decoded once.
+    The dump of a zero sample's ``element_to_json`` is cut at its floats
+    into a header, the short pieces between floats, and a trailer.  Each
+    chunk of samples is sliced straight from the stacks; ``_float_rows``
+    writes its floats with their pieces, in the float text of the json
+    encoder (``float.__repr__``), and the headers and trailers go around
+    them in one byte buffer, decoded once.
     """
     T = len(path.stacks[0])
-    matrices = []
-    for s in path.stacks:
-        _, b, r, c = s.shape
-        row = "[" + ",".join(["[\0,\0]"] * c) + "]"
-        matrices += ["[" + ",".join([row] * r) + "]"] * b
-    algebra = _dumps(algebra_to_json(path.algebra))  # holds no "\0"
-    sample = (f'{{"algebra":{algebra},"col_level":{path.col_level},'
-              f'"data":[{",".join(matrices)}],"row_level":{path.row_level}}}')
+    # the algebra, the levels and the keys hold no "0.0"
+    sample = _dumps(element_to_json(zero(
+        path.algebra, path.row_level, path.col_level))).replace("0.0", "\0")
     F = sample.count("\0")
     head, *inner = sample.encode().split(b"\0")
     tail = inner.pop() if F else b""
@@ -377,11 +366,11 @@ def _sample_pieces(path):
     yield "]"
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, default=None) -> str:
     # reports are trees built afresh for each call, never cyclic, so the
     # encoder skips its circular-reference bookkeeping
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, check_circular=False)
+                      allow_nan=False, check_circular=False, default=default)
 
 
 def _require_finite(path) -> None:
@@ -395,40 +384,36 @@ def _require_finite(path) -> None:
                              "compliant")
 
 
-def _layout(obj):
-    """The canonical JSON of ``obj`` as text and path samples in order,
-    or None if it holds no path samples: the stdlib dump of ``obj`` is
-    then canonical as it is.  Path samples are looked for as dict values,
-    through nested dicts only; the dicts on the way to them are laid out
-    here, with string keys in sorted order, every other value is dumped
-    by the stdlib, and the samples are checked finite."""
-    if isinstance(obj, _PathSamples):
-        _require_finite(obj.path)
-        return [obj]
-    if not isinstance(obj, dict):
-        return None
-    keys = sorted(obj)
-    inner = [_layout(obj[k]) for k in keys]
-    if all(p is None for p in inner):
-        return None
-    parts = []
-    for i, (k, p) in enumerate(zip(keys, inner)):
-        parts.append(("," if i else "{") + _dumps(k) + ":")
-        parts += [_dumps(obj[k])] if p is None else p
-    parts.append("}")
-    return parts
+_SLOT = "\0"  # what the encoder writes in place of a path's samples
 
 
 def _pieces(obj):
     """The canonical JSON of ``obj`` as an iterator of text pieces, none
-    larger than a chunk of path samples.  Everything the encoder refuses
-    raises here, before the first piece is asked for."""
-    parts = _layout(obj)
-    if parts is None:
-        return iter([_dumps(obj)])
-    return (piece for part in parts
-            for piece in ([part] if isinstance(part, str)
-                          else _sample_pieces(part.path)))
+    larger than a chunk of path samples: the stdlib dump of ``obj``, in
+    which each path, at any depth, is written as ``_SLOT``, with the
+    path's samples streamed into that slot.  Everything the encoder
+    refuses, and a string of ``obj`` equal to ``_SLOT``, raise here,
+    before the first piece is asked for."""
+    paths = []
+
+    def slot(value):
+        if not isinstance(value, HomotopyPath):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            f"is not JSON serializable")
+        _require_finite(value)
+        paths.append(value)
+        return _SLOT
+
+    parts = _dumps(obj, default=slot).split(_dumps(_SLOT))
+    if len(parts) != len(paths) + 1:
+        raise ValueError(f"a string of the report is the slot {_SLOT!r}")
+
+    def pieces():
+        yield parts[0]
+        for path, part in zip(paths, parts[1:]):
+            yield from _sample_pieces(path)
+            yield part
+    return pieces()
 
 
 def dumps_canonical(obj) -> str:

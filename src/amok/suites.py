@@ -14,6 +14,7 @@ same for any CPU count.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -77,6 +78,11 @@ def _run(cfg: RunConfig, prop: Property) -> PropertyResult:
         except AmokError as exc:
             failures.append({"trial": t, "seed": cfg.seed,
                              "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        if not math.isfinite(res):
+            # NaN would pass every comparison, and the report refuses both
+            failures.append({"trial": t, "seed": cfg.seed,
+                             "error": f"non-finite residual {res}"})
             continue
         worst = max(worst, res)
         if res > prop.tol:

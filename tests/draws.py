@@ -1,0 +1,31 @@
+"""Seeded draws shared by the test modules: random unitary matrices and
+unital multiplicity-and-conjugation morphisms between fd algebras."""
+
+import numpy as np
+
+from amok import algebra, morphisms
+
+
+def random_unitary_matrix(rng, n):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2.0
+    w, V = np.linalg.eigh(h)
+    return (V * np.exp(1j * w)[None, :]) @ V.conj().T
+
+
+def random_morphism(rng, source):
+    """Unital multiplicity-and-conjugation morphism out of ``source``."""
+    k = len(source.summands)
+    rows = int(rng.integers(1, 3))
+    mult = []
+    target_dims = []
+    for _ in range(rows):
+        row = [int(rng.integers(0, 3)) for _ in range(k)]
+        if sum(row) == 0:
+            row[int(rng.integers(0, k))] = 1
+        mult.append(row)
+        target_dims.append(sum(m * d for m, (_, d) in zip(row, source.summands)))
+    target = algebra.AlgebraSpec.fd(target_dims)
+    conj = [random_unitary_matrix(rng, d) for d in target_dims]
+    return morphisms.MorphismSpec(source, target, tuple(map(tuple, mult)),
+                                  tuple(conj))

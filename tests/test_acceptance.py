@@ -12,6 +12,8 @@ import numpy as np
 from amok import (algebra, cli, equivalence as eqv, kgroups, model,
                   morphisms, rand, serialize, suites)
 
+from draws import random_morphism
+
 FD1 = algebra.AlgebraSpec.fd([1])
 FD2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -195,26 +197,6 @@ def test_criterion_6_decomposition_constructions():
         lhs, rhs = kgroups.partial_unitary_characterization(v)
         assert lhs == rhs
     print("criterion 6 (decomposition/sum/characterization constructions): PASS")
-
-
-def random_morphism(rng, source):
-    k = len(source.summands)
-    rows = int(rng.integers(1, 3))
-    mult, target_dims = [], []
-    for _ in range(rows):
-        row = [int(rng.integers(0, 3)) for _ in range(k)]
-        if sum(row) == 0:
-            row[int(rng.integers(0, k))] = 1
-        mult.append(tuple(row))
-        target_dims.append(sum(m * d for m, (_, d) in zip(row, source.summands)))
-    conj = []
-    for d in target_dims:
-        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = (h + h.conj().T) / 2
-        w, V = np.linalg.eigh(h)
-        conj.append((V * np.exp(1j * w)[None, :]) @ V.conj().T)
-    return morphisms.MorphismSpec(source, algebra.AlgebraSpec.fd(target_dims),
-                                  tuple(mult), tuple(conj))
 
 
 def test_criterion_7_functoriality():

@@ -51,6 +51,23 @@ def test_check_axioms_passes_small_run(tmp_path, capsys):
     assert all(p["worst_residual"] <= 1e-8 for p in report["properties"])
 
 
+@pytest.mark.parametrize("residual", [float("nan"), float("inf")])
+def test_check_axioms_fails_a_non_finite_residual(tmp_path, capsys,
+                                                  monkeypatch, residual):
+    spec = write_algebra(tmp_path / "alg.json", M2)
+    prop = suites.Property("non_finite", 3, lambda rng: residual)
+    monkeypatch.setattr(suites, "check_axioms",
+                        lambda alg, cfg: suites.run_properties(cfg, [prop]))
+    code = cli.main(["check-axioms", spec, "--trials", "3", "--format",
+                     "json"])
+    assert code == 1
+    (result,) = json.loads(capsys.readouterr().out)["properties"]
+    assert not result["passed"] and result["worst_residual"] == 0.0
+    assert [f["trial"] for f in result["failures"]] == [0, 1, 2]
+    assert all(f["error"] == f"non-finite residual {residual}"
+               for f in result["failures"])
+
+
 def test_check_axioms_refuses_a_tol_path_no_partial_unitary_path_can_meet(
         tmp_path, capsys):
     # the simK properties build partial-unitary paths at the step bound
@@ -547,6 +564,16 @@ def test_path_writer_matches_the_nested_list_dump():
              "config": {"tol_path": 1e-08, "seed": 0}, "extra": None,
              "nested": {"a": {"witness": want}, "b": 2.5}})
         assert serialize.dumps_canonical(report) == text == written(report)
+        # inside lists, beside values the stdlib dump writes
+        report = {"z": [serialize.path_to_json(path), [1.5, "a"],
+                        [{"witness": serialize.path_to_json(path)}]]}
+        text = stdlib_dump({"z": [want, [1.5, "a"], [{"witness": want}]]})
+        assert serialize.dumps_canonical(report) == text == written(report)
+    # a report without any witness is the stdlib dump as it is
+    report = {"windings": [1, -1], "witness": None, "equivalent": False,
+              "config": {"tol_path": 1e-08, "seed": 0}, "name": "a\u00e9"}
+    text = stdlib_dump(report)
+    assert serialize.dumps_canonical(report) == text == written(report)
 
 
 def written(obj) -> str:
@@ -605,7 +632,12 @@ def test_path_writer_rejects_non_finite_samples():
         # refused before the destination is opened
         for report in ({"witness": serialize.path_to_json(broken)},
                        {"witness": serialize.path_to_json(path),
-                        "windings": [bad]}):
+                        "windings": [bad]},
+                       # a string or key that reads as the path slot
+                       {"witness": serialize.path_to_json(path),
+                        "note": serialize._SLOT},
+                       {serialize._SLOT: [serialize.path_to_json(path)]},
+                       {"note": serialize._SLOT}):
             with pytest.raises(ValueError):
                 serialize.write_canonical(
                     report, lambda: pytest.fail("the destination was opened"))

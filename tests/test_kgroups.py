@@ -11,6 +11,8 @@ from amok import algebra, equivalence as eqv, kgroups, model, morphisms, rand
 from amok.errors import (AlgebraMismatch, NotProjection, NotUnital,
                          PreconditionFailure, Unsupported)
 
+from draws import random_morphism, random_unitary_matrix
+
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
 CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
@@ -24,31 +26,6 @@ def fd_element(spec, *mats):
     m = stacks[0].shape[1] // d0
     n = stacks[0].shape[2] // d0
     return algebra.Element(spec, m, n, stacks)
-
-
-def random_unitary_matrix(rng, n):
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (h + h.conj().T) / 2.0
-    w, V = np.linalg.eigh(h)
-    return (V * np.exp(1j * w)[None, :]) @ V.conj().T
-
-
-def random_morphism(rng, source):
-    """Unital multiplicity-and-conjugation morphism out of ``source``."""
-    k = len(source.summands)
-    rows = int(rng.integers(1, 3))
-    mult = []
-    target_dims = []
-    for _ in range(rows):
-        row = [int(rng.integers(0, 3)) for _ in range(k)]
-        if sum(row) == 0:
-            row[int(rng.integers(0, k))] = 1
-        mult.append(row)
-        target_dims.append(sum(m * d for m, (_, d) in zip(row, source.summands)))
-    target = algebra.AlgebraSpec.fd(target_dims)
-    conj = [random_unitary_matrix(rng, d) for d in target_dims]
-    return morphisms.MorphismSpec(source, target, tuple(map(tuple, mult)),
-                                  tuple(conj))
 
 
 vectors2 = st.tuples(st.integers(-50, 50), st.integers(-50, 50))

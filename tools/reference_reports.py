@@ -20,10 +20,10 @@ Builds every input from seeded ``amok.rand`` draws and writes it under
 * ``classify`` on fd [1,2] inputs, and ``theta`` on an fd [1,2] pair
   and on a circle dim 1 grid 16 pair of full support (windings 1, -1).
 
-Each ``equiv`` command runs a second time with its report on stdout,
-captured; those bytes must equal its ``--out`` file, so both
-destinations of the streamed writer are checked.  Exits 1 if any command
-exits non-zero or an ``equiv`` report differs between the two.  To
+Each command runs a second time with its report on stdout, captured;
+those bytes must equal its ``--out`` file, so both destinations of the
+streamed writer, which every report goes through, are checked.  Exits 1
+if any command exits non-zero or a report differs between the two.  To
 compare two checkouts, run it once with each checkout's ``src`` on
 ``PYTHONPATH`` and ``diff -r`` the two output directories.
 """
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         code = cli.main(args + ["--format", "json", "--out", str(report)])
         if code != 0:
             failed.append(f"{name}: exit {code}")
-        elif args[0] == "equiv":
+        else:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(args + ["--format", "json"])

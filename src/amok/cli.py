@@ -155,11 +155,12 @@ def cmd_classify(args, cfg):
 
 def cmd_kgroup(args, cfg):
     algebra = serialize.load_algebra(args.algebra)
-    tag = {"k0": kgroups.K0, "k1": kgroups.K1, "k": kgroups.K}[args.which]
-    view = kgroups.group_view(algebra, tag)
+    view = {"k0": kgroups.k0_group, "k1": kgroups.k1_group,
+            "k": kgroups.k_group}[args.which](algebra)
     report = {"algebra": serialize.algebra_to_json(algebra),
               "view": serialize.group_view_to_json(view)}
-    lines = [f"{tag} of {serialize.dumps_canonical(report['algebra'])}",
+    lines = [f"{view.order_unit.group_tag} of "
+             f"{serialize.dumps_canonical(report['algebra'])}",
              f"  rank: {view.rank}",
              f"  order unit: {list(view.order_unit.normal_form)}",
              f"  cone: {view.cone}"]

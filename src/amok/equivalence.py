@@ -20,8 +20,9 @@ builders compute these stacks in one piece, write the first and last
 entries as exactly the two operands, and hand them to the path; the
 validator and the report writer (``serialize.path_to_json``, then
 ``serialize.write_canonical``, which streams a chunk of samples at a
-time) read them directly.  Per-sample Elements (``samples``, ``start``,
-``end``) are views of the stacks.
+time) read them directly, and ``abs_homotopy_transfer`` maps them to the
+stacks of its three paths.  Per-sample Elements (``samples``, ``start``,
+``end``) are views of the stacks; no path builder reads them.
 """
 
 from __future__ import annotations
@@ -153,10 +154,12 @@ class HomotopyPath:
 
     Stored as one read-only complex (T, B, r, c) stack per summand of the
     algebra: entry t of stack j is stack j of sample t.  ``samples`` is
-    either a sequence of Elements of one shape, stacked here once, or,
-    with ``like`` given, one such (T, B, r, c) stack per summand at the
-    algebra and levels of the element ``like``.  ``relation_domain`` is
-    one of ``UNITARY_SET``, ``PARTIAL_UNITARY_SET`` and ``PROJECTION_SET``.
+    either a sequence of Elements of one shape, stacked here once (a
+    form for readers of a report's samples; the library builders use
+    the other), or, with ``like`` given, one such (T, B, r, c) stack per
+    summand at the algebra and levels of the element ``like``.
+    ``relation_domain`` is one of ``UNITARY_SET``, ``PARTIAL_UNITARY_SET``
+    and ``PROJECTION_SET``.
     """
     algebra: AlgebraSpec
     row_level: int
@@ -467,13 +470,6 @@ def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
 
 # -- partial-unitary homotopy ----------------------------------------------
 
-def support_invariant(u: Element, tol: float = model.TOL_PRED) -> tuple:
-    """Rank per summand of the support projection |u| of a partial
-    unitary."""
-    require_operand(u, tol, PARTIAL_UNITARY_SET)
-    return _spectral_support(model.abs_value(u))[0]
-
-
 def decides_mixed_ranks(summand) -> bool:
     """The fragment rule: partial-unitary homotopy is decided at every
     support rank on an fd block (batch 1), but on a grid (batch above 1)
@@ -575,30 +571,23 @@ def abs_homotopy_transfer(path: HomotopyPath, tol_path: float = TOL_PATH):
     t -> f(t) +- (e - |f(t)|).
 
     Returns (projection path, (plus unitary path, minus unitary path)),
-    each validated samplewise against its domain predicate.
+    each validated samplewise against its domain predicate.  The three
+    paths are built from the path's stacks: sample t of |f| is
+    ``model.abs_value`` of sample t, so each sample keeps its own
+    zero-snapping band.  A path at a non-square level raises
+    ShapeMismatch.
     """
     if path.relation_domain != PARTIAL_UNITARY_SET:
         raise PreconditionFailure("transfer needs a partial-unitary path")
     e = order_unit(path.algebra, path.row_level)
-    proj_samples = []
-    plus_samples = []
-    minus_samples = []
-    # |f(t)| per sample: each sample keeps its own zero-snapping band
-    for s in path.samples:
-        a = model.abs_value(s)
-        gap = e - a
-        proj_samples.append(a)
-        plus_samples.append(s + gap)
-        minus_samples.append(s - gap)
-    proj_path = HomotopyPath(samples=tuple(proj_samples),
-                             relation_domain=PROJECTION_SET,
-                             step_bound=2.0 * path.step_bound)
-    plus_path = HomotopyPath(samples=tuple(plus_samples),
-                             relation_domain=UNITARY_SET,
-                             step_bound=3.0 * path.step_bound)
-    minus_path = HomotopyPath(samples=tuple(minus_samples),
-                              relation_domain=UNITARY_SET,
-                              step_bound=3.0 * path.step_bound)
-    for p in (proj_path, plus_path, minus_path):
+    roots = [np.stack([kernel.sqrtm_psd_stack(s.conj().transpose(0, 2, 1) @ s)
+                       for s in S]) for S in path.stacks]
+    # |f(t)| is col x col, so this refuses a path at a non-square level
+    proj = HomotopyPath(roots, PROJECTION_SET, 2.0 * path.step_bound, like=e)
+    gaps = [a - b for a, b in zip(e.stacks, roots)]
+    plus, minus = (HomotopyPath([op(S, g) for S, g in zip(path.stacks, gaps)],
+                                UNITARY_SET, 3.0 * path.step_bound, like=e)
+                   for op in (np.add, np.subtract))
+    for p in (proj, plus, minus):
         p.validate_strict(tol_path)
-    return proj_path, (plus_path, minus_path)
+    return proj, (plus, minus)

@@ -12,7 +12,9 @@ algebras do not add and are refused by each other's views, theta
 splits a class by its own algebra's summands, and a morphism maps a
 class over its source to one over its target.  The Hoelder spot check
 behind a ``k`` view's flags is also the ``abs-continuity`` property of
-``suites``, which imports this module.
+``suites``, which imports this module.  The element constructions check
+their input with PreconditionFailure, and raise PredicateFailure when an
+element they built fails its re-check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import equivalence as eqv
 from . import model, rand
 from .algebra import (AlgebraSpec, Element, direct_sum, order_unit,
                       roots_of_unity)
-from .errors import AlgebraMismatch, PreconditionFailure
+from .errors import AlgebraMismatch, PredicateFailure, PreconditionFailure
 from .morphisms import MorphismSpec
 
 K0 = "K0"
@@ -254,16 +256,6 @@ def k_group(algebra: AlgebraSpec) -> OrderedGroupView:
                             generators=k0_group(algebra).generators)
 
 
-def group_view(algebra: AlgebraSpec, tag: str) -> OrderedGroupView:
-    if tag == K0:
-        return k0_group(algebra)
-    if tag == K1:
-        return k1_group(algebra)
-    if tag == K:
-        return k_group(algebra)
-    raise ValueError(f"unknown group tag {tag!r}")
-
-
 # -- functoriality ---------------------------------------------------------
 
 def induced_map(phi: MorphismSpec, which: str) -> np.ndarray:
@@ -303,12 +295,13 @@ def theta_map(x: KClass):
 
 def theta_witnesses(u: Element, tol: float = model.TOL_PRED):
     """Element-level (eta, mu) data for [(u, 0)]: the support projection
-    and the unitary completion u + e - |u| (validated)."""
+    and the unitary completion u + e - |u|, validated unitary at tol
+    (PredicateFailure if not)."""
     eqv.require_operand(u, tol, eqv.PARTIAL_UNITARY_SET)
     a = model.abs_value(u)
     mu = u + (order_unit(u.algebra, u.row_level) - a)
     if not model.is_unitary(mu, tol):
-        raise PreconditionFailure("unitary completion failed validation")
+        raise PredicateFailure("unitary completion failed validation")
     return a, mu
 
 
@@ -335,9 +328,9 @@ def partial_unitary_decompose(v: Element, tol: float = model.TOL_PRED):
     a, v2 = theta_witnesses(v, tol)
     v1 = v - order_unit(v.algebra, v.row_level) + a
     if not model.is_unitary(v1, tol):
-        raise PreconditionFailure("decomposition summand is not unitary")
+        raise PredicateFailure("decomposition summand is not unitary")
     if model.distance((v1 + v2).scale(0.5), v) > tol:
-        raise PreconditionFailure("mean of summands does not reproduce input")
+        raise PredicateFailure("mean of summands does not reproduce input")
     return v1, v2
 
 
@@ -368,7 +361,7 @@ def orthogonal_sum_unitary(vs, tol: float = model.TOL_PRED) -> Element:
     for v in vs[1:]:
         out = out + v
     if not model.is_unitary(out, tol):
-        raise PreconditionFailure("sum failed the unitary predicate")
+        raise PredicateFailure("sum failed the unitary predicate")
     return out
 
 

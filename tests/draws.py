@@ -1,5 +1,6 @@
 """Seeded draws shared by the test modules: random unitary matrices and
-unital multiplicity-and-conjugation morphisms between fd algebras."""
+unital multiplicity-and-conjugation morphisms between fd algebras; and
+the degree oracle the K1 tests check loop degrees against."""
 
 import numpy as np
 
@@ -29,3 +30,22 @@ def random_morphism(rng, source):
     conj = [random_unitary_matrix(rng, d) for d in target_dims]
     return morphisms.MorphismSpec(source, target, tuple(map(tuple, mult)),
                                   tuple(conj))
+
+
+def degree_oracle(u):
+    """Argument-principle winding of det(u(z)) over the sample loop, with
+    determinants by cofactor expansion (independent of the library and
+    of numpy's LU-based det)."""
+    def det(a):
+        n = a.shape[0]
+        if n == 1:
+            return a[0, 0]
+        return sum(((-1) ** j) * a[0, j]
+                   * det(np.delete(np.delete(a, 0, axis=0), j, axis=1))
+                   for j in range(n))
+    phases = np.angle([det(a) for a in u.data])
+    inc = np.diff(np.concatenate([phases, phases[:1]]))
+    inc = (inc + np.pi) % (2 * np.pi) - np.pi
+    w = inc.sum() / (2 * np.pi)
+    assert abs(w - round(w)) < 1e-6
+    return int(round(w))

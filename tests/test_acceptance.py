@@ -12,7 +12,7 @@ import numpy as np
 from amok import (algebra, cli, equivalence as eqv, kgroups, model,
                   morphisms, rand, serialize, suites)
 
-from draws import random_morphism
+from draws import degree_oracle, random_morphism
 
 FD1 = algebra.AlgebraSpec.fd([1])
 FD2 = algebra.AlgebraSpec.fd([2])
@@ -20,23 +20,6 @@ FD23 = algebra.AlgebraSpec.fd([2, 3])
 CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
 
 RESIDUAL_TOL = 1e-8
-
-
-def degree_oracle(u):
-    """Argument-principle winding of det(u(z)), cofactor determinants."""
-    def det(a):
-        n = a.shape[0]
-        if n == 1:
-            return a[0, 0]
-        return sum(((-1) ** j) * a[0, j]
-                   * det(np.delete(np.delete(a, 0, axis=0), j, axis=1))
-                   for j in range(n))
-    phases = np.angle([det(a) for a in u.data])
-    inc = np.diff(np.concatenate([phases, phases[:1]]))
-    inc = (inc + np.pi) % (2 * np.pi) - np.pi
-    w = inc.sum() / (2 * np.pi)
-    assert abs(w - round(w)) < 1e-6
-    return int(round(w))
 
 
 def svd_norm_oracle(v):

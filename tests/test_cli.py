@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, reports, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 from collections import Counter
@@ -365,6 +366,42 @@ def test_equiv_validates_each_witness_once(tmp_path, capsys, monkeypatch):
     # a path tolerance no sample can meet is a numerical failure
     assert cli.main(["equiv", uf, vf, "--relation", "h",
                      "--tol-path", "1e-30"]) == 3
+
+
+def test_layer_tracer_counts_witnesses_samples_and_validations(tmp_path,
+                                                              capsys):
+    # the benchmark's tracer finds witness classes by their ``validate``,
+    # wraps their ``validate*`` methods and counts ``samples``; dropping
+    # any of these would zero its witness metrics without an error
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", SRC.parent / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    circle = algebra.AlgebraSpec.circle(1, 16)
+    rng = rand.stream(404, 0)
+    uf, vf = (write_element(tmp_path / f"{n}.json",
+                            rand.unitary(rng, circle, 1))
+              for n in "uv")
+    pf, qf = (write_element(tmp_path / f"{n}.json",
+                            rand.projection(rng, FD23, 1, [1, 2]))
+              for n in "pq")
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["equiv", uf, vf, "--relation", "h"]),
+                 cli.main(["equiv", pf, qf, "--relation", "mvn"])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    lines = capsys.readouterr().out.splitlines()
+    assert {"equiv --relation h: True",
+            "equiv --relation mvn: True"} <= set(lines)
+    metrics = {k: v for k, (v, _) in tracer.metrics().items()}
+    assert metrics["equivalence.witnesses_built"] == 2
+    assert metrics["equivalence.validations"] == 2
+    # 129 path samples, and one for the certificate
+    assert metrics["equivalence.samples_validated"] == 130
+    assert metrics["equivalence.validate_pass_ratio"] == 1.0
 
 
 def test_equiv_computes_each_loop_degree_once(tmp_path, capsys,
@@ -852,6 +889,29 @@ def test_theta_circle_mixed_rank_gives_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Unsupported" in captured.err
+
+
+def test_theta_completion_failing_its_recheck_gives_exit_3(tmp_path, capsys):
+    # v is a partial unitary at tol_pred, but its completion v + e - |v|
+    # misses the unitary predicate: a derived element failed, not the input
+    alg = algebra.AlgebraSpec.fd([3])
+    u = rand.partial_unitary(rand.stream(77, 31), alg, 1, [1])
+    g = rand.stream(78, 31)
+    noise = g.standard_normal((1, 3, 3)) + 1j * g.standard_normal((1, 3, 3))
+    v = algebra.Element(alg, 1, 1, (u.stacks[0] + 4e-10 * noise,))
+    path = write_element(tmp_path / "v.json", v)
+    pair = write_json(tmp_path / "pair.json",
+                      {"u": serialize.element_to_json(v),
+                       "v": serialize.element_to_json(v)})
+    assert cli.main(["classify", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"]["is_partial_unitary"]
+    assert cli.main(["equiv", path, path, "--relation", "simK"]) == 0
+    capsys.readouterr()
+    assert cli.main(["theta", pair, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure (PredicateFailure): "
+                            "unitary completion failed validation\n")
 
 
 def test_theta_of_zero_pair(tmp_path, capsys):

@@ -13,6 +13,8 @@ from amok.errors import (AlgebraMismatch, LevelMismatch, NoConvergence,
                          PreconditionFailure, ShapeMismatch, SourceMismatch,
                          Unsupported)
 
+from draws import degree_oracle
+
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
 CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
@@ -26,31 +28,6 @@ def fd_element(spec, *mats):
     m = stacks[0].shape[1] // d0
     n = stacks[0].shape[2] // d0
     return algebra.Element(spec, m, n, stacks)
-
-
-def det_oracle(a):
-    """Determinant by cofactor expansion (independent of the library
-    and of numpy's LU-based det)."""
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0 + 0.0j
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += ((-1) ** j) * a[0, j] * det_oracle(minor)
-    return total
-
-
-def degree_oracle(u):
-    """Argument-principle winding of det(u(z)) over the sample loop."""
-    dets = np.array([det_oracle(a) for a in u.data])
-    phases = np.angle(dets)
-    increments = np.diff(np.concatenate([phases, phases[:1]]))
-    increments = (increments + np.pi) % (2 * np.pi) - np.pi
-    total = increments.sum()
-    w = total / (2 * np.pi)
-    assert abs(w - round(w)) < 1e-6
-    return int(round(w))
 
 
 P10 = fd_element(M2, np.diag([1.0, 0.0]))
@@ -551,14 +528,17 @@ def test_relation_laws_on_random_triples():
 
 
 def test_invariant_cancellation():
+    def support(x):
+        return eqv.proj_invariant(model.abs_value(x))
+
     for t in range(10):
         rng = rand.stream(215, t)
         u = rand.partial_unitary(rng, FD23, 1)
         v = rand.partial_unitary(rng, FD23, 1)
         w = rand.partial_unitary(rng, FD23, 1)
-        sums_equal = (eqv.support_invariant(algebra.direct_sum(u, w))
-                      == eqv.support_invariant(algebra.direct_sum(v, w)))
-        parts_equal = eqv.support_invariant(u) == eqv.support_invariant(v)
+        sums_equal = (support(algebra.direct_sum(u, w))
+                      == support(algebra.direct_sum(v, w)))
+        parts_equal = support(u) == support(v)
         assert sums_equal == parts_equal
 
 
@@ -642,6 +622,67 @@ def test_transfer_of_partial_unitary_path():
     for p in (plus_path, minus_path):
         for s in p.samples[:: max(1, len(p.samples) // 8)]:
             assert model.is_unitary(s, 1e-7)
+
+
+def transfer_by_samples(path: eqv.HomotopyPath, tol_path: float = eqv.TOL_PATH):
+    """Reference: the transfer as a loop over per-sample Elements."""
+    if path.relation_domain != eqv.PARTIAL_UNITARY_SET:
+        raise PreconditionFailure("transfer needs a partial-unitary path")
+    e = algebra.order_unit(path.algebra, path.row_level)
+    proj_samples = []
+    plus_samples = []
+    minus_samples = []
+    # |f(t)| per sample: each sample keeps its own zero-snapping band
+    for s in path.samples:
+        a = model.abs_value(s)
+        gap = e - a
+        proj_samples.append(a)
+        plus_samples.append(s + gap)
+        minus_samples.append(s - gap)
+    proj_path = eqv.HomotopyPath(samples=tuple(proj_samples),
+                                 relation_domain=eqv.PROJECTION_SET,
+                                 step_bound=2.0 * path.step_bound)
+    plus_path = eqv.HomotopyPath(samples=tuple(plus_samples),
+                                 relation_domain=eqv.UNITARY_SET,
+                                 step_bound=3.0 * path.step_bound)
+    minus_path = eqv.HomotopyPath(samples=tuple(minus_samples),
+                                  relation_domain=eqv.UNITARY_SET,
+                                  step_bound=3.0 * path.step_bound)
+    for p in (proj_path, plus_path, minus_path):
+        p.validate_strict(tol_path)
+    return proj_path, (plus_path, minus_path)
+
+
+@pytest.mark.parametrize("alg, ranks", [
+    (FD12, [1, 1]),
+    (algebra.AlgebraSpec.circle(1, 16), [1]),
+    (algebra.AlgebraSpec.circle(2, 64), [2]),
+], ids=["fd12", "circle1x16", "circle2x64"])
+def test_transfer_matches_the_per_sample_loop_bit_for_bit(alg, ranks):
+    rng = rand.stream(218, 0)
+    u, v = (rand.partial_unitary(rng, alg, 1, ranks) for _ in range(2))
+    ok, path = eqv.homotopic_partial_unitaries(u, v)
+    assert ok
+    proj, (plus, minus) = eqv.abs_homotopy_transfer(path)
+    ref_proj, (ref_plus, ref_minus) = transfer_by_samples(path)
+    for got, want in ((proj, ref_proj), (plus, ref_plus), (minus, ref_minus)):
+        assert (got.algebra, got.row_level, got.col_level) == (
+            want.algebra, want.row_level, want.col_level)
+        assert (got.relation_domain, got.step_bound) == (
+            want.relation_domain, want.step_bound)
+        for a, b in zip(got.stacks, want.stacks, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_transfer_refuses_a_path_at_a_non_square_level():
+    rng = rand.stream(219, 0)
+    u = rand.partial_unitary(rng, M2, 2)
+    for v in (algebra.Element(M2, 2, 1, (u.stacks[0][:, :, :2],)),
+              algebra.Element(M2, 1, 2, (u.stacks[0][:, :2, :],))):
+        path = eqv.HomotopyPath(samples=(v, v),
+                                relation_domain=eqv.PARTIAL_UNITARY_SET)
+        with pytest.raises(ShapeMismatch):
+            eqv.abs_homotopy_transfer(path)
 
 
 def test_serialized_step_bound_revalidates_transferred_path():

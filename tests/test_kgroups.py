@@ -125,7 +125,7 @@ def test_one_rank_per_summand_in_and_out(alg, level):
     p = rand.projection(rng, alg, level, ranks)
     assert eqv.proj_invariant(p) == tuple(ranks)
     u = rand.partial_unitary(rng, alg, level, ranks)
-    assert eqv.support_invariant(u) == tuple(ranks)
+    assert eqv.proj_invariant(model.abs_value(u)) == tuple(ranks)
     k = len(alg.summands)
     gens = kgroups.k0_group(alg).generators
     assert [eqv.proj_invariant(g) for g in gens] == [
@@ -212,7 +212,8 @@ def test_k_group_fd_takes_the_k0_unit_and_generators():
 @pytest.mark.parametrize("alg", [FD23, CIRCLE1], ids=["fd23", "circle1"])
 @pytest.mark.parametrize("tag", [kgroups.K0, kgroups.K1, kgroups.K])
 def test_group_view_reads_tag_and_algebra_from_its_order_unit(alg, tag):
-    view = kgroups.group_view(alg, tag)
+    view = {kgroups.K0: kgroups.k0_group, kgroups.K1: kgroups.k1_group,
+            kgroups.K: kgroups.k_group}[tag](alg)
     assert [f.name for f in dataclasses.fields(view)] == [
         "order_unit", "cone", "flags", "generators"]
     assert view.order_unit.group_tag == tag
@@ -589,7 +590,8 @@ def test_theta_is_additive_on_the_circle_fragment(alg):
         assert ts0 == sx0 + sy0
         assert ts1 == sx1 + sy1
         # a direct sum of two full-support operands is of full support
-        full = [f for f in (u1, v1, u2, v2) if eqv.support_invariant(f)[0]]
+        full = [f for f in (u1, v1, u2, v2)
+                if eqv.proj_invariant(model.abs_value(f))[0]]
         for a, b in zip(full, full[1:]):
             assert (kgroups.k_class(algebra.direct_sum(a, b))
                     == kgroups.k_class(a) + kgroups.k_class(b))
@@ -602,7 +604,7 @@ def test_theta_k1_part_is_the_winding_on_the_circle_fragment(alg):
         u, w = fragment_partial_unitary(rng, alg)
         z = algebra.zero(alg, u.row_level)
         k0_part, k1_part = kgroups.theta_map(kgroups.k_pair_class(u, z))
-        assert k0_part.normal_form == eqv.support_invariant(u)
+        assert k0_part.normal_form == eqv.proj_invariant(model.abs_value(u))
         assert k1_part.normal_form == (w,)
 
 

@@ -173,19 +173,6 @@ def order_unit(algebra: AlgebraSpec, level: int) -> Element:
                     for b, d in algebra.summands))
 
 
-def circle_function(algebra: AlgebraSpec, row_level, col_level, fn) -> Element:
-    """Element of the circle model from a function z -> matrix, its
-    values at the grid points stacked into the one summand's stack.
-    Raises AlgebraMismatch for any algebra but one grid summand."""
-    if len(algebra.summands) != 1 or algebra.summands[0][0] == 1:
-        raise AlgebraMismatch("circle functions exist only on the circle model")
-    values = [np.asarray(fn(z), dtype=complex)
-              for z in roots_of_unity(algebra.summands[0][0])]
-    if len({a.shape for a in values}) > 1:
-        raise ShapeMismatch("values at the grid points differ in shape")
-    return Element(algebra, row_level, col_level, (np.stack(values),))
-
-
 # -- block operations ------------------------------------------------------
 
 def direct_sum(u: Element, v: Element) -> Element:

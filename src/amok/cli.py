@@ -24,7 +24,7 @@ import time
 
 from . import equivalence as eqv
 from . import kgroups, model, serialize, suites
-from .errors import AmokError, InputError, NumericalError
+from .errors import InputError, NumericalError, Unsupported
 
 EXIT_PASS = 0
 EXIT_PROPERTY = 1
@@ -196,8 +196,9 @@ def cmd_equiv(args, cfg):
     report = {"relation": args.relation, "equivalent": bool(ok),
               "witness": witness}
     lines = [f"equiv --relation {args.relation}: {bool(ok)}"]
-    with contextlib.suppress(AmokError):
-        # the K1 invariant is empty over fd blocks: no windings there
+    with contextlib.suppress(Unsupported):
+        # no windings over fd blocks (an empty K1 invariant) or for an
+        # operand without a loop degree
         if windings := list(eqv.k1_invariant(u) + eqv.k1_invariant(v)):
             report["windings"] = windings
             lines.append(f"  windings: {windings}")

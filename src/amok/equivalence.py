@@ -21,8 +21,8 @@ entries as exactly the two operands, and hand them to the path; the
 validator and the report writer (``serialize.path_to_json``, then
 ``serialize.write_canonical``, which streams a chunk of samples at a
 time) read them directly, and ``abs_homotopy_transfer`` maps them to the
-stacks of its three paths.  Per-sample Elements (``samples``, ``start``,
-``end``) are views of the stacks; no path builder reads them.
+stacks of its three paths.  Per-sample Elements (``samples``) are views
+of the stacks; no path builder reads them.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ class HomotopyPath:
     either a sequence of Elements of one shape, stacked here once (a
     form for readers of a report's samples; the library builders use
     the other), or, with ``like`` given, one such (T, B, r, c) stack per
-    summand at the algebra and levels of the element ``like``.
+    summand at the algebra and levels of the element ``like``.  Every
+    domain needs samples at a square level; others raise ShapeMismatch.
     ``relation_domain`` is one of ``UNITARY_SET``, ``PARTIAL_UNITARY_SET``
     and ``PROJECTION_SET``.
     """
@@ -183,6 +184,9 @@ class HomotopyPath:
                 raise ShapeMismatch("path samples differ in shape")
             samples = [np.stack([s.stacks[j] for s in samples])
                        for j in range(len(like.stacks))]
+        if not like.is_square_level:
+            raise ShapeMismatch(f"path samples at levels ({like.row_level}, "
+                                f"{like.col_level}) are not square")
         stacks = tuple(_freeze(s) for s in samples)
         T = len(stacks[0]) if stacks and stacks[0].ndim else 0
         want = [(T,) + a.shape for a in like.stacks]
@@ -194,22 +198,12 @@ class HomotopyPath:
                           relation_domain=relation_domain,
                           step_bound=step_bound)
 
-    def _sample(self, t: int) -> Element:
-        return Element(self.algebra, self.row_level, self.col_level,
-                       (s[t] for s in self.stacks))
-
     @property
     def samples(self) -> tuple:
         """One Element per sample, viewing the stored stacks."""
-        return tuple(self._sample(t) for t in range(len(self.stacks[0])))
-
-    @property
-    def start(self) -> Element:
-        return self._sample(0)
-
-    @property
-    def end(self) -> Element:
-        return self._sample(-1)
+        return tuple(Element(self.algebra, self.row_level, self.col_level,
+                             (s[t] for s in self.stacks))
+                     for t in range(len(self.stacks[0])))
 
     def validate(self, tol_path: float = TOL_PATH) -> bool:
         try:
@@ -574,15 +568,13 @@ def abs_homotopy_transfer(path: HomotopyPath, tol_path: float = TOL_PATH):
     each validated samplewise against its domain predicate.  The three
     paths are built from the path's stacks: sample t of |f| is
     ``model.abs_value`` of sample t, so each sample keeps its own
-    zero-snapping band.  A path at a non-square level raises
-    ShapeMismatch.
+    zero-snapping band.
     """
     if path.relation_domain != PARTIAL_UNITARY_SET:
         raise PreconditionFailure("transfer needs a partial-unitary path")
     e = order_unit(path.algebra, path.row_level)
     roots = [np.stack([kernel.sqrtm_psd_stack(s.conj().transpose(0, 2, 1) @ s)
                        for s in S]) for S in path.stacks]
-    # |f(t)| is col x col, so this refuses a path at a non-square level
     proj = HomotopyPath(roots, PROJECTION_SET, 2.0 * path.step_bound, like=e)
     gaps = [a - b for a, b in zip(e.stacks, roots)]
     plus, minus = (HomotopyPath([op(S, g) for S, g in zip(path.stacks, gaps)],

@@ -189,7 +189,7 @@ def unitary_eig(U: np.ndarray, tol: float = TOL_PATH):
     return np.angle(np.diagonal(D, axis1=1, axis2=2)), W
 
 
-def unitary_log_path(U: np.ndarray, samples: int = 129,
+def unitary_log_path(U: np.ndarray, samples: int,
                      tol: float = TOL_PATH) -> np.ndarray:
     """Sampled paths t -> exp(i t H) from I to U, H the principal log,
     for each entry of a (B, n, n) stack of unitaries.

@@ -113,9 +113,6 @@ class OrderedGroupView:
             return not any(nf) or nf[0] > 0
         raise ValueError(f"unknown cone {self.cone!r}")
 
-    def leq(self, x: KClass, y: KClass) -> bool:
-        return self.cone_contains(y - x)
-
 
 # -- invariant extraction (the Upsilon / Omega constructors) ---------------
 

@@ -10,10 +10,9 @@ alone.  Recipes (documented in the README and fixed as contract):
 * unitary: exp(i H) for a random Hermitian H; each grid summand carries
   an optional winding w through a diag(z^w, 1, ..., 1) factor.
 * projection: unitary conjugate of a 0/1 diagonal.
-* partial isometry: truncated unitary u p.
 * partial unitary: unitary conjugate of (corner unitary) + (zero block).
 
-The last three take one rank per summand (one per fd block, one for
+The last two take one rank per summand (one per fd block, one for
 the whole circle grid), or draw them with ``uniform_ranks``.  Every
 generator draws summand by summand.
 """
@@ -167,13 +166,6 @@ def projection(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
         m = u @ d0 @ u.conj().transpose(0, 2, 1)
         stacks.append((m + m.conj().transpose(0, 2, 1)) / 2.0)
     return Element(algebra, level, level, tuple(stacks))
-
-
-def partial_isometry(rng, algebra: AlgebraSpec, level: int, ranks=None) -> Element:
-    """Truncated unitary u p: |v| = p, |v*| = u p u*."""
-    u = unitary(rng, algebra, level)
-    p = projection(rng, algebra, level, ranks)
-    return u.matmul(p)
 
 
 def _components(algebra: AlgebraSpec):

@@ -1,10 +1,11 @@
-"""Seeded draws shared by the test modules: random unitary matrices and
-unital multiplicity-and-conjugation morphisms between fd algebras; and
-the degree oracle the K1 tests check loop degrees against."""
+"""Seeded draws shared by the test modules: random unitary matrices,
+partial isometries, and unital multiplicity-and-conjugation morphisms
+between fd algebras; circle elements sampled from a function; and the
+degree oracle the K1 tests check loop degrees against."""
 
 import numpy as np
 
-from amok import algebra, morphisms
+from amok import algebra, morphisms, rand
 
 
 def random_unitary_matrix(rng, n):
@@ -12,6 +13,22 @@ def random_unitary_matrix(rng, n):
     h = (h + h.conj().T) / 2.0
     w, V = np.linalg.eigh(h)
     return (V * np.exp(1j * w)[None, :]) @ V.conj().T
+
+
+def partial_isometry(rng, alg, level, ranks=None):
+    """Truncated unitary u p: |v| = p, |v*| = u p u*, from a
+    ``rand.unitary`` draw, then a ``rand.projection`` draw."""
+    u = rand.unitary(rng, alg, level)
+    return u.matmul(rand.projection(rng, alg, level, ranks))
+
+
+def circle_function(alg, fn):
+    """Level-1 element of a circle algebra from a function z -> matrix,
+    its values at the grid points stacked into the one summand's stack."""
+    grid = alg.summands[0][0]
+    return algebra.Element(alg, 1, 1, (np.stack(
+        [np.asarray(fn(z), dtype=complex)
+         for z in algebra.roots_of_unity(grid)]),))
 
 
 def random_morphism(rng, source):

@@ -12,7 +12,8 @@ import numpy as np
 from amok import (algebra, cli, equivalence as eqv, kgroups, model,
                   morphisms, rand, serialize, suites)
 
-from draws import degree_oracle, random_morphism
+from draws import (circle_function, degree_oracle, partial_isometry,
+                   random_morphism)
 
 FD1 = algebra.AlgebraSpec.fd([1])
 FD2 = algebra.AlgebraSpec.fd([2])
@@ -102,8 +103,7 @@ def test_criterion_4_k1_structure():
     assert view.rank == 1
     powers = {}
     for n in (-2, -1, 0, 1, 2):
-        f = algebra.circle_function(
-            CIRCLE1, 1, 1, lambda z, n=n: np.array([[z ** n]], dtype=complex))
+        f = circle_function(CIRCLE1, lambda z, n=n: [[z ** n]])
         assert model.classify(f).is_unitary
         assert kgroups.k1_class(f).normal_form == (n,)
         assert degree_oracle(f) == n
@@ -176,7 +176,7 @@ def test_criterion_6_decomposition_constructions():
         if t % 2 == 0:
             v = rand.partial_unitary(srng, FD23, 1)
         else:
-            v = rand.partial_isometry(srng, FD23, 2)
+            v = partial_isometry(srng, FD23, 2)
         lhs, rhs = kgroups.partial_unitary_characterization(v)
         assert lhs == rhs
     print("criterion 6 (decomposition/sum/characterization constructions): PASS")

@@ -21,6 +21,8 @@ import pytest
 from amok import (algebra, cli, equivalence as eqv, errors, kernel, kgroups,
                   model, rand, serialize, suites)
 
+from draws import circle_function
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 M2 = algebra.AlgebraSpec.fd([2])
@@ -297,8 +299,7 @@ def test_classify_matrix_unit(tmp_path, capsys):
 
 
 def test_classify_circle_coordinate(tmp_path, capsys):
-    f = algebra.circle_function(CIRCLE1, 1, 1,
-                                lambda z: np.array([[z]], dtype=complex))
+    f = circle_function(CIRCLE1, lambda z: [[z]])
     path = write_element(tmp_path / "f.json", f)
     code = cli.main(["classify", path, "--format", "json"])
     report = json.loads(capsys.readouterr().out)
@@ -442,8 +443,7 @@ def test_path_not_buildable_at_path_tolerance_gives_exit_3(tmp_path, capsys):
 
 
 def test_equiv_circle_windings_reported(tmp_path, capsys):
-    z = algebra.circle_function(CIRCLE1, 1, 1,
-                                lambda s: np.array([[s]], dtype=complex))
+    z = circle_function(CIRCLE1, lambda s: [[s]])
     one = algebra.order_unit(CIRCLE1, 1)
     zf = write_element(tmp_path / "z.json", z)
     onef = write_element(tmp_path / "one.json", one)
@@ -459,9 +459,8 @@ def test_equiv_h_reports_windings_of_loop_degree(tmp_path, capsys):
     # degrees 48 and -16 on circle dim 3 grid 64, where summing the
     # determinant's principal steps gives -16 for both
     alg = algebra.AlgebraSpec.circle(3, 64)
-    u = algebra.circle_function(alg, 1, 1, lambda z: np.diag([z ** 16] * 3))
-    v = algebra.circle_function(alg, 1, 1,
-                                lambda z: np.diag([z ** -16, 1, 1]))
+    u = circle_function(alg, lambda z: np.diag([z ** 16] * 3))
+    v = circle_function(alg, lambda z: np.diag([z ** -16, 1, 1]))
     uf = write_element(tmp_path / "u.json", u)
     vf = write_element(tmp_path / "v.json", v)
     assert cli.main(["equiv", uf, vf, "--relation", "h",
@@ -469,6 +468,24 @@ def test_equiv_h_reports_windings_of_loop_degree(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["equivalent"] is False
     assert report["windings"] == [48, -16]
+
+
+def test_equiv_windings_do_not_hide_a_numerical_failure(tmp_path, capsys,
+                                                        monkeypatch):
+    # only an operand without a loop degree (Unsupported) goes without
+    # windings; any other failure of the K1 invariant exits 3
+    alg = algebra.AlgebraSpec.circle(1, 16)
+    pf, qf = (write_element(tmp_path / f"p{k}.json",
+                            rand.projection(rand.stream(3, k), alg, 1, [1]))
+              for k in (0, 1))
+
+    def fail(U):
+        raise errors.NoConvergence("no loop degree")
+
+    monkeypatch.setattr(eqv, "_degree", fail)
+    assert cli.main(["equiv", pf, qf, "--relation", "mvn"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure (NoConvergence): no loop degree\n")
 
 
 def test_projection_of_varying_rank_is_refused(tmp_path, capsys):
@@ -632,7 +649,7 @@ def repeated(path, T: int) -> eqv.HomotopyPath:
     """``path`` with its samples repeated in order to T samples."""
     return eqv.HomotopyPath(
         [np.resize(s, (T,) + s.shape[1:]) for s in path.stacks],
-        path.relation_domain, like=path.start)
+        path.relation_domain, like=path.samples[0])
 
 
 def test_path_writer_streams_chunks_of_samples_across_boundaries():
@@ -662,7 +679,7 @@ def test_path_writer_rejects_non_finite_samples():
         stacks = [s.copy() for s in path.stacks]
         stacks[1][3, 0, 1, 0] = complex(0.5, bad)
         broken = eqv.HomotopyPath(stacks, path.relation_domain,
-                                  like=path.start)
+                                  like=path.samples[0])
         with pytest.raises(ValueError):
             serialize.dumps_canonical({"witness":
                                        serialize.path_to_json(broken)})

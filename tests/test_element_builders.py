@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from amok import algebra, rand, serialize
-from amok.errors import ShapeMismatch, SpecParseError
+from amok.errors import SpecParseError
 
 SPECS = (algebra.AlgebraSpec.fd([1]), algebra.AlgebraSpec.fd([1, 2]),
          algebra.AlgebraSpec.fd([2, 3]), algebra.AlgebraSpec.circle(1, 16),
@@ -126,20 +126,6 @@ def test_parse_element_groups_like_the_per_component_reference(spec):
     obj["data"][last] = obj["data"][last][:-1]
     with pytest.raises(SpecParseError, match=rf"^element\.data\[{last}\]: "):
         serialize.parse_element(obj)
-
-
-def test_circle_function_stacks_its_grid_values():
-    spec = algebra.AlgebraSpec.circle(2, 16)
-    fn = lambda z: np.array([[z, 0, 1, 0], [0, 1, 0, z ** 2]])
-    v = algebra.circle_function(spec, 1, 2, fn)
-    assert same_bytes(v.stacks, [np.stack([np.asarray(fn(z), dtype=complex)
-                                           for z in algebra.roots_of_unity(16)])])
-    # a value of the wrong shape, everywhere or at one grid point only
-    bad = (lambda z: np.eye(2), lambda z: z,
-           lambda z: np.eye(2) if z == 1 else np.zeros((2, 4)))
-    for fn in bad:
-        with pytest.raises(ShapeMismatch):
-            algebra.circle_function(spec, 1, 2, fn)
 
 
 def per_point_trig_eval(grid, ks, coeffs):

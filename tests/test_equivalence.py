@@ -13,7 +13,7 @@ from amok.errors import (AlgebraMismatch, LevelMismatch, NoConvergence,
                          PreconditionFailure, ShapeMismatch, SourceMismatch,
                          Unsupported)
 
-from draws import degree_oracle
+from draws import circle_function, degree_oracle
 
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
@@ -217,8 +217,8 @@ def test_homotopic_to_self_constant_invariants():
         ok, path = eqv.homotopic_unitaries(u, u)
         assert ok
         assert path.validate()
-        assert model.distance(path.start, u) <= 1e-9
-        assert model.distance(path.end, u) <= 1e-9
+        assert model.distance(path.samples[0], u) <= 1e-9
+        assert model.distance(path.samples[-1], u) <= 1e-9
 
 
 def test_fd_unitaries_always_homotopic():
@@ -227,8 +227,8 @@ def test_fd_unitaries_always_homotopic():
     assert ok
     assert len(path.samples) == eqv.PATH_SAMPLES
     path.validate_strict()
-    assert model.distance(path.start, E) <= 1e-8
-    assert model.distance(path.end, minus) <= 1e-8
+    assert model.distance(path.samples[0], E) <= 1e-8
+    assert model.distance(path.samples[-1], minus) <= 1e-8
 
 
 def test_fd_unitary_path_ends_exactly_at_its_endpoints():
@@ -237,13 +237,12 @@ def test_fd_unitary_path_ends_exactly_at_its_endpoints():
     v = rand.unitary(rng, FD23, 1)
     ok, path = eqv.homotopic_unitaries(u, v)
     assert ok
-    for end, want in ((path.start, u), (path.end, v)):
+    for end, want in ((path.samples[0], u), (path.samples[-1], v)):
         assert all(np.array_equal(a, b) for a, b in zip(end.data, want.data))
 
 
 def test_circle_winding_separates_classes():
-    z = algebra.circle_function(CIRCLE1, 1, 1,
-                                lambda z: np.array([[z]], dtype=complex))
+    z = circle_function(CIRCLE1, lambda z: [[z]])
     one = algebra.order_unit(CIRCLE1, 1)
     ok, path = eqv.homotopic_unitaries(z, one)
     assert not ok and path is None
@@ -268,8 +267,8 @@ def diagonal_loop(powers, grid=64, seed=0):
     rng = np.random.default_rng(seed)
     c, _ = np.linalg.qr(rng.standard_normal((len(powers),) * 2)
                         + 1j * rng.standard_normal((len(powers),) * 2))
-    return algebra.circle_function(
-        alg, 1, 1, lambda z: c @ np.diag([z ** k for k in powers]) @ c.conj().T)
+    return circle_function(
+        alg, lambda z: c @ np.diag([z ** k for k in powers]) @ c.conj().T)
 
 
 @pytest.mark.parametrize("powers", [(1, -3), (16, 16), (16, -16), (5, 11),
@@ -332,8 +331,8 @@ def test_circle_equal_winding_gives_validated_path():
     ok, path = eqv.homotopic_unitaries(u, v)
     assert ok
     path.validate_strict()
-    assert model.distance(path.start, u) <= 1e-8
-    assert model.distance(path.end, v) <= 1e-8
+    assert model.distance(path.samples[0], u) <= 1e-8
+    assert model.distance(path.samples[-1], v) <= 1e-8
 
 
 def test_circle_full_support_simk_validates_its_path_once(monkeypatch):
@@ -375,10 +374,8 @@ def test_sim1_swaps_summands():
 
 
 def test_sim1_circle_winding_distinct():
-    z1 = algebra.circle_function(CIRCLE1, 1, 1,
-                                 lambda z: np.array([[z]], dtype=complex))
-    z2 = algebra.circle_function(CIRCLE1, 1, 1,
-                                 lambda z: np.array([[z * z]], dtype=complex))
+    z1 = circle_function(CIRCLE1, lambda z: [[z]])
+    z2 = circle_function(CIRCLE1, lambda z: [[z * z]])
     ok, _ = eqv.sim1_equivalent(z1, z2)
     assert not ok
 
@@ -433,8 +430,8 @@ def test_flip_homotopic_to_unit():
     ok, path = eqv.homotopic_partial_unitaries(flip, E)
     assert ok
     path.validate_strict()
-    assert model.distance(path.start, flip) <= 1e-8
-    assert model.distance(path.end, E) <= 1e-8
+    assert model.distance(path.samples[0], flip) <= 1e-8
+    assert model.distance(path.samples[-1], E) <= 1e-8
 
 
 def test_rank_distinct_partial_unitaries_not_homotopic():
@@ -452,8 +449,8 @@ def test_fd_random_equal_rank_partial_unitaries():
         ok, path = eqv.homotopic_partial_unitaries(u, v)
         assert ok
         path.validate_strict()
-        assert model.distance(path.start, u) <= 1e-8
-        assert model.distance(path.end, v) <= 1e-8
+        assert model.distance(path.samples[0], u) <= 1e-8
+        assert model.distance(path.samples[-1], v) <= 1e-8
 
 
 def test_circle_mixed_rank_unsupported():
@@ -675,14 +672,19 @@ def test_transfer_matches_the_per_sample_loop_bit_for_bit(alg, ranks):
 
 
 def test_transfer_refuses_a_path_at_a_non_square_level():
+    # every domain's predicate needs square samples, so both constructor
+    # forms refuse such a path before it can be validated or transferred
     rng = rand.stream(219, 0)
     u = rand.partial_unitary(rng, M2, 2)
     for v in (algebra.Element(M2, 2, 1, (u.stacks[0][:, :, :2],)),
               algebra.Element(M2, 1, 2, (u.stacks[0][:, :2, :],))):
-        path = eqv.HomotopyPath(samples=(v, v),
-                                relation_domain=eqv.PARTIAL_UNITARY_SET)
-        with pytest.raises(ShapeMismatch):
-            eqv.abs_homotopy_transfer(path)
+        for domain in (eqv.UNITARY_SET, eqv.PARTIAL_UNITARY_SET,
+                       eqv.PROJECTION_SET):
+            with pytest.raises(ShapeMismatch, match="are not square$"):
+                eqv.HomotopyPath((v, v), domain)
+            with pytest.raises(ShapeMismatch, match="are not square$"):
+                eqv.HomotopyPath([np.stack([a, a]) for a in v.stacks],
+                                 domain, like=v)
 
 
 def test_serialized_step_bound_revalidates_transferred_path():
@@ -883,7 +885,7 @@ def test_path_rebuilt_from_samples_round_trips():
     for path, u, v in library_paths():
         assert all(not s.flags.writeable for s in path.stacks)
         assert all(s.shape[0] == eqv.PATH_SAMPLES for s in path.stacks)
-        for end, want in ((path.start, u), (path.end, v)):
+        for end, want in ((path.samples[0], u), (path.samples[-1], v)):
             assert all(np.array_equal(a, b)
                        for a, b in zip(end.stacks, want.stacks))
         back = eqv.HomotopyPath(path.samples, path.relation_domain,

@@ -1,8 +1,9 @@
 """Static checks: every module of the package uses each name it imports,
 loads at import time only the modules of an allowlist, reaches the
 LAPACK solvers only through ``kernel``, uses every error class it
-defines, and imports its own modules without a cycle, with ``suites``
-on top."""
+defines, gives every public name a caller outside the tests or an
+allowlisted reason to wait for one, and imports its own modules without
+a cycle, with ``suites`` on top."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,89 @@ def test_every_error_class_is_used_outside_errors():
               if p.name != "errors.py"]
     assert dead_error_classes((PACKAGE / "errors.py").read_text(),
                               others) == []
+
+
+# The public names of the package that nothing in src/amok, tools or
+# perfbench calls yet, each with the ROADMAP item that will call it.  The
+# list may only shrink: a new name needs a caller, and an entry whose
+# name gains a caller or is deleted must go.
+CALLER_ALLOWLIST = {
+    "equivalence.abs_homotopy_transfer": "item 14: theta-from-witnesses",
+    "kgroups.OrderedGroupView.cone_contains": "item 14: cone-laws",
+    "kgroups.k0_class": "item 14: theta-from-witnesses",
+    "kgroups.theta_surjectivity_witness": "item 14: theta-surjective",
+    "kgroups.partial_unitary_decompose": "item 14: section-5",
+    "kgroups.orthogonal_sum_unitary": "item 14: section-5",
+    "kgroups.partial_unitary_characterization": "item 14: section-5",
+    # the functor layer, which item 4 extends to circle maps
+    "kgroups.induced_class": "item 14: functor-laws",
+    "morphisms.identity_morphism": "item 14: functor-laws",
+    "morphisms.zero_morphism": "item 14: functor-laws",
+    "morphisms.apply_morphism": "item 14: functor-laws",
+    "morphisms.compose": "item 14: functor-laws",
+}
+
+
+def uncalled_public_names(package: dict, callers) -> list:
+    """``module.name`` of each public top-level function and class of the
+    modules of ``package`` {module: source}, and ``module.Class.method``
+    of each public method of those classes, whose name none of
+    ``callers`` holds as a ``Name``, as an ``Attribute`` or as a string
+    constant (``getattr(model, "is_unitary")``, ``hasattr(cls,
+    "validate")``).  A definition or an import is no caller."""
+    named = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                named.add(node.value)
+    found = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            members = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            found += [f"{module}.{qualified}" for qualified, name in members
+                      if not name.startswith("_") and name not in named]
+    return sorted(found)
+
+
+def test_every_public_name_has_a_caller():
+    # the scan itself counts a call, an attribute, a string and a use
+    # inside the defining module, and skips private names, nested
+    # functions, the methods of private classes, definitions and imports
+    probe = {"a": "def called():\n    pass\n"
+                  "def dead():\n    helper()\n    def inner():\n"
+                  "        pass\ndef helper():\n    pass\n"
+                  "def _private():\n    pass\n"
+                  "class Box:\n    def read(self):\n        pass\n"
+                  "    def named(self):\n        pass\n"
+                  "    def unused(self):\n        pass\n"
+                  "    def _helper(self):\n        pass\n"
+                  "class _Hidden:\n    def unused(self):\n        pass\n",
+             "b": "from .a import dead, unused\nclass Unbuilt:\n    pass\n"}
+    users = ["from .a import Box, called\ncalled()\nBox().read()\n",
+             "getattr(box, 'named')\n"]
+    assert uncalled_public_names(probe, users + list(probe.values())) == [
+        "a.Box.unused", "a.dead", "b.Unbuilt"]
+    root = Path(__file__).resolve().parents[1]
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    callers = list(package.values()) + [
+        p.read_text() for d in ("tools", "perfbench")
+        for p in sorted((root / d).rglob("*.py"))]
+    found = set(uncalled_public_names(package, callers))
+    # (uncalled names missing from the allowlist, stale allowlist entries)
+    assert (sorted(found - CALLER_ALLOWLIST.keys()),
+            sorted(CALLER_ALLOWLIST.keys() - found)) == ([], [])
 
 
 # The modules outside the package that may be loaded when the package is

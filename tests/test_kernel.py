@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from amok import kernel
-from amok.errors import NoConvergence, NotHermitian, NotUnitary
+from amok.errors import DomainError, NoConvergence, NotHermitian, NotUnitary
 
 
 def eig2_oracle(M):
@@ -242,6 +242,15 @@ def test_sqrt_roundtrip_psd():
             assert kernel.min_eig_stack(root[None])[0] >= -10 * kernel.TOL_EIG * scale
 
 
+def test_sqrt_takes_negative_roundoff_down_to_its_bound():
+    # eigenvalues down to -1e-9 * (1 + scale) are roundoff, snapped to a
+    # root of 0; below that the matrix is not PSD (scale 1 here)
+    root = kernel.sqrtm_psd_stack(np.diag([1.0, -1.9e-9])[None] + 0j)
+    assert np.array_equal(root[0], np.diag([1.0, 0.0]))
+    with pytest.raises(DomainError, match="eigenvalue -2.100e-09$"):
+        kernel.sqrtm_psd_stack(np.diag([1.0, -2.1e-9])[None] + 0j)
+
+
 def svd_one(M):
     """Thin SVD of one matrix, through a stack of one entry."""
     left, s, right = kernel.svd_stack(M[None])
@@ -359,7 +368,7 @@ def test_log_path_rejects_non_unitary():
     for U in (2.0 * np.eye(2, dtype=complex)[None],
               np.stack([np.eye(2), 2.0 * np.eye(2)]).astype(complex)):
         with pytest.raises(NotUnitary):
-            kernel.unitary_log_path(U)
+            kernel.unitary_log_path(U, 5)
 
 
 def unitary_eig_per_entry(U):

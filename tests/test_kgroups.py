@@ -140,8 +140,8 @@ def test_k0_order_unit_dominates():
         p = rand.projection(rng, FD23, level)
         g = kgroups.k0_class(p)
         n = level  # ranks at level n are bounded by n * dims
-        assert view.leq(g, view.order_unit.scale(n))
-        assert view.leq(view.order_unit.scale(-n), g)
+        assert view.cone_contains(view.order_unit.scale(n) - g)
+        assert view.cone_contains(g - view.order_unit.scale(-n))
 
 
 def test_k0_cone_proper():
@@ -240,8 +240,10 @@ def test_circle_cones_full_and_support():
         x = kgroups.KClass(view.order_unit.group_tag, circle16, nf)
         assert view.cone_contains(x) is inside, nf
         # x <= y exactly when y - x is in the cone
-        assert view.leq(view.order_unit, view.order_unit + x) is inside, nf
-        assert view.leq(-x, view.order_unit.scale(0)) is inside, nf
+        assert view.cone_contains(
+            (view.order_unit + x) - view.order_unit) is inside, nf
+        assert view.cone_contains(
+            view.order_unit.scale(0) - (-x)) is inside, nf
 
 
 # -- morphisms and functoriality -------------------------------------------
@@ -313,7 +315,7 @@ def test_group_views_refuse_classes_of_other_groups_or_algebras():
         with pytest.raises(error):
             view.cone_contains(y)
         with pytest.raises(error):
-            view.leq(y, y)
+            view.cone_contains(y - y)
     assert k0.cone_contains(kgroups.KClass(kgroups.K0, FD23, (1, 5)))
     # the surjectivity recipe would drop the winding of a K class
     with pytest.raises(PreconditionFailure, match="K0 classes"):

@@ -10,6 +10,8 @@ from amok import algebra, kernel, model, morphisms, rand, serialize
 from amok.errors import (AlgebraMismatch, InputError, PreconditionFailure,
                          ShapeMismatch, SpecParseError, ZeroOperand)
 
+from draws import circle_function, partial_isometry
+
 M2 = algebra.AlgebraSpec.fd([2])
 FD23 = algebra.AlgebraSpec.fd([2, 3])
 CIRCLE1 = algebra.AlgebraSpec.circle(1, 64)
@@ -202,8 +204,7 @@ def test_selfadjoint_sees_every_block_and_level_zero():
 
 
 def test_classify_circle_coordinate_is_unitary():
-    f = algebra.circle_function(CIRCLE1, 1, 1,
-                                lambda z: np.array([[z]], dtype=complex))
+    f = circle_function(CIRCLE1, lambda z: [[z]])
     flags = model.classify(f)
     assert flags.is_unitary
     assert flags.is_partial_unitary
@@ -215,7 +216,7 @@ def test_classify_implication_lattice_random():
     for alg in (FD23, CIRCLE1):
         cases = [rand.projection(rng, alg, 2), rand.unitary(rng, alg, 2),
                  rand.partial_unitary(rng, alg, 2),
-                 rand.partial_isometry(rng, alg, 2), rand.element(rng, alg, 2, 2)]
+                 partial_isometry(rng, alg, 2), rand.element(rng, alg, 2, 2)]
         for v in cases:
             f = model.classify(v)
             if f.is_order_projection:
@@ -230,7 +231,7 @@ def test_generated_elements_pass_their_predicates():
         assert model.classify(rand.projection(rng, alg, 2)).is_order_projection
         assert model.classify(rand.unitary(rng, alg, 2)).is_unitary
         assert model.classify(rand.partial_unitary(rng, alg, 2)).is_partial_unitary
-        assert model.classify(rand.partial_isometry(rng, alg, 2)).is_partial_isometry
+        assert model.classify(partial_isometry(rng, alg, 2)).is_partial_isometry
 
 
 @pytest.mark.parametrize("spec", [algebra.AlgebraSpec.fd([1, 2]),
@@ -269,7 +270,7 @@ def test_spectral_projection_test_matches_the_definition(spec, delta):
         rand.element(rng, spec, 1, 2).scale(0.0))
 
 
-@pytest.mark.parametrize("draw", (rand.projection, rand.partial_isometry,
+@pytest.mark.parametrize("draw", (rand.projection, partial_isometry,
                                   rand.partial_unitary))
 @pytest.mark.parametrize("ranks", ([1, 1, 1], [1], [3, 0], [-1, 0], [1.5, 0],
                                    [True, 0]))
@@ -433,9 +434,6 @@ def test_constructors_pin_the_summands():
     # batch of N grid points for the circle
     assert algebra.AlgebraSpec.fd([2, 3]).summands == ((1, 2), (1, 3))
     assert algebra.AlgebraSpec.circle(2, 64).summands == ((64, 2),)
-    with pytest.raises(AlgebraMismatch) as exc:
-        algebra.circle_function(FD23, 1, 1, lambda z: np.eye(2))
-    assert str(exc.value) == "circle functions exist only on the circle model"
     with pytest.raises(AlgebraMismatch) as exc:
         morphisms.MorphismSpec(CIRCLE1, M2, ((2,),), (np.eye(2),))
     assert str(exc.value) == "morphisms are defined between fd algebras"

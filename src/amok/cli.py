@@ -36,10 +36,9 @@ EXIT_NUMERICAL = 3
 _INPUT_ERRORS = (InputError, OSError)
 _NUMERICAL_ERRORS = (NumericalError, MemoryError)
 
-_PATH_DECIDERS = {"sim1": eqv.sim1_equivalent,
-                  "approx1": eqv.approx1_equivalent,
-                  "simK": eqv.simK_equivalent,
-                  "approxK": eqv.approxK_equivalent}
+# stabilized = base relation: the invariants are additive and cancellative
+_PATH_DECIDERS = {"sim1": eqv.sim1_equivalent, "approx1": eqv.sim1_equivalent,
+                  "simK": eqv.simK_equivalent, "approxK": eqv.simK_equivalent}
 
 
 # Defaults of the global flags: those of RunConfig, plus the output

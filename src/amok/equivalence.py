@@ -11,8 +11,9 @@ Each public decider checks its operands once.  Inside a memo scope
 (``model.memo_scope``) it eigendecomposes each projection once, for its
 predicate, its rank and its range basis, all read from
 ``model.spectrum``; outside one, the predicate and the decomposition
-each run one eigensolve.  The stabilized relations only pad their
-operands and delegate to a public decider.
+each run one eigensolve.  The invariants are additive and cancellative,
+so each stabilized relation is decided by its base decider.  Both
+homotopy deciders build their path through ``_witness_path``.
 
 A ``HomotopyPath`` keeps its samples as one read-only (T, B, r, c) stack
 per summand, the element layout with a leading sample axis.  The path
@@ -370,15 +371,6 @@ def mvn_equivalent(p: Element, q: Element, tol: float = model.TOL_PRED):
     return True, cert
 
 
-def stabilized_projection_equiv(p: Element, q: Element,
-                                tol: float = model.TOL_PRED):
-    """p (+) r ~ q (+) r for some r: reduces to ~ after zero-padding to
-    a common level, because the rank invariant is additive and
-    cancellative."""
-    level = max(p.row_level, q.row_level)
-    return mvn_equivalent(*_padded(p, q, level, zero, PROJECTION_SET), tol)
-
-
 def condition_T_transport(u: PartialIsometryCertificate,
                           v: PartialIsometryCertificate,
                           tol: float = model.TOL_PRED) -> PartialIsometryCertificate:
@@ -411,16 +403,7 @@ def condition_T_transport(u: PartialIsometryCertificate,
     return cert
 
 
-# -- unitary homotopy ------------------------------------------------------
-
-def _pinned_path(stacks: list, u: Element, v: Element,
-                 domain: str) -> HomotopyPath:
-    """Path over one writable (T, B, r, c) stack per summand, with the
-    first and last entries overwritten by exactly u and v."""
-    for p, a, b in zip(stacks, u.stacks, v.stacks):
-        p[0], p[-1] = a, b
-    return HomotopyPath(stacks, domain, like=u)
-
+# -- homotopy witnesses ----------------------------------------------------
 
 def _log_path(a: np.ndarray, b: np.ndarray, tol_path: float) -> np.ndarray:
     """Samples of t -> a exp(t log(a* b)) for one summand's stacks of
@@ -429,37 +412,79 @@ def _log_path(a: np.ndarray, b: np.ndarray, tol_path: float) -> np.ndarray:
                                        PATH_SAMPLES, tol_path)
 
 
+def _two_stage_path(a: np.ndarray, b: np.ndarray, ba, bb,
+                    tol_path: float) -> np.ndarray:
+    """Two-stage path on one summand: rotate the support of a onto that of
+    b (their (range, kernel) bases ba, bb), then deform the corner unitary
+    inside the common support."""
+    half = PATH_SAMPLES // 2 + 1
+    (rp, kp), (rq, kq) = ba, bb
+    # stage 1: conjugate so supports match
+    w = (np.concatenate([rq, kq], axis=2)
+         @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
+    ws = kernel.unitary_log_path(w, half, tol_path)
+    s1 = ws @ a @ ws.conj().transpose(0, 1, 3, 2)
+    # stage 2: log path between the compressions onto the shared support
+    rqh = rq.conj().transpose(0, 2, 1)
+    ca = rqh @ s1[-1] @ rq
+    cb = rqh @ b @ rq
+    inner = kernel.unitary_log_path(ca.conj().transpose(0, 2, 1) @ cb,
+                                    half, tol_path)
+    return np.concatenate([s1, rq @ (ca @ inner[1:]) @ rqh])
+
+
+def _witness_path(u: Element, v: Element, supports, domain: str,
+                  tol_path: float) -> HomotopyPath:
+    """The path from u to v, by one rule per summand, with end samples
+    exactly u and v, validated at tol_path.  ``supports`` has one entry
+    per summand: None at full support (a unitary), or (rank, bases of u,
+    bases of v) of a partial unitary.  The first rule that applies: the
+    log path at full support (every summand of a unitary, a grid of full
+    rank); two stages on an fd block; constant on a grid of rank 0, the
+    only other rank ``require_decided`` leaves there."""
+    stacks = []
+    for a, b, (batch, _), s in zip(u.stacks, v.stacks, u.algebra.summands,
+                                   supports):
+        if s is None or (batch > 1 and s[0]):
+            p = _log_path(a, b, tol_path)
+        elif batch == 1:
+            p = _two_stage_path(a, b, s[1], s[2], tol_path)
+        else:
+            p = np.repeat(a[None], PATH_SAMPLES, axis=0)
+        p[0], p[-1] = a, b
+        stacks.append(p)
+    path = HomotopyPath(stacks, domain, like=u)
+    path.validate_strict(tol_path)
+    return path
+
+
+# -- unitary homotopy ------------------------------------------------------
+
 def homotopic_unitaries(u: Element, v: Element, tol: float = model.TOL_PRED,
                         *, tol_path: float = TOL_PATH):
     """u ~h v inside the unitary set at a fixed level.
 
     True iff the K1 invariants, the degrees on the grid summands, agree
-    (fd unitary groups are connected).  Positive answers
-    return a log path validated at tol_path.
+    (fd unitary groups are connected).  Positive answers return the log
+    path of ``_witness_path`` on every summand, validated at tol_path.
     """
     _check_operands(u, v, tol, UNITARY_SET)
     if k1_invariant(u) != k1_invariant(v):
         return False, None
-    path = _pinned_path([_log_path(a, b, tol_path)
-                         for a, b in zip(u.stacks, v.stacks)],
-                        u, v, UNITARY_SET)
-    path.validate_strict(tol_path)
-    return True, path
+    return True, _witness_path(u, v, [None] * len(u.stacks), UNITARY_SET,
+                               tol_path)
 
 
 def sim1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
                     tol_path: float = TOL_PATH):
-    """Homotopy after padding both with order units to a common level."""
+    """Homotopy after padding both with order units to a common level.
+
+    This also decides the stabilized relation u (+) w ~1 v (+) w for
+    some unitary w: the degrees are additive and cancellative, so the
+    two relations agree."""
     level = max(u.row_level, v.row_level) + 1
     return homotopic_unitaries(*_padded(u, v, level, order_unit, UNITARY_SET),
                                tol, tol_path=tol_path)
-
-
-def approx1_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
-                       tol_path: float = TOL_PATH):
-    """u (+) w ~1 v (+) w for some w; equals ~1 here because the
-    winding invariant is additive and cancellative."""
-    return sim1_equivalent(u, v, tol, tol_path=tol_path)
 
 
 # -- partial-unitary homotopy ----------------------------------------------
@@ -487,37 +512,16 @@ def require_decided(x: Element, ranks, message: str) -> None:
             raise Unsupported(message)
 
 
-def _two_stage_path(a: np.ndarray, b: np.ndarray, ba, bb,
-                    tol_path: float) -> np.ndarray:
-    """Two-stage path on one summand: rotate the support of a onto that of
-    b (their (range, kernel) bases ba, bb), then deform the corner unitary
-    inside the common support."""
-    half = PATH_SAMPLES // 2 + 1
-    (rp, kp), (rq, kq) = ba, bb
-    # stage 1: conjugate so supports match
-    w = (np.concatenate([rq, kq], axis=2)
-         @ np.concatenate([rp, kp], axis=2).conj().transpose(0, 2, 1))
-    ws = kernel.unitary_log_path(w, half, tol_path)
-    s1 = ws @ a @ ws.conj().transpose(0, 1, 3, 2)
-    # stage 2: log path between the compressions onto the shared support
-    rqh = rq.conj().transpose(0, 2, 1)
-    ca = rqh @ s1[-1] @ rq
-    cb = rqh @ b @ rq
-    inner = kernel.unitary_log_path(ca.conj().transpose(0, 2, 1) @ cb,
-                                    half, tol_path)
-    return np.concatenate([s1, rq @ (ca @ inner[1:]) @ rqh])
-
-
 def homotopic_partial_unitaries(u: Element, v: Element,
                                 tol: float = model.TOL_PRED, *,
                                 tol_path: float = TOL_PATH):
     """u ~h v inside the partial-unitary set at a fixed level.
 
     True iff the support ranks agree and so do the degrees on each grid
-    summand of full support.  The path, validated at tol_path, is built
-    per summand: two stages on an fd block, constant on a grid of rank 0,
-    the log path on a grid of full rank.  Mixed ranks on a grid raise
-    Unsupported (``decides_mixed_ranks``).
+    summand of full support; mixed ranks on a grid raise Unsupported
+    (``decides_mixed_ranks``).  The path, validated at tol_path, takes
+    ``_witness_path``'s rule per summand: two stages on an fd block, the
+    log path on a grid of full rank, constant on a grid of rank 0.
     """
     _check_operands(u, v, tol, PARTIAL_UNITARY_SET)
     iu, bu = _spectral_support(model.abs_value(u))
@@ -526,36 +530,25 @@ def homotopic_partial_unitaries(u: Element, v: Element,
         return False, None
     require_decided(u, iu, "circle-model homotopy of mixed-rank partial "
                            "unitaries is undecided")
-    stacks = []
-    for a, b, (batch, _), r, ba, bb in zip(u.stacks, v.stacks,
-                                           u.algebra.summands, iu, bu, bv):
-        if batch == 1:
-            stacks.append(_two_stage_path(a, b, ba, bb, tol_path))
-        elif r == 0:
-            stacks.append(np.repeat(a[None], PATH_SAMPLES, axis=0))
-        elif _degree(a) != _degree(b):
-            return False, None
-        else:
-            stacks.append(_log_path(a, b, tol_path))
-    path = _pinned_path(stacks, u, v, PARTIAL_UNITARY_SET)
-    path.validate_strict(tol_path)
-    return True, path
+    if any(_degree(a) != _degree(b) for a, b, (batch, _), r
+           in zip(u.stacks, v.stacks, u.algebra.summands, iu)
+           if batch > 1 and r):
+        return False, None
+    return True, _witness_path(u, v, list(zip(iu, bu, bv)),
+                               PARTIAL_UNITARY_SET, tol_path)
 
 
 def simK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
                     tol_path: float = TOL_PATH):
-    """Homotopy after padding both with zeros to a common level."""
+    """Homotopy after padding both with zeros to a common level.
+
+    This also decides the stabilized relation u (+) w ~K v (+) w for
+    some partial unitary w: the support invariant is additive and
+    cancellative, so the two relations agree."""
     level = max(u.row_level, v.row_level)
     return homotopic_partial_unitaries(
         *_padded(u, v, level, zero, PARTIAL_UNITARY_SET), tol,
         tol_path=tol_path)
-
-
-def approxK_equivalent(u: Element, v: Element, tol: float = model.TOL_PRED, *,
-                       tol_path: float = TOL_PATH):
-    """u (+) w ~K v (+) w for some w; equals ~K here because the support
-    invariant is additive and cancellative."""
-    return simK_equivalent(u, v, tol, tol_path=tol_path)
 
 
 # -- homotopy transfer through the absolute value --------------------------

@@ -99,12 +99,12 @@ def _hermitian_field(rng, batch, n):
 
     Grid fields are kept at degree <= grid/16 with unit scale so that
     phase increments of derived unitaries between neighbouring grid
-    points stay well below pi.
+    points stay well below pi; below grid 16 the field is constant.
     """
     if batch == 1:
         h = _cnormal(rng, (1, n, n))
         return (h + h.conj().transpose(0, 2, 1)) / 2.0
-    ks, coeffs = _trig_coeffs(rng, batch, (n, n), deg=max(1, batch // 16))
+    ks, coeffs = _trig_coeffs(rng, batch, (n, n), deg=batch // 16)
     # enforce pointwise Hermitianity: c_{-k} = c_k^*
     deg = (len(ks) - 1) // 2
     for i, k in enumerate(ks):
@@ -129,10 +129,12 @@ def unitary(rng, algebra: AlgebraSpec, level: int, winding: int = 0) -> Element:
 
 
 def draw_winding(rng, algebra: AlgebraSpec, k: int) -> int:
-    """A winding uniform over -k..k when the algebra has a grid summand;
-    0, drawing nothing, over fd blocks."""
-    grid = any(b > 1 for b, _ in algebra.summands)
-    return int(rng.integers(-k, k + 1)) if grid else 0
+    """A winding uniform over -k..k when the algebra has a grid summand,
+    with k capped at grid/4 so that z^w steps by at most pi/2 between
+    neighbouring grid points; 0, drawing nothing, over fd blocks."""
+    caps = [b // 4 for b, _ in algebra.summands if b > 1]
+    k = min([k] + caps)
+    return int(rng.integers(-k, k + 1)) if caps else 0
 
 
 def uniform_ranks(rng, algebra: AlgebraSpec, level: int) -> list:

@@ -432,8 +432,8 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         p = rand.projection(rng, algebra, 1)
         left = direct_sum(zero(algebra, 1), p)
         right = direct_sum(p, zero(algebra, 1))
-        return _bool(eqv.stabilized_projection_equiv(p, left, tol)[0]
-                     and eqv.stabilized_projection_equiv(p, right, tol)[0])
+        return _bool(eqv.mvn_equivalent(p, left, tol)[0]
+                     and eqv.mvn_equivalent(p, right, tol)[0])
 
     properties.append(Property("projection-zero-padding", t_fast, proj_pad))
 
@@ -535,7 +535,7 @@ def _equivalence_properties(algebra: AlgebraSpec, cfg: RunConfig) -> list:
         v = rand.unitary(rng, algebra, 1, winding=w1)
         w = rand.unitary(rng, algebra, 1, winding=0)
         lhs = holds(eqv.sim1_equivalent, direct_sum(u, w), direct_sum(v, w))
-        rhs = holds(eqv.approx1_equivalent, u, v)
+        rhs = holds(eqv.sim1_equivalent, u, v)
         return _bool(lhs == rhs)
 
     properties.append(Property("stabilization-consistency", t_path,

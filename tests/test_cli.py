@@ -521,6 +521,84 @@ def test_equiv_h_joins_rank_zero_circle_partial_unitaries(tmp_path, capsys):
     assert "windings" not in report
 
 
+@pytest.mark.parametrize("alg", [algebra.AlgebraSpec.circle(1, 16),
+                                 algebra.AlgebraSpec.fd([1, 2])],
+                         ids=["circle1x16", "fd12"])
+def test_stabilized_relations_report_as_their_base_relations(tmp_path,
+                                                             capsys, alg):
+    # approx1 and approxK are decided by the sim1 and simK deciders, so
+    # their reports differ from those only in the relation field
+    rng = rand.stream(405, 0)
+    uf, vf = (write_element(tmp_path / f"{k}.json",
+                            rand.unitary(rng, alg, 1, winding=1))
+              for k in "uv")
+
+    def report(relation):
+        assert cli.main(["equiv", uf, vf, "--relation", relation,
+                         "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    for stabilized, base in (("approx1", "sim1"), ("approxK", "simK")):
+        got = report(stabilized)
+        field = f'"relation":"{stabilized}"'
+        assert got.count(field) == 1
+        assert got.replace(field, f'"relation":"{base}"') == report(base)
+        assert json.loads(got)["equivalent"] is True
+
+
+_FD12 = algebra.AlgebraSpec.fd([1, 2])
+# order units over different algebras, a rectangular operand, 2e
+# (outside every predicate set), square operands at two different levels
+_STABILIZED_OPERANDS = {
+    "algebras": (algebra.order_unit(_FD12, 1),
+                 algebra.order_unit(algebra.AlgebraSpec.fd([3]), 1)),
+    "rectangular": (algebra.zero(_FD12, 1, 2), algebra.order_unit(_FD12, 1)),
+    "outside-domain": (algebra.order_unit(_FD12, 1).scale(2.0),
+                       algebra.order_unit(_FD12, 1)),
+    "levels": (algebra.order_unit(_FD12, 1), algebra.order_unit(_FD12, 2)),
+}
+
+
+@pytest.mark.parametrize("row", _STABILIZED_OPERANDS)
+@pytest.mark.parametrize("stabilized, base", [("approx1", "sim1"),
+                                              ("approxK", "simK")])
+def test_stabilized_relations_refuse_operands_as_their_base_relations(
+        tmp_path, capsys, stabilized, base, row):
+    # the operand refusals of approx1 and approxK are those of sim1 and
+    # simK: the same exit code, the same error line, and a report that
+    # differs only in the relation field
+    uf, vf = (write_element(tmp_path / f"{k}.json", x)
+              for k, x in zip("uv", _STABILIZED_OPERANDS[row]))
+
+    def run(relation):
+        code = cli.main(["equiv", uf, vf, "--relation", relation,
+                         "--format", "json"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    code, out, err = run(stabilized)
+    want_code, want_out, want_err = run(base)
+    assert code == want_code
+    assert err == want_err
+    field = f'"relation":"{stabilized}"'
+    assert out.count(field) == (code == 0)
+    assert out.replace(field, f'"relation":"{base}"') == want_out
+    # every row but the levels one is an operand error
+    assert code == (0 if row == "levels" else 2)
+    assert (err == "") == (code == 0)
+
+
+def test_check_axioms_passes_on_the_smallest_circle_grid(tmp_path, capsys):
+    # circle dim 1 grid 4: the generators keep every drawn loop at the
+    # degree it was drawn with, so the homotopy properties hold
+    spec = write_algebra(tmp_path / "alg.json",
+                         algebra.AlgebraSpec.circle(1, 4))
+    for seed in range(1, 6):
+        assert cli.main(["check-axioms", spec, "--trials", "8",
+                         "--seed", str(seed)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_equiv_h_answers_in_either_operand_order(tmp_path, capsys):
     # a unitary against a rank-1 partial unitary: neither order may stop
     # at the unitary predicate of the second operand
